@@ -17,7 +17,14 @@ from jantzen.filtration import (
     simple_weight_dims,
     sum_formula_check,
 )
-from jantzen.kl import KLDefectError, KLTable, build_table, kl_polynomial, table_for
+from jantzen.kl import (
+    KLDefectError,
+    KLTable,
+    build_table,
+    clear_caches,
+    kl_polynomial,
+    table_for,
+)
 from jantzen.parabolic import (
     ConventionDefectError,
     ParabolicBlock,
@@ -85,6 +92,7 @@ __all__ = [
     "build_root_system",
     "build_table",
     "chevalley_basis",
+    "clear_caches",
     "domination_check",
     "enumerate_IWJ",
     "format_word",

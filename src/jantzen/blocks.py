@@ -15,11 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from jantzen.roots import RootSystem, Weight, is_antidominant
-from jantzen.weyl import CoxeterSystem, WeylElem, reflection_elem
-
-
-class DefectError(RuntimeError):
-    """A structural invariant failed; results would not be trustworthy."""
+from jantzen.weyl import CoxeterSystem, DefectError, WeylElem, subsystem
 
 
 def _integral_positive_indices(rs: RootSystem, w: Weight) -> tuple[int, ...]:
@@ -29,88 +25,6 @@ def _integral_positive_indices(rs: RootSystem, w: Weight) -> tuple[int, ...]:
         if Fraction(p).denominator == 1:
             out.append(i)
     return tuple(out)
-
-
-def _indecomposables(rs: RootSystem, pos_idx) -> tuple[int, ...]:
-    vecs = {rs.positive_roots[i] for i in pos_idx}
-    simple = []
-    for i in pos_idx:
-        alpha = rs.positive_roots[i]
-        decomposable = False
-        for beta in vecs:
-            gamma = tuple(a - b for a, b in zip(alpha, beta))
-            if gamma != alpha and gamma in vecs:
-                decomposable = True
-                break
-        if not decomposable:
-            simple.append(i)
-    simple.sort(
-        key=lambda i: (
-            sum(rs.positive_roots[i]),
-            tuple(-x for x in rs.positive_roots[i]),
-        )
-    )
-    return tuple(simple)
-
-
-def _validate_subsystem(rs: RootSystem, simple_idx, pos_idx) -> None:
-    """Root-system axioms for the integral subsystem; defect on failure."""
-    simples = [rs.positive_roots[i] for i in simple_idx]
-    pos_vecs = [rs.positive_roots[i] for i in pos_idx]
-    pos_set = set(pos_vecs)
-    # every integral positive root is a nonnegative integer combination of
-    # the indecomposables
-    for vec in pos_vecs:
-        coeffs = _express(simples, vec)
-        if coeffs is None or any(
-            c.denominator != 1 or c < 0 for c in coeffs
-        ):
-            raise DefectError(
-                f"integral root {vec} is not a nonnegative integer "
-                f"combination of the indecomposables {simples}"
-            )
-    # the simple reflections permute the subsystem
-    for srv in simples:
-        s = reflection_elem(rs, srv)
-        for vec in pos_vecs:
-            img = s.apply_root(vec)
-            if img not in pos_set and tuple(-c for c in img) not in pos_set:
-                raise DefectError(
-                    f"reflection in {srv} does not preserve the integral "
-                    f"subsystem (moved {vec} to {img})"
-                )
-
-
-def _express(basis_vecs, target):
-    """Exact coefficients of target in the given independent vectors, or None."""
-    n = len(target)
-    cols = len(basis_vecs)
-    aug = [
-        [Fraction(basis_vecs[j][i]) for j in range(cols)] + [Fraction(target[i])]
-        for i in range(n)
-    ]
-    row = 0
-    pivots = []
-    for col in range(cols):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if aug[r][cols] != 0:
-            return None
-    coeffs = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        coeffs[col] = aug[r][cols]
-    return coeffs
 
 
 @dataclass(frozen=True)
@@ -139,27 +53,31 @@ class Block:
         return self.rs is other.rs and self.mu == other.mu
 
 
+def _block(rs: RootSystem, mu: Weight, pos_idx) -> Block:
+    """Block of an antidominant weight whose integral positive roots are
+    ``pos_idx``.  The integral root set is invariant under the integral
+    Weyl group, so normalize passes the set it computed for nu."""
+    if not is_antidominant(rs, mu):
+        raise ValueError(
+            f"{mu.serialize()} is not antidominant; use normalize() to reach "
+            "the antidominant representative first"
+        )
+    system = subsystem(rs, pos_idx)
+    J = tuple(
+        i
+        for i, k in enumerate(system.simple_idx)
+        if sum(c * x for c, x in zip(rs.coroots[k], mu.coords)) == 0
+    )
+    return Block(rs=rs, mu=mu, system=system, J=J)
+
+
 def integral_block(rs: RootSystem, mu: Weight) -> Block:
     """Block data for an antidominant weight; rejects other weights."""
     if len(mu.coords) != rs.rank:
         raise ValueError(
             f"weight has {len(mu.coords)} coordinates, expected {rs.rank}"
         )
-    if not is_antidominant(rs, mu):
-        raise ValueError(
-            f"{mu.serialize()} is not antidominant; use normalize() to reach "
-            "the antidominant representative first"
-        )
-    pos_idx = _integral_positive_indices(rs, mu)
-    simple_idx = _indecomposables(rs, pos_idx)
-    _validate_subsystem(rs, simple_idx, pos_idx)
-    system = CoxeterSystem(rs, simple_idx, pos_idx)
-    J = tuple(
-        i
-        for i, vec in enumerate(system.simple_roots)
-        if sum(k * c for k, c in zip(rs.coroot_of(vec), mu.coords)) == 0
-    )
-    return Block(rs=rs, mu=mu, system=system, J=J)
+    return _block(rs, mu, _integral_positive_indices(rs, mu))
 
 
 def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, WeylElem]:
@@ -169,27 +87,26 @@ def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, WeylElem]:
             f"weight has {len(nu.coords)} coordinates, expected {rs.rank}"
         )
     pos_idx = _integral_positive_indices(rs, nu)
-    simple_idx = _indecomposables(rs, pos_idx)
-    simples = [rs.positive_roots[i] for i in simple_idx]
-    coroots = [rs.coroots[i] for i in simple_idx]
-    refls = [reflection_elem(rs, vec) for vec in simples]
+    system = subsystem(rs, pos_idx)
+    coroots = [rs.coroots[i] for i in system.simple_idx]
 
+    # nu = s_{i1} ... s_{ik} cur, with word = (i1, ..., ik)
     cur = nu
-    w = None
+    word = []
     changed = True
     while changed:
         changed = False
-        for vec, coroot, s in zip(simples, coroots, refls):
+        for i, coroot in enumerate(coroots):
             p = sum(k * c for k, c in zip(coroot, cur.coords))
             if p > 0:
-                cur = s.apply(cur)
-                w = s if w is None else w * s
+                cur = system.gens[i].apply(cur)
+                word.append(i)
                 changed = True
                 break
-    block = integral_block(rs, cur)
-    if w is None:
-        return block, block.system.identity
-    y, _ = block.system.decompose_yx(w, block.J)
+    block = _block(rs, cur, pos_idx)
+    if not word:
+        return block, system.identity
+    y, _ = system.decompose_yx(system.element_from_word(word), block.J)
     if y.apply(block.mu) != nu:
         raise DefectError("normalization did not reproduce the input weight")
     return block, y

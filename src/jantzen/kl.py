@@ -18,7 +18,9 @@ sum_z (-1)^(l(z)-l(x)) P(x, z) Q(z, w) = delta(x, w).
 
 Completed tables persist to disk keyed by a canonical hash of the Coxeter
 matrix, so isomorphic blocks (e.g. an integral subsystem of one type that
-matches the full group of another) share cache files.
+matches the full group of another) share cache files.  The header of a
+cache file carries the SHA-256 of its body; a file whose digest or version
+does not match is a cache miss, and the table is rebuilt.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ import hashlib
 import os
 import tempfile
 
+from jantzen import weyl
 from jantzen.poly import Poly
 from jantzen.weyl import CoxeterSystem, WeylElem, format_word, parse_word
 
-CACHE_VERSION = "KLCACHE v1"
+CACHE_VERSION = "KLCACHE v2"
 _ONE = Poly((1,))
+# interned CoxeterSystem -> its complete KLTable
 _registry: dict = {}
 
 
@@ -45,7 +49,6 @@ class KLTable:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._p: dict[tuple[WeylElem, WeylElem], Poly] = {}
-        self._w0: WeylElem | None = None
 
     def polynomial(self, x: WeylElem, w: WeylElem) -> Poly:
         sys = self.system
@@ -64,9 +67,8 @@ class KLTable:
         rank three.  Support, degree bound and constant term match those
         of P(x, w) since x <= w iff w0 w <= w0 x.
         """
-        if self._w0 is None:
-            self._w0 = self.system.longest_element()
-        return self.polynomial(self._w0 * w, self._w0 * x)
+        sys = self.system
+        return self.polynomial(sys.longest_times(w), sys.longest_times(x))
 
     def _compute(self, x: WeylElem, w: WeylElem) -> Poly:
         key = (x, w)
@@ -80,9 +82,8 @@ class KLTable:
             self._p[key] = _ONE
             return _ONE
         s = sys.first_right_descent(w)
-        gs = sys.gens[s]
-        v = w * gs
-        xs = x * gs
+        v = sys.right_mul(w, s)
+        xs = sys.right_mul(x, s)
         if sys.length(xs) < sys.length(x):
             base = self._below(xs, v) + self._below(x, v).shift(1)
         else:
@@ -126,17 +127,16 @@ class KLTable:
 
     def build(self) -> "KLTable":
         sys = self.system
-        for w in sorted(sys.elements(), key=sys.length):
+        for w in sys.elements():
             for x in sys.bruhat_interval_below(w):
                 self._compute(x, w)
         return self
 
     def entries(self):
         """All computed (x, w, P) sorted canonically."""
-        sys = self.system
+        index = self.system.index  # index order is (length, word) order
         items = sorted(
-            self._p.items(),
-            key=lambda kv: (sys.sort_key(kv[0][1]), sys.sort_key(kv[0][0])),
+            self._p.items(), key=lambda kv: (index(kv[0][1]), index(kv[0][0]))
         )
         for (x, w), poly in items:
             yield x, w, poly
@@ -180,14 +180,16 @@ def save_table(table: KLTable, cache_dir: str) -> str:
     path = cache_path(table.system, cache_dir)
     key = cache_key(table.system.coxeter_matrix())
     sys = table.system
-    lines = [f"{CACHE_VERSION} {key}"]
+    lines = []
     for x, w, poly in table.entries():
         coeffs = ",".join(str(c) for c in poly.coeffs)
         lines.append(f"{format_word(sys.word(x))};{format_word(sys.word(w))};{coeffs}")
+    body = "".join(line + "\n" for line in lines).encode()
+    digest = hashlib.sha256(body).hexdigest()
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(f"{CACHE_VERSION} {key} {digest}\n".encode() + body)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -196,30 +198,35 @@ def save_table(table: KLTable, cache_dir: str) -> str:
 
 
 def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
-    """Load a table if a valid complete cache exists; None otherwise."""
+    """Load a table if a valid complete cache exists; None otherwise.
+
+    A file of another version, or whose body does not match the digest in
+    its header, is treated as missing."""
     path = cache_path(system, cache_dir)
     if not os.path.exists(path):
         return None
     key = cache_key(system.coxeter_matrix())
     table = KLTable(system)
     try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != f"{CACHE_VERSION} {key}":
-                return None
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                x_text, w_text, coeff_text = line.split(";")
-                x = system.element_from_word(parse_word(x_text))
-                w = system.element_from_word(parse_word(w_text))
-                coeffs = (
-                    tuple(int(c) for c in coeff_text.split(","))
-                    if coeff_text
-                    else ()
-                )
-                table._p[(x, w)] = Poly(coeffs)
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            body = fh.read()
+        digest = hashlib.sha256(body).hexdigest()
+        if header != f"{CACHE_VERSION} {key} {digest}\n".encode():
+            return None
+        for line in body.decode().splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            x_text, w_text, coeff_text = line.split(";")
+            x = system.element_from_word(parse_word(x_text))
+            w = system.element_from_word(parse_word(w_text))
+            coeffs = (
+                tuple(int(c) for c in coeff_text.split(","))
+                if coeff_text
+                else ()
+            )
+            table._p[(x, w)] = Poly(coeffs)
     except (OSError, ValueError):
         return None
     if len(table._p) != table.expected_pair_count():
@@ -232,9 +239,13 @@ def table_for(
     cache_dir: str | None = None,
     use_disk: bool = False,
 ) -> KLTable:
-    """Complete table for a system, via the in-memory registry and optional disk cache."""
-    reg_key = (system.rs.lie_type, system.simple_idx)
-    got = _registry.get(reg_key)
+    """Complete table for a system, via the in-memory registry and optional disk cache.
+
+    The table is built on the interned system with the same root set
+    (``weyl.subsystem``), so its ``system`` is the one blocks carry.
+    """
+    system = weyl.subsystem(system.rs, system.pos_idx)
+    got = _registry.get(system)
     if got is not None:
         return got
     table = None
@@ -245,5 +256,14 @@ def table_for(
         table = build_table(system)
         if use_disk:
             save_table(table, directory)
-    _registry[reg_key] = table
+    _registry[system] = table
     return table
+
+
+def clear_caches() -> None:
+    """Forget every in-memory KL table and interned Coxeter system.
+
+    Disk caches are untouched; later calls rebuild (or reload) what they
+    need from scratch."""
+    _registry.clear()
+    weyl.clear_systems()

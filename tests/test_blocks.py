@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from jantzen.blocks import DefectError, integral_block, normalize, phi_plus_count
+from jantzen.kl import table_for
 from jantzen.roots import LieType, Weight, build_root_system
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
 
@@ -210,3 +211,30 @@ def test_suite_weights_are_antidominant():
             assert is_antidominant(rs, mu), (name, label)
             if label.startswith("nonintegral"):
                 assert any(c.denominator != 1 for c in mu.coords)
+
+
+def test_blocks_share_interned_systems(monkeypatch):
+    from jantzen import clear_caches, weyl
+
+    clear_caches()
+    calls = []
+    validate = weyl._validate_subsystem
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(weyl, "_validate_subsystem", counted)
+    rs = _rs("A2")
+    regular = integral_block(rs, Weight.of(-1, -1))
+    # same integral root set: the regular, a singular and a dominant weight
+    assert integral_block(rs, Weight.of(0, -1)).system is regular.system
+    assert normalize(rs, Weight.of(1, 1))[0].system is regular.system
+    assert weyl.weyl_group(rs) is regular.system
+    # (-1/2, -1/2) and (-1/2, -3/2) pair integrally only with alpha1 + alpha2
+    half = integral_block(rs, Weight.of(Fraction(-1, 2), Fraction(-1, 2)))
+    other = normalize(rs, Weight.of(Fraction(1, 2), Fraction(3, 2)))[0]
+    assert other.system is half.system is not regular.system
+    # the subsystem axioms were checked once per root set
+    assert len(calls) == 2
+    assert table_for(half.system).system is half.system

@@ -9,7 +9,7 @@ import json
 import os
 
 from jantzen.cli import main
-from jantzen.kl import _registry
+from jantzen import clear_caches
 
 
 def _run(capsys, argv):
@@ -232,18 +232,18 @@ def test_weight_leading_minus_without_equals(capsys):
 
 
 def test_cache_flag_writes_table(tmp_path, capsys):
-    _registry.clear()
+    clear_caches()
     code = main(
         ["kl", "--type", "B2", "--x", "1", "--w", "2 1", "--cache", str(tmp_path)]
     )
     capsys.readouterr()
     assert code == 0
     assert any(name.endswith(".kl") for name in os.listdir(tmp_path))
-    _registry.clear()
+    clear_caches()
 
 
 def test_no_cache_writes_nothing(tmp_path, capsys):
-    _registry.clear()
+    clear_caches()
     code = main(
         ["kl", "--type", "B2", "--x", "1", "--w", "2 1", "--cache", str(tmp_path),
          "--no-cache"]
@@ -251,14 +251,14 @@ def test_no_cache_writes_nothing(tmp_path, capsys):
     capsys.readouterr()
     assert code == 0
     assert os.listdir(tmp_path) == []
-    _registry.clear()
+    clear_caches()
 
 
 def test_cache_env_var(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("JANTZEN_CACHE", str(tmp_path))
-    _registry.clear()
+    clear_caches()
     code = main(["layers", "--type", "A2", "--weight", "1,1"])
     capsys.readouterr()
     assert code == 0
     assert any(name.endswith(".kl") for name in os.listdir(tmp_path))
-    _registry.clear()
+    clear_caches()

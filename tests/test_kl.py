@@ -12,7 +12,9 @@ import os
 
 import pytest
 
+from jantzen import clear_caches
 from jantzen.kl import (
+    CACHE_VERSION,
     KLTable,
     build_table,
     cache_key,
@@ -318,9 +320,7 @@ def test_cache_rejects_corruption(tmp_path):
 
 
 def test_table_for_disk_cache(tmp_path):
-    import jantzen.kl as klmod
-
-    klmod._registry.clear()
+    clear_caches()
     sys = _system("B2")
     path = cache_path(sys, str(tmp_path))
     assert not os.path.exists(path)
@@ -329,7 +329,7 @@ def test_table_for_disk_cache(tmp_path):
     with open(path, "rb") as fh:
         first = fh.read()
     # a second, fresh process-level lookup reuses the file
-    klmod._registry.clear()
+    clear_caches()
     t2 = table_for(sys, cache_dir=str(tmp_path), use_disk=True)
     with open(path, "rb") as fh:
         second = fh.read()
@@ -337,7 +337,7 @@ def test_table_for_disk_cache(tmp_path):
     for x, w, p in t1.entries():
         assert t2.polynomial(x, w) == p
     # a corrupt cache is rebuilt, not trusted
-    klmod._registry.clear()
+    clear_caches()
     with open(path, "w") as fh:
         fh.write("garbage\n")
     t3 = table_for(sys, cache_dir=str(tmp_path), use_disk=True)
@@ -362,3 +362,58 @@ def test_registry_reuse():
     t1 = table_for(sys)
     t2 = table_for(sys)
     assert t1 is t2
+
+
+def test_cache_rejects_tampered_entry(tmp_path):
+    # One coefficient changed from 1,1 to 1,7 keeps the degree bound and
+    # positivity, so only the body digest in the header can catch it.
+    sys = _system("A3")
+    path = save_table(build_table(sys), str(tmp_path))
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    hit = next(i for i, line in enumerate(lines) if line.endswith(";1,1"))
+    lines[hit] = lines[hit][: -len("1,1")] + "1,7"
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+    assert load_table(sys, str(tmp_path)) is None
+
+
+def test_cache_v1_file_is_rebuilt(tmp_path):
+    sys = _system("B2")
+    table = build_table(sys)
+    path = save_table(table, str(tmp_path))
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+    # the previous format: version and key, no digest
+    lines[0] = f"KLCACHE v1 {cache_key(sys.coxeter_matrix())}"
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+    assert load_table(sys, str(tmp_path)) is None
+    clear_caches()
+    rebuilt = table_for(sys, cache_dir=str(tmp_path), use_disk=True)
+    for x, w, p in table.entries():
+        assert rebuilt.polynomial(x, w) == p
+    with open(path) as fh:
+        assert fh.readline().startswith(CACHE_VERSION + " ")
+    assert load_table(sys, str(tmp_path)) is not None
+
+
+def test_table_for_uses_interned_system():
+    from jantzen.weyl import CoxeterSystem
+
+    sys = _system("B3")
+    assert table_for(sys).system is sys
+    # a system built directly is replaced by its interned twin
+    twin = CoxeterSystem(sys.rs, sys.simple_idx, sys.pos_idx)
+    assert table_for(twin).system is sys
+
+
+def test_longest_times_matches_matrix_product():
+    for name in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "A4"):
+        sys = _system(name)
+        w0 = sys.longest_element()
+        for x in sys.elements():
+            w0x = sys.longest_times(x)
+            assert w0x == w0 * x
+            assert sys.contains(w0x)
+            assert sys.length(w0x) == sys.length(w0) - sys.length(x)

@@ -1,8 +1,12 @@
 """Weyl group enumeration, Bruhat order, and coset representatives."""
 
+from fractions import Fraction
+
 import pytest
 
+from jantzen.blocks import integral_block
 from jantzen.roots import LieType, Weight, build_root_system, pairing, rho
+from jantzen.suite import ACCEPTANCE_TYPES
 from jantzen.weyl import (
     CapExceededError,
     format_word,
@@ -125,6 +129,51 @@ def test_descents():
     assert not sys.right_descent(w, 0)
     assert sys.first_right_descent(w) == 1
     assert sys.first_right_descent(sys.identity) is None
+
+
+def _negative(vec):
+    return next(c for c in vec if c != 0) < 0
+
+
+def test_element_tables_match_matrices():
+    # The per-element records against the matrix definitions: w s_i is
+    # the matrix product, i is a right descent iff w(alpha_i) < 0, and the
+    # canonical word walks back to w.
+    for name in ACCEPTANCE_TYPES + ("A4",):
+        sys = _group(name)
+        for w in sys.elements():
+            assert sys.element_from_word(sys.word(w)) == w
+            for i, g in enumerate(sys.gens):
+                u = sys.right_mul(w, i)
+                assert u == w * g
+                assert sys.contains(u)
+                descent = _negative(w.apply_root(sys.simple_roots[i]))
+                assert sys.right_descent(w, i) == descent
+                assert (sys.length(u) < sys.length(w)) == descent
+
+
+def test_elements_sorted_by_sort_key():
+    for name in ACCEPTANCE_TYPES + ("A4",):
+        sys = _group(name)
+        elems = sys.elements()
+        assert list(elems) == sorted(elems, key=sys.sort_key)
+        assert [sys.index(w) for w in elems] == list(range(len(elems)))
+
+
+def test_non_members_use_matrices():
+    # The integral group of (-1/2, -1) in B2 is generated by the reflections
+    # in the orthogonal roots alpha2 and alpha1 + alpha2; s_1 lies outside.
+    rs = build_root_system(LieType.parse("B2"))
+    sys = integral_block(rs, Weight.of(Fraction(-1, 2), -1)).system
+    assert sys.order() == 4
+    s1 = weyl_group(rs).gens[0]
+    assert not sys.contains(s1)
+    assert sys.right_mul(s1, 0) == s1 * sys.gens[0]
+    assert sys.length(s1) == sum(
+        1 for vec in sys._pos_vecs if _negative(s1.apply_root(vec))
+    )
+    assert sys.right_descent(s1, 0) == _negative(s1.apply_root(sys.simple_roots[0]))
+    assert sys.inverse(s1) == s1.inverse()
 
 
 def _bruhat_oracle(sys):
@@ -302,3 +351,30 @@ def test_group_order_cap():
     sys = weyl_group(rs)
     with pytest.raises(CapExceededError):
         sys.elements()
+
+
+def test_group_over_cap_still_answers_by_matrices():
+    # Queries that need no enumeration keep working on a group over the
+    # cap, before and after a capped enumeration has been attempted.
+    from jantzen.blocks import normalize
+
+    rs = build_root_system(LieType.parse("D5"))
+    sys = weyl_group(rs)
+    for attempt in range(2):
+        with pytest.raises(CapExceededError):
+            sys.elements()
+        w = sys.element_from_word((0, 1, 2, 3, 4))
+        g = sys.gens
+        assert w == g[0] * g[1] * g[2] * g[3] * g[4]
+        assert sys.length(w) == 5
+        # s_4 and s_5 commute, so both are right descents of w
+        assert sys.first_right_descent(w) == 3
+        assert sys.right_descent(w, 4) and not sys.right_descent(w, 2)
+        assert sys.right_mul(w, 4) == sys.element_from_word((0, 1, 2, 3))
+        assert len(sys.subgroup_elements((0, 1, 2))) == 24  # type A3
+        assert sys.length(sys.longest_element((0, 1, 2))) == 6
+        nu = Weight.of(1, 2, 1, 1, 1)  # dominant regular integral
+        block, y = normalize(rs, nu)
+        assert block.system is sys
+        assert y.apply(block.mu) == nu
+        assert sys.length(y) == len(rs.positive_roots)
