@@ -12,7 +12,8 @@ Subcommands
 Weights are comma-separated rationals in the pairing basis ("1,-1/2").
 Words are space-separated 1-based generator indices of the block's
 integral system ("2 1"), with "e" or the empty string for the identity.
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error.
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error,
+3 internal error (the program broke; no verdict).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from jantzen.blocks import Block, DefectError, normalize
 from jantzen.filtration import (
@@ -43,6 +45,7 @@ from jantzen.weyl import CoxeterSystem, format_word, parse_word, weyl_group
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class UsageError(ValueError):
@@ -541,15 +544,16 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RuntimeError as exc:
+    except DefectError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -30,8 +30,8 @@ from fractions import Fraction
 
 from jantzen.blocks import Block, DefectError, normalize
 from jantzen.kl import KLTable, table_for
-from jantzen.roots import RootSystem, Weight, partition_count
-from jantzen.weyl import WeylElem, format_word
+from jantzen.roots import RootSystem, Weight, boxes, partition_count
+from jantzen.weyl import WeylElem
 
 
 @dataclass
@@ -295,7 +295,7 @@ def simple_weight_dims(block: Block, z: WeylElem, depth: int) -> dict:
         offsets[v] = tuple(int(c) for c in rc)
 
     out = {}
-    for beta in _boxes(rs.rank, depth):
+    for beta in boxes(rs.rank, depth):
         total = 0
         for v in below:
             shift = tuple(b - o for b, o in zip(beta, offsets[v]))
@@ -306,32 +306,3 @@ def simple_weight_dims(block: Block, z: WeylElem, depth: int) -> dict:
             raise DefectError("negative simple weight multiplicity")
         out[beta] = total
     return out
-
-
-def _boxes(rank: int, depth: int):
-    out = []
-
-    def rec(prefix, remaining):
-        if len(prefix) == rank:
-            out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v)
-
-    rec([], depth)
-    out.sort(key=lambda v: (sum(v), v))
-    return out
-
-
-def describe_layer_table(lt: LayerTable) -> list[str]:
-    """Plain-text rows, one per radical layer."""
-    sys = lt.block.system
-    lines = []
-    for j, row in enumerate(lt.rows):
-        parts = []
-        for z in sorted(row, key=sys.sort_key):
-            word = format_word(sys.word(z)) or "e"
-            m = row[z]
-            parts.append(word if m == 1 else f"{word} x{m}")
-        lines.append(f"layer {j}: " + "; ".join(parts))
-    return lines

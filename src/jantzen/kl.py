@@ -29,9 +29,9 @@ import hashlib
 import os
 import tempfile
 
-from jantzen import weyl
+from jantzen import roots, weyl
 from jantzen.poly import Poly
-from jantzen.weyl import CoxeterSystem, WeylElem, format_word, parse_word
+from jantzen.weyl import CoxeterSystem, DefectError, WeylElem, format_word, parse_word
 
 CACHE_VERSION = "KLCACHE v2"
 _ONE = Poly((1,))
@@ -39,7 +39,7 @@ _ONE = Poly((1,))
 _registry: dict = {}
 
 
-class KLDefectError(RuntimeError):
+class KLDefectError(DefectError):
     """A computed polynomial violated a Kazhdan-Lusztig invariant."""
 
 
@@ -261,9 +261,11 @@ def table_for(
 
 
 def clear_caches() -> None:
-    """Forget every in-memory KL table and interned Coxeter system.
+    """Forget every in-memory KL table, interned Coxeter system, partition
+    count memo and truncated partition table.
 
     Disk caches are untouched; later calls rebuild (or reload) what they
     need from scratch."""
     _registry.clear()
     weyl.clear_systems()
+    roots.clear_partition_caches()

@@ -27,12 +27,14 @@ characters).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from jantzen.blocks import Block, DefectError
-from jantzen.filtration import _boxes, layers
+from jantzen.filtration import layers
 from jantzen.kl import KLTable, table_for
 from jantzen.poly import Poly
-from jantzen.roots import Weight, partition_count
+from jantzen.roots import Weight, partition_table
+from jantzen.roots import partition_count  # noqa: F401  (hooked by bench/layertrace.py)
 from jantzen.weyl import WeylElem
 
 
@@ -50,8 +52,12 @@ class ParabolicBlock:
     wI: WeylElem
     reps: tuple[WeylElem, ...]  # {}^I W^J
 
+    @cached_property
+    def rep_set(self) -> frozenset:
+        return frozenset(self.reps)
+
     def highest_weight(self, w: WeylElem) -> Weight:
-        return (self.wI * w).apply(self.block.mu)
+        return self.block.system.mul(self.wI, w).apply(self.block.mu)
 
 
 def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
@@ -118,14 +124,15 @@ def parabolic_layers(
     """Layer table of the parabolic Verma with highest weight w_I w mu."""
     block = pblock.block
     sys = block.system
-    if w not in pblock.reps:
+    if w not in pblock.rep_set:
         raise ValueError("w is not an upper coset representative for (I, J)")
     if table is None:
         table = table_for(sys)
     wI = pblock.wI
-    wIw = wI * w
-    signs = [
-        (u, -1 if sys.length(u) % 2 else 1) for u in sys.subgroup_elements(pblock.I)
+    wIw = sys.mul(wI, w)
+    targets = [
+        (sys.mul(u, wIw), -1 if sys.length(u) % 2 else 1)
+        for u in sys.subgroup_elements(pblock.I)
     ]
     lw = sys.length(w)
     n_polys = {}
@@ -135,15 +142,14 @@ def parabolic_layers(
             continue
         if not sys.upper_coset_membership(z, pblock.I, ()):
             continue
-        wIz = wI * z
+        wIz = sys.mul(wI, z)
         n = Poly()
-        for u, sign in signs:
-            target = u * wIw
+        for target, sign in targets:
             if sys.bruhat_leq(wIz, target):
                 n = n + sign * table.inverse_polynomial(wIz, target)
         if n.is_zero():
             continue
-        if z not in pblock.reps:
+        if z not in pblock.rep_set:
             continue  # column killed by translation onto the singular weight
         n_polys[z] = n
         base = lw - sys.length(z)
@@ -180,16 +186,17 @@ def parabolic_layers_dual_path(
     """
     block = pblock.block
     sys = block.system
-    if w not in pblock.reps:
+    if w not in pblock.rep_set:
         raise ValueError("w is not an upper coset representative for (I, J)")
     wI = pblock.wI
+    wIw = sys.mul(wI, w)
     lw = sys.length(w)
     span = lw + sys.length(wI)
     acc: list[dict] = [dict() for _ in range(span + 1)]
     for u in sys.subgroup_elements(pblock.I):
         sign = -1 if sys.length(u) % 2 else 1
         shift = sys.length(u)
-        target = u * wI * w
+        target = sys.mul(u, wIw)
         if not sys.is_min_coset_rep(target, block.J):
             raise DefectError(
                 "composite parameter is not minimal in its coset modulo W_J"
@@ -208,8 +215,8 @@ def parabolic_layers_dual_path(
                 raise ConventionDefectError(
                     "uncancelled contribution beyond the layer range"
                 )
-            z = wI * x
-            if z not in pblock.reps:
+            z = sys.mul(wI, x)
+            if z not in pblock.rep_set:
                 raise ConventionDefectError(
                     "uncancelled multiplicity outside the parabolic column set"
                 )
@@ -244,11 +251,16 @@ def parabolic_character_check(
     outside the Levi.  Right side: the alternating sum over W_I of full
     Verma characters.  Offsets beta are root coordinates measured down
     from (w_I w mu) - rho.
+
+    The three partition functions (Levi roots, the other positive roots,
+    all positive roots) are read from separately computed tables truncated
+    at height <= depth; every orbit difference is a sum of positive roots,
+    so no lookup leaves its table.
     """
     block = pblock.block
     rs = block.rs
     sys = block.system
-    if w not in pblock.reps:
+    if w not in pblock.rep_set:
         raise ValueError("w is not an upper coset representative for (I, J)")
     lam = pblock.highest_weight(w)
 
@@ -281,42 +293,37 @@ def parabolic_character_check(
             rc = rs.weight_to_root_coords(diff.coords)
             if any(c.denominator != 1 for c in rc):
                 raise DefectError("orbit difference is not in the root lattice")
+            if any(c < 0 for c in rc):
+                raise DefectError("orbit difference is not a sum of positive roots")
             out.append((sign, tuple(int(c) for c in rc)))
 
-    def levi_dim(gamma) -> int:
+    levi = partition_table(rs, depth, levi_pos)
+    nil = partition_table(rs, depth, nil_pos)
+    full = partition_table(rs, depth)
+
+    # Levi weight multiplicities, nonzero entries only; a negative
+    # coordinate in a shifted box has no table entry and counts 0
+    levi_dims = {}
+    for gamma in levi:
         total = 0
         for sign, d in levi_shifts:
-            arg = tuple(g - s for g, s in zip(gamma, d))
-            if any(a < 0 for a in arg):
-                continue
-            total += sign * partition_count(rs, arg, levi_pos)
-        return total
+            total += sign * levi.get(tuple(g - s for g, s in zip(gamma, d)), 0)
+        if total:
+            levi_dims[gamma] = total
 
     rows = []
     passed = True
-    for beta in _boxes(rs.rank, depth):
+    for beta in full:
         lhs = 0
-        for gamma in _sub_boxes(beta):
-            fdim = levi_dim(gamma)
-            if fdim:
-                rest = tuple(b - g for b, g in zip(beta, gamma))
-                lhs += fdim * partition_count(rs, rest, nil_pos)
+        for gamma, fdim in levi_dims.items():
+            rest = tuple(b - g for b, g in zip(beta, gamma))
+            lhs += fdim * nil.get(rest, 0)
         rhs = 0
         for sign, d in verma_shifts:
-            arg = tuple(b - s for b, s in zip(beta, d))
-            if any(a < 0 for a in arg):
-                continue
-            rhs += sign * partition_count(rs, arg)
+            rhs += sign * full.get(tuple(b - s for b, s in zip(beta, d)), 0)
         if lhs != rhs:
             passed = False
         rows.append((beta, lhs, rhs))
     return CharCheckResult(
         pblock=pblock, w=w, depth=depth, passed=passed, rows=tuple(rows)
     )
-
-
-def _sub_boxes(beta):
-    out = [()]
-    for b in beta:
-        out = [prefix + (v,) for prefix in out for v in range(b + 1)]
-    return out

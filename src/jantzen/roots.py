@@ -152,7 +152,6 @@ class RootSystem:
             self._index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
         )
-        self._partition_caches: dict = {}
         self._inv_cartan = None
 
     @property
@@ -289,6 +288,19 @@ def is_antidominant(rs: RootSystem, w: Weight) -> bool:
     return True
 
 
+# (lie type, sorted root index set) -> {(vec, i): count}: the memo of
+# partition_count's recursion, shared by every RootSystem of that type.
+_partition_memos: dict = {}
+# (lie type, sorted root index set, depth) -> {box: count}: see partition_table.
+_partition_tables: dict = {}
+
+
+def _root_key(rs: RootSystem, root_indices) -> tuple[int, ...]:
+    if root_indices is None:
+        return tuple(range(len(rs.positive_roots)))
+    return tuple(sorted(root_indices))
+
+
 def partition_count(rs: RootSystem, beta, root_indices=None) -> int:
     """Number of multiset decompositions of beta into the given positive roots."""
     beta = tuple(int(b) for b in beta)
@@ -296,12 +308,9 @@ def partition_count(rs: RootSystem, beta, root_indices=None) -> int:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(beta)}")
     if any(b < 0 for b in beta):
         return 0
-    if root_indices is None:
-        root_indices = tuple(range(len(rs.positive_roots)))
-    else:
-        root_indices = tuple(sorted(root_indices))
+    root_indices = _root_key(rs, root_indices)
     roots = [rs.positive_roots[i] for i in root_indices]
-    memo = rs._partition_caches.setdefault(root_indices, {})
+    memo = _partition_memos.setdefault((rs.lie_type, root_indices), {})
 
     def count(vec, i):
         if all(v == 0 for v in vec):
@@ -325,6 +334,27 @@ def partition_count(rs: RootSystem, beta, root_indices=None) -> int:
     return count(beta, 0)
 
 
+def partition_table(rs: RootSystem, depth: int, root_indices=None) -> dict:
+    """partition_count on every box of height <= depth, keyed in boxes() order.
+
+    Each table is computed from its own root set and memoised per (type,
+    root set, depth); callers read it and must not change it.
+    """
+    root_indices = _root_key(rs, root_indices)
+    key = (rs.lie_type, root_indices, depth)
+    got = _partition_tables.get(key)
+    if got is None:
+        got = {b: partition_count(rs, b, root_indices) for b in boxes(rs.rank, depth)}
+        _partition_tables[key] = got
+    return got
+
+
+def clear_partition_caches() -> None:
+    """Forget every partition-count memo and truncated table."""
+    _partition_memos.clear()
+    _partition_tables.clear()
+
+
 def kostant_partition(rs: RootSystem, beta) -> int:
     """Kostant partition function: Verma weight multiplicity at depth beta."""
     beta = tuple(int(b) for b in beta)
@@ -333,18 +363,18 @@ def kostant_partition(rs: RootSystem, beta) -> int:
     return partition_count(rs, beta)
 
 
-def height_vectors(rank: int, max_height: int):
-    """All nonnegative integer vectors with 1 <= sum <= max_height, sorted."""
-    out = []
+def boxes(rank: int, depth: int) -> list[tuple[int, ...]]:
+    """All nonnegative integer vectors with sum <= depth, sorted by (sum, vector).
 
-    def rec(prefix, remaining):
-        if len(prefix) == rank:
-            if sum(prefix) >= 1:
-                out.append(tuple(prefix))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + [v], remaining - v)
-
-    rec([], max_height)
+    The zero vector comes first.
+    """
+    out = [()]
+    for _ in range(rank):
+        out = [v + (c,) for v in out for c in range(depth - sum(v) + 1)]
     out.sort(key=lambda v: (sum(v), v))
     return out
+
+
+def height_vectors(rank: int, max_height: int):
+    """All nonnegative integer vectors with 1 <= sum <= max_height, sorted."""
+    return boxes(rank, max_height)[1:]

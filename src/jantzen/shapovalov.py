@@ -24,12 +24,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from jantzen.blocks import DefectError, normalize
-from jantzen.filtration import _boxes, layers, simple_weight_dims
+from jantzen.filtration import layers, simple_weight_dims
 from jantzen.poly import Poly
 from jantzen.roots import (
     LieType,
     RootSystem,
     Weight,
+    boxes,
     build_root_system,
     kostant_partition,
     pairing,
@@ -47,7 +48,7 @@ class DepthCapError(ValueError):
     """Requested height exceeds the per-type straightening budget."""
 
 
-class DegenerateFormError(RuntimeError):
+class DegenerateFormError(DefectError):
     """A Gram matrix was singular over Q(t)."""
 
 
@@ -525,7 +526,7 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
     failures = []
     comparisons = 0
     spaces = 0
-    for beta in _boxes(rs.rank, depth):
+    for beta in boxes(rs.rank, depth):
         spaces += 1
         _, mat = gram_matrix(cb, nu, beta, engine)
         if len(mat) != kostant_partition(rs, beta):

@@ -280,6 +280,17 @@ class CoxeterSystem:
             w = info[w].right[i]
         return w
 
+    def mul(self, x: WeylElem, y: WeylElem) -> WeylElem:
+        """The product x y of two group elements, as a walk along the
+        shorter of their reduced words: x s_{j1} ... s_{jm} for the word of
+        y, or (y^-1 s_{ik} ... s_{i1})^-1 for the word (i1, ..., ik) of x."""
+        self._enumerate()
+        info = self._info
+        rx, ry = info[x], info[y]
+        if rx.length < ry.length:
+            return info[self._walk(ry.inverse, reversed(rx.word))].inverse
+        return self._walk(x, ry.word)
+
     def element_from_word(self, word) -> WeylElem:
         word = tuple(word)
         for i in word:

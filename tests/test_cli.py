@@ -8,8 +8,14 @@ and the disk-cache controls.
 import json
 import os
 
+import pytest
+
+from jantzen import cli, clear_caches
+from jantzen.blocks import DefectError
 from jantzen.cli import main
-from jantzen import clear_caches
+from jantzen.kl import KLDefectError
+from jantzen.parabolic import ConventionDefectError
+from jantzen.shapovalov import DegenerateFormError
 
 
 def _run(capsys, argv):
@@ -262,3 +268,52 @@ def test_cache_env_var(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert any(name.endswith(".kl") for name in os.listdir(tmp_path))
     clear_caches()
+
+
+def _raising(exc):
+    def command(args):
+        raise exc
+
+    return command
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        DefectError("structural invariant"),
+        KLDefectError("negative coefficient"),
+        DegenerateFormError("singular Gram matrix"),
+        ConventionDefectError("negative graded multiplicity"),
+    ],
+)
+def test_defect_exits_1(exc, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_block", _raising(exc))
+    code = main(["block", "--type", "A1", "--weight", "1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CHECK_FAILED == 1
+    assert err.startswith("check failed: ")
+
+
+def test_value_error_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_block", _raising(ValueError("bad input")))
+    code = main(["block", "--type", "A1", "--weight", "1"])
+    assert capsys.readouterr().err == "error: bad input\n"
+    assert code == cli.EXIT_USAGE == 2
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        RecursionError("maximum recursion depth exceeded"),
+        AssertionError("inconsistent coroot closure"),
+        RuntimeError("not a verification defect"),
+        KeyError("missing"),
+    ],
+)
+def test_internal_error_exits_3(exc, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cmd_block", _raising(exc))
+    code = main(["block", "--type", "A1", "--weight", "1"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERNAL == 3
+    assert err.startswith(f"internal error: {type(exc).__name__}: ")
+    assert "Traceback (most recent call last)" in err

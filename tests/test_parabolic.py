@@ -7,6 +7,7 @@ import pytest
 
 from jantzen.blocks import DefectError, integral_block
 from jantzen.filtration import layers
+from jantzen.kl import table_for
 from jantzen.parabolic import (
     ConventionDefectError,
     ParabolicLayerTable,
@@ -15,8 +16,9 @@ from jantzen.parabolic import (
     parabolic_layers,
     parabolic_layers_dual_path,
 )
-from jantzen.roots import LieType, Weight, build_root_system
+from jantzen.roots import LieType, Weight, boxes, build_root_system, partition_count
 from jantzen.suite import suite_weights
+from jantzen.weyl import WeylElem
 
 
 def _rs(name):
@@ -308,17 +310,118 @@ def test_multiplicities_nonnegative_across_suites():
         rs = _rs(name)
         for label, mu in suite_weights(rs):
             block = integral_block(rs, mu)
-            valid = [
-                i
-                for i in range(rs.rank)
-                if tuple(1 if k == i else 0 for k in range(rs.rank))
-                in block.delta_roots
-            ]
-            for r in range(len(valid) + 1):
-                for I in itertools.combinations(valid, r):
-                    pb = enumerate_IWJ(block, I)
-                    for w in pb.reps:
-                        t = parabolic_layers(pb, w)
-                        assert all(
-                            m >= 0 for row in t.rows for m in row.values()
-                        ), (name, label, I)
+            for I in _block_simple_subsets(rs, block):
+                pb = enumerate_IWJ(block, I)
+                for w in pb.reps:
+                    t = parabolic_layers(pb, w)
+                    assert all(
+                        m >= 0 for row in t.rows for m in row.values()
+                    ), (name, label, I)
+
+
+def _block_simple_subsets(rs, block):
+    valid = [
+        i
+        for i in range(rs.rank)
+        if tuple(1 if k == i else 0 for k in range(rs.rank)) in block.delta_roots
+    ]
+    for r in range(len(valid) + 1):
+        yield from itertools.combinations(valid, r)
+
+
+def _char_rows_per_beta(pb, w, depth):
+    """The character check's rows by one partition_count call per (beta,
+    gamma) pair, gamma running over the box below beta."""
+    rs = pb.block.rs
+    sys = pb.block.system
+    lam = pb.highest_weight(w)
+    levi_pos = [
+        i
+        for i, vec in enumerate(rs.positive_roots)
+        if all(vec[k] == 0 for k in range(rs.rank) if k not in pb.ambient_I)
+    ]
+    nil_pos = [i for i in range(len(rs.positive_roots)) if i not in levi_pos]
+    rho_I = Weight(tuple(1 if k in pb.ambient_I else 0 for k in range(rs.rank)))
+    base = Weight(tuple(c - 1 for c in lam.coords)) + rho_I
+
+    def shifts(source):
+        out = []
+        for u in sys.subgroup_elements(pb.I):
+            rc = rs.weight_to_root_coords((source - u.apply(source)).coords)
+            out.append((-1 if sys.length(u) % 2 else 1, tuple(int(c) for c in rc)))
+        return out
+
+    levi_shifts, verma_shifts = shifts(base), shifts(lam)
+
+    def signed(shift_list, vec, idx):
+        total = 0
+        for sign, d in shift_list:
+            arg = tuple(v - s for v, s in zip(vec, d))
+            if all(a >= 0 for a in arg):
+                total += sign * partition_count(rs, arg, idx)
+        return total
+
+    rows = []
+    for beta in boxes(rs.rank, depth):
+        lhs = 0
+        for gamma in itertools.product(*(range(b + 1) for b in beta)):
+            rest = tuple(b - g for b, g in zip(beta, gamma))
+            lhs += signed(levi_shifts, gamma, levi_pos) * partition_count(
+                rs, rest, nil_pos
+            )
+        rows.append((beta, lhs, signed(verma_shifts, beta, None)))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "G2"])
+def test_character_check_rows_match_per_beta_counts(name):
+    rs = _rs(name)
+    label, mu = suite_weights(rs)[0]
+    assert label == "regular"
+    block = integral_block(rs, mu)
+    checked = 0
+    for I in _block_simple_subsets(rs, block):
+        pb = enumerate_IWJ(block, I)
+        for w in pb.reps:
+            res = parabolic_character_check(pb, w, 4)
+            assert res.passed
+            assert res.rows == _char_rows_per_beta(pb, w, 4), (name, I)
+            checked += 1
+    assert checked == {"B3": 147, "C3": 147, "G2": 25}[name]
+
+
+def test_parabolic_paths_never_multiply_matrices(monkeypatch):
+    # enumerate_IWJ enumerates the group, the one step that multiplies
+    # matrices; everything after it walks the per-element tables
+    prepared = []
+    for name in ("A3", "B3"):
+        rs = _rs(name)
+        block = integral_block(rs, Weight.of(*([-1] * rs.rank)))
+        for I in ((0,), (0, 1)):
+            prepared.append((enumerate_IWJ(block, I), table_for(block.system)))
+    expected = [
+        [
+            (
+                parabolic_layers(pb, w, table).rows,
+                parabolic_layers_dual_path(pb, w, table).rows,
+                pb.highest_weight(w),
+            )
+            for w in pb.reps
+        ]
+        for pb, table in prepared
+    ]
+
+    def no_products(self, other):
+        raise AssertionError("matrix product of group elements")
+
+    monkeypatch.setattr(WeylElem, "__mul__", no_products)
+    for (pb, table), want in zip(prepared, expected):
+        got = [
+            (
+                parabolic_layers(pb, w, table).rows,
+                parabolic_layers_dual_path(pb, w, table).rows,
+                pb.highest_weight(w),
+            )
+            for w in pb.reps
+        ]
+        assert got == want

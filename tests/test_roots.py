@@ -8,12 +8,14 @@ from jantzen.roots import (
     LieType,
     RootSystem,
     Weight,
+    boxes,
     build_root_system,
     height_vectors,
     is_antidominant,
     kostant_partition,
     pairing,
     partition_count,
+    partition_table,
     reflect,
     rho,
 )
@@ -251,6 +253,55 @@ def test_height_vectors():
     vecs = list(height_vectors(2, 2))
     assert vecs == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
     assert len(list(height_vectors(3, 4))) == 34  # C(4+3,3) - 1
+
+
+def test_boxes_are_height_vectors_with_zero():
+    assert boxes(2, 2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    for rank in range(1, 5):
+        for depth in range(-1, 5):
+            assert boxes(rank, depth) == [(0,) * rank] * (depth >= 0) + list(
+                height_vectors(rank, depth)
+            )
+
+
+def _root_sets(rs):
+    """All positive roots, and for each simple root the roots supported on
+    it alone and the rest (Levi and nilradical root sets)."""
+    out = [None]
+    for i in range(rs.rank):
+        levi = [
+            k for k, vec in enumerate(rs.positive_roots)
+            if all(c == 0 for j, c in enumerate(vec) if j != i)
+        ]
+        out += [levi, [k for k in range(len(rs.positive_roots)) if k not in levi]]
+    return out
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+def test_partition_table_matches_partition_count(name):
+    rs = build_root_system(LieType.parse(name))
+    depth = 4
+    for idx in _root_sets(rs):
+        table = partition_table(rs, depth, idx)
+        assert list(table) == boxes(rs.rank, depth)
+        assert len(table) <= 35
+        for beta, count in table.items():
+            assert count == partition_count(rs, beta, idx), (name, idx, beta)
+        assert partition_table(rs, depth, idx) is table
+    assert partition_table(rs, depth) == _kostant_oracle(rs, depth)
+
+
+def test_clear_caches_empties_partition_caches():
+    from jantzen import clear_caches, roots
+
+    rs = build_root_system(LieType.parse("B2"))
+    table = partition_table(rs, 3)
+    partition_count(rs, (2, 5), [0, 1])
+    assert roots._partition_memos and roots._partition_tables
+    clear_caches()
+    assert not roots._partition_memos and not roots._partition_tables
+    fresh = partition_table(rs, 3)
+    assert fresh is not table and fresh == table
 
 
 def test_weight_parse_serialize():
