@@ -14,17 +14,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from jantzen.roots import RootSystem, Weight, is_antidominant
+from jantzen.roots import (
+    RootSystem,
+    Weight,
+    coroot_pairing,
+    is_antidominant,
+    positive_integral_pairings,
+)
 from jantzen.weyl import CoxeterSystem, DefectError, WeylElem, subsystem
 
 
 def _integral_positive_indices(rs: RootSystem, w: Weight) -> tuple[int, ...]:
-    out = []
-    for i, coroot in enumerate(rs.coroots):
-        p = sum(k * c for k, c in zip(coroot, w.coords))
-        if Fraction(p).denominator == 1:
-            out.append(i)
-    return tuple(out)
+    if len(w.coords) != rs.rank:
+        raise ValueError(
+            f"weight has {len(w.coords)} coordinates, expected {rs.rank}"
+        )
+    return tuple(
+        i
+        for i, coroot in enumerate(rs.coroots)
+        if Fraction(coroot_pairing(w, coroot)).denominator == 1
+    )
 
 
 @dataclass(frozen=True)
@@ -46,6 +55,10 @@ class Block:
     def is_rep(self, w: WeylElem) -> bool:
         return self.system.is_min_coset_rep(w, self.J)
 
+    def reps_below(self, w: WeylElem) -> list[WeylElem]:
+        """The z in W^J with z <= w, sorted by (length, word)."""
+        return [z for z in self.system.bruhat_interval_below(w) if self.is_rep(z)]
+
     def apply(self, w: WeylElem) -> Weight:
         return w.apply(self.mu)
 
@@ -66,26 +79,18 @@ def _block(rs: RootSystem, mu: Weight, pos_idx) -> Block:
     J = tuple(
         i
         for i, k in enumerate(system.simple_idx)
-        if sum(c * x for c, x in zip(rs.coroots[k], mu.coords)) == 0
+        if coroot_pairing(mu, rs.coroots[k]) == 0
     )
     return Block(rs=rs, mu=mu, system=system, J=J)
 
 
 def integral_block(rs: RootSystem, mu: Weight) -> Block:
     """Block data for an antidominant weight; rejects other weights."""
-    if len(mu.coords) != rs.rank:
-        raise ValueError(
-            f"weight has {len(mu.coords)} coordinates, expected {rs.rank}"
-        )
     return _block(rs, mu, _integral_positive_indices(rs, mu))
 
 
 def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, WeylElem]:
     """Antidominant representative of nu and the minimal w with w(mu) = nu."""
-    if len(nu.coords) != rs.rank:
-        raise ValueError(
-            f"weight has {len(nu.coords)} coordinates, expected {rs.rank}"
-        )
     pos_idx = _integral_positive_indices(rs, nu)
     system = subsystem(rs, pos_idx)
     coroots = [rs.coroots[i] for i in system.simple_idx]
@@ -97,8 +102,7 @@ def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, WeylElem]:
     while changed:
         changed = False
         for i, coroot in enumerate(coroots):
-            p = sum(k * c for k, c in zip(coroot, cur.coords))
-            if p > 0:
+            if coroot_pairing(cur, coroot) > 0:
                 cur = system.gens[i].apply(cur)
                 word.append(i)
                 changed = True
@@ -112,11 +116,15 @@ def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, WeylElem]:
     return block, y
 
 
+def root_offset(rs: RootSystem, diff: Weight) -> tuple[int, ...]:
+    """Root coordinates of a weight difference that must be a sum of
+    positive roots (an offset below a highest weight); DefectError if not."""
+    rc = rs.weight_to_root_coords(diff.coords)
+    if any(c.denominator != 1 or c < 0 for c in rc):
+        raise DefectError(f"{diff.serialize()} is not a sum of positive roots")
+    return tuple(int(c) for c in rc)
+
+
 def phi_plus_count(rs: RootSystem, nu: Weight) -> int:
     """|{alpha > 0 : <nu, alpha^vee> is a positive integer}|."""
-    count = 0
-    for coroot in rs.coroots:
-        p = sum(k * c for k, c in zip(coroot, nu.coords))
-        if p > 0 and Fraction(p).denominator == 1:
-            count += 1
-    return count
+    return sum(1 for _ in positive_integral_pairings(rs, nu))

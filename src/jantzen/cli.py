@@ -49,21 +49,12 @@ EXIT_INTERNAL = 3
 
 
 class UsageError(ValueError):
-    pass
-
-
-def _lie_type(text: str) -> LieType:
-    try:
-        return LieType.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    """Bad input found by the command line itself.  Like every ValueError
+    (the parse errors of types, weights and words included), it exits 2."""
 
 
 def _weight(rs: RootSystem, text: str) -> Weight:
-    try:
-        w = Weight.parse(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    w = Weight.parse(text)
     if len(w.coords) != rs.rank:
         raise UsageError(
             f"weight has {len(w.coords)} coordinates; {rs.lie_type} needs {rs.rank}"
@@ -72,10 +63,7 @@ def _weight(rs: RootSystem, text: str) -> Weight:
 
 
 def _element(sys: CoxeterSystem, text: str):
-    try:
-        word = parse_word(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    word = parse_word(text)
     for i in word:
         if not 0 <= i < sys.num_gens:
             raise UsageError(
@@ -93,57 +81,71 @@ def _prime_table(sys: CoxeterSystem, args):
     return table_for(sys, cache_dir=args.cache, use_disk=not args.no_cache)
 
 
-def _emit(args, report: dict, text_lines) -> None:
+def _normalized(args):
+    """Parse --type and --weight, normalize the weight and prime the KL
+    table of its block: (nu, block, w, table) with nu = w mu."""
+    rs = build_root_system(LieType.parse(args.type))
+    nu = _weight(rs, args.weight)
+    block, w = normalize(rs, nu)
+    return nu, block, w, _prime_table(block.system, args)
+
+
+def _head(nu: Weight, block: Block) -> dict:
+    return {
+        "type": str(block.rs.lie_type),
+        "weight": nu.serialize(),
+        "mu": block.mu.serialize(),
+    }
+
+
+def _emit(args, report: dict, text_lines, passed: bool = True) -> int:
+    """Print the report as JSON or text; return the exit code of its verdict."""
     if args.json:
         sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def _layer_json(system: CoxeterSystem, rows) -> list:
-    out = []
-    for j, row in enumerate(rows):
-        simples = [
-            {"z_word": _word_str(system, z), "mult": row[z]}
-            for z in sorted(row, key=system.sort_key)
-        ]
-        out.append({"j": j, "simples": simples})
-    return out
+def _simples(system: CoxeterSystem, row: dict) -> list:
+    """The simples of one layer or level, in (length, word) order."""
+    return [
+        {"z_word": _word_str(system, z), "mult": row[z]}
+        for z in sorted(row, key=system.sort_key)
+    ]
 
 
-def _layer_text(system: CoxeterSystem, rows) -> list:
+def _layers(system: CoxeterSystem, rows) -> list:
+    return [{"j": j, "simples": _simples(system, row)} for j, row in enumerate(rows)]
+
+
+def _layer_lines(layers) -> list:
+    """Text rendering of the JSON from ``_layers``."""
     lines = []
-    for j, row in enumerate(rows):
-        parts = [
-            f"{_word_str(system, z)} x{row[z]}"
-            for z in sorted(row, key=system.sort_key)
-        ]
-        lines.append(f"  layer {j}: " + ("; ".join(parts) if parts else "-"))
+    for layer in layers:
+        parts = [f"{s['z_word']} x{s['mult']}" for s in layer["simples"]]
+        lines.append(f"  layer {layer['j']}: " + ("; ".join(parts) if parts else "-"))
     return lines
 
 
-def _block_header(lt: LieType, nu: Weight, block: Block, w) -> dict:
-    sys_ = block.system
-    return {
-        "type": str(lt),
-        "weight": nu.serialize(),
-        "mu": block.mu.serialize(),
-        "w_word": _word_str(sys_, w),
-        "J": [j + 1 for j in block.J],
-    }
+def _sum_columns(system: CoxeterSystem, per_column) -> list:
+    return [
+        {"z_word": _word_str(system, z), "lhs": lhs, "rhs": rhs}
+        for z, lhs, rhs in per_column
+    ]
 
 
 def cmd_block(args) -> int:
-    lt = _lie_type(args.type)
-    rs = build_root_system(lt)
-    nu = _weight(rs, args.weight)
-    block, w = normalize(rs, nu)
+    nu, block, w, _ = _normalized(args)
     sys_ = block.system
-    _prime_table(sys_, args)
-    report = _block_header(lt, nu, block, w)
-    report["delta"] = [list(v) for v in block.delta_roots]
-    report["group_order"] = sys_.order()
-    report["coset_reps"] = len(block.coset_reps())
+    report = {
+        **_head(nu, block),
+        "w_word": _word_str(sys_, w),
+        "J": [j + 1 for j in block.J],
+        "delta": [list(v) for v in block.delta_roots],
+        "group_order": sys_.order(),
+        "coset_reps": len(block.coset_reps()),
+    }
     text = [
         f"type {report['type']}  weight {report['weight']}",
         f"antidominant mu = {report['mu']}, nu = w mu with w = {report['w_word']}",
@@ -152,13 +154,11 @@ def cmd_block(args) -> int:
         f"integral Weyl group order {report['group_order']}, "
         f"{report['coset_reps']} coset representatives",
     ]
-    _emit(args, report, text)
-    return EXIT_OK
+    return _emit(args, report, text)
 
 
 def cmd_kl(args) -> int:
-    lt = _lie_type(args.type)
-    rs = build_root_system(lt)
+    rs = build_root_system(LieType.parse(args.type))
     if args.block_of is not None:
         block, _ = normalize(rs, _weight(rs, args.block_of))
         sys_ = block.system
@@ -169,80 +169,59 @@ def cmd_kl(args) -> int:
     w = _element(sys_, args.w)
     poly = table.polynomial(x, w)
     report = {
-        "type": str(lt),
+        "type": str(rs.lie_type),
         "block_of": args.block_of,
         "x_word": _word_str(sys_, x),
         "w_word": _word_str(sys_, w),
         "polynomial": poly.render("q"),
         "value_at_1": poly(1),
     }
-    _emit(
+    return _emit(
         args,
         report,
         [f"P({report['x_word']}, {report['w_word']}) = {report['polynomial']}"],
     )
-    return EXIT_OK
 
 
 def cmd_layers(args) -> int:
-    lt = _lie_type(args.type)
-    rs = build_root_system(lt)
-    nu = _weight(rs, args.weight)
-    block, _ = normalize(rs, nu)
-    _prime_table(block.system, args)
-    rep = jantzen_filtration(rs, nu)
+    nu, block, _, _ = _normalized(args)
+    rep = jantzen_filtration(block.rs, nu)
     rep.table.validate()
-    sum_res = sum_formula_check(rs, nu)
+    sum_res = sum_formula_check(block.rs, nu)
     sys_ = block.system
-    report = _block_header(lt, nu, block, rep.w)
-    report["loewy_length"] = rep.loewy_length
-    report["layers"] = _layer_json(sys_, rep.table.rows)
-    report["sum_formula"] = "pass" if sum_res.passed else "fail"
-    report["details"] = {
-        "levels": [
-            {
-                "i": i,
-                "simples": [
-                    {"z_word": _word_str(sys_, z), "mult": lvl[z]}
-                    for z in sorted(lvl, key=sys_.sort_key)
-                ],
-            }
-            for i, lvl in enumerate(rep.levels)
-        ],
-        "sum_formula_columns": [
-            {"z_word": _word_str(sys_, z), "lhs": lhs, "rhs": rhs}
-            for z, lhs, rhs in sum_res.per_column
-        ],
+    report = {
+        **_head(nu, block),
+        "w_word": _word_str(sys_, rep.w),
+        "J": [j + 1 for j in block.J],
+        "loewy_length": rep.loewy_length,
+        "layers": _layers(sys_, rep.table.rows),
+        "sum_formula": "pass" if sum_res.passed else "fail",
+        "details": {
+            "levels": [
+                {"i": i, "simples": _simples(sys_, lvl)}
+                for i, lvl in enumerate(rep.levels)
+            ],
+            "sum_formula_columns": _sum_columns(sys_, sum_res.per_column),
+        },
     }
     text = [
         f"M(nu) for nu = {report['weight']} in type {report['type']}",
         f"mu = {report['mu']}, w = {report['w_word']}, J = {report['J'] or '-'}",
         f"Loewy length {report['loewy_length']}",
+        *_layer_lines(report["layers"]),
+        f"sum formula: {report['sum_formula']}",
     ]
-    text.extend(_layer_text(sys_, rep.table.rows))
-    text.append(f"sum formula: {report['sum_formula']}")
-    _emit(args, report, text)
-    return EXIT_OK if sum_res.passed else EXIT_CHECK_FAILED
+    return _emit(args, report, text, sum_res.passed)
 
 
 def cmd_sumcheck(args) -> int:
-    lt = _lie_type(args.type)
-    rs = build_root_system(lt)
     if args.weight is not None:
-        nu = _weight(rs, args.weight)
-        block, _ = normalize(rs, nu)
-        _prime_table(block.system, args)
-        res = sum_formula_check(rs, nu)
-        sys_ = block.system
+        nu, block, _, _ = _normalized(args)
+        res = sum_formula_check(block.rs, nu)
         report = {
-            "type": str(lt),
-            "weight": nu.serialize(),
-            "mu": block.mu.serialize(),
+            **_head(nu, block),
             "passed": res.passed,
-            "columns": [
-                {"z_word": _word_str(sys_, z), "lhs": lhs, "rhs": rhs}
-                for z, lhs, rhs in res.per_column
-            ],
+            "columns": _sum_columns(block.system, res.per_column),
         }
         text = [
             f"sum formula for nu = {report['weight']} ({report['type']}): "
@@ -252,9 +231,9 @@ def cmd_sumcheck(args) -> int:
             text.append(
                 f"  {col['z_word']}: lhs {col['lhs']} rhs {col['rhs']}"
             )
-        _emit(args, report, text)
-        return EXIT_OK if res.passed else EXIT_CHECK_FAILED
+        return _emit(args, report, text, res.passed)
 
+    rs = build_root_system(LieType.parse(args.type))
     cases = []
     all_passed = True
     for label, mu in suite_weights(rs, seed=args.seed):
@@ -278,7 +257,12 @@ def cmd_sumcheck(args) -> int:
                 "failed_words": failed,
             }
         )
-    report = {"type": str(lt), "suite": True, "passed": all_passed, "cases": cases}
+    report = {
+        "type": str(rs.lie_type),
+        "suite": True,
+        "passed": all_passed,
+        "cases": cases,
+    }
     text = [f"sum-formula suite for {report['type']}:"]
     for case in cases:
         text.append(
@@ -287,17 +271,12 @@ def cmd_sumcheck(args) -> int:
             + ("pass" if case["passed"] else "FAIL " + ",".join(case["failed_words"]))
         )
     text.append("overall: " + ("pass" if all_passed else "FAIL"))
-    _emit(args, report, text)
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    return _emit(args, report, text, all_passed)
 
 
 def cmd_conjecture(args) -> int:
-    lt = _lie_type(args.type)
-    rs = build_root_system(lt)
-    nu = _weight(rs, args.weight)
-    block, _ = normalize(rs, nu)
+    nu, block, _, table = _normalized(args)
     sys_ = block.system
-    table = _prime_table(sys_, args)
     reps = block.coset_reps()
     tables = {w: layers(block, w, table) for w in reps}
     pairs = 0
@@ -321,9 +300,7 @@ def cmd_conjecture(args) -> int:
                 )
     passed = not violations
     report = {
-        "type": str(lt),
-        "weight": nu.serialize(),
-        "mu": block.mu.serialize(),
+        **_head(nu, block),
         "J": [j + 1 for j in block.J],
         "pairs": pairs,
         "violations": violations,
@@ -334,32 +311,21 @@ def cmd_conjecture(args) -> int:
         f"{pairs} Bruhat pairs, "
         + ("no violations" if passed else f"{len(violations)} violations")
     ]
-    _emit(args, report, text)
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return _emit(args, report, text, passed)
 
 
 def cmd_parabolic(args) -> int:
-    lt = _lie_type(args.type)
-    rs = build_root_system(lt)
-    nu = _weight(rs, args.weight)
-    block, _ = normalize(rs, nu)
+    nu, block, _, table = _normalized(args)
     sys_ = block.system
-    table = _prime_table(sys_, args)
     try:
         ambient_I = sorted(
             {int(part) - 1 for part in args.I.split(",") if part.strip()}
         )
     except ValueError:
         raise UsageError(f"cannot parse I list {args.I!r}") from None
-    try:
-        pb = enumerate_IWJ(block, ambient_I)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    pb = enumerate_IWJ(block, ambient_I)
     if args.w is not None:
-        w = _element(sys_, args.w)
-        if w not in pb.reps:
-            raise UsageError("w is not an upper coset representative for (I, J)")
-        chosen = [w]
+        chosen = [_element(sys_, args.w)]  # parabolic_layers checks it is in pb.reps
     else:
         chosen = list(pb.reps)
 
@@ -376,15 +342,13 @@ def cmd_parabolic(args) -> int:
             {
                 "w_word": _word_str(sys_, w),
                 "loewy_length": tab.loewy_length,
-                "layers": _layer_json(sys_, tab.rows),
+                "layers": _layers(sys_, tab.rows),
                 "dual_path": "pass" if dual_ok else "fail",
                 "char_check": "pass" if cc.passed else "fail",
             }
         )
     report = {
-        "type": str(lt),
-        "weight": nu.serialize(),
-        "mu": block.mu.serialize(),
+        **_head(nu, block),
         "J": [j + 1 for j in block.J],
         "I": [i + 1 for i in pb.ambient_I],
         "wI_word": _word_str(sys_, pb.wI),
@@ -401,24 +365,15 @@ def cmd_parabolic(args) -> int:
             f"w = {mod['w_word']}  loewy {mod['loewy_length']}  "
             f"dual-path {mod['dual_path']}  characters {mod['char_check']}"
         )
-        for layer in mod["layers"]:
-            parts = [f"{s['z_word']} x{s['mult']}" for s in layer["simples"]]
-            text.append(
-                f"  layer {layer['j']}: " + ("; ".join(parts) if parts else "-")
-            )
-    _emit(args, report, text)
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+        text.extend(_layer_lines(mod["layers"]))
+    return _emit(args, report, text, all_passed)
 
 
 def cmd_oracle(args) -> int:
-    lt = _lie_type(args.type)
-    rs = build_root_system(lt)
-    nu = _weight(rs, args.weight)
-    block, _ = normalize(rs, nu)
-    _prime_table(block.system, args)
-    rep = oracle_compare(rs, nu, args.depth)
+    nu, block, _, _ = _normalized(args)
+    rep = oracle_compare(block.rs, nu, args.depth)
     report = {
-        "type": str(lt),
+        "type": str(rep.lie_type),
         "weight": nu.serialize(),
         "depth": rep.depth,
         "passed": rep.passed,
@@ -433,8 +388,7 @@ def cmd_oracle(args) -> int:
         f"{rep.spaces} weight spaces, {rep.comparisons} level comparisons",
     ]
     text.extend(f"  {f}" for f in rep.failures)
-    _emit(args, report, text)
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    return _emit(args, report, text, rep.passed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--no-cache", action="store_true", help="do not read or write the disk cache"
     )
+    common.add_argument("--type", required=True)
 
     parser = argparse.ArgumentParser(
         prog="jantzen",
@@ -457,12 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("block", parents=[common], help="describe an integral block")
-    p.add_argument("--type", required=True)
     p.add_argument("--weight", required=True)
     p.set_defaults(func=cmd_block)
 
     p = sub.add_parser("kl", parents=[common], help="one Kazhdan-Lusztig polynomial")
-    p.add_argument("--type", required=True)
     p.add_argument("--block-of", default=None, metavar="W",
                    help="compute inside the integral system of this weight")
     p.add_argument("--x", required=True, help="word for the lower element")
@@ -470,12 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kl)
 
     p = sub.add_parser("layers", parents=[common], help="Jantzen layer table")
-    p.add_argument("--type", required=True)
     p.add_argument("--weight", required=True)
     p.set_defaults(func=cmd_layers)
 
     p = sub.add_parser("sumcheck", parents=[common], help="Jantzen sum formula")
-    p.add_argument("--type", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--weight")
     group.add_argument("--suite", action="store_true")
@@ -485,14 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "conjecture", parents=[common], help="layer domination over Bruhat pairs"
     )
-    p.add_argument("--type", required=True)
     p.add_argument("--weight", required=True)
     p.set_defaults(func=cmd_conjecture)
 
     p = sub.add_parser(
         "parabolic", parents=[common], help="parabolic Verma layer tables"
     )
-    p.add_argument("--type", required=True)
     p.add_argument("--I", required=True, metavar="LIST",
                    help="comma-separated 1-based ambient simple indices")
     p.add_argument("--weight", required=True)
@@ -504,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "oracle", parents=[common], help="contravariant-form dimension check"
     )
-    p.add_argument("--type", required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--depth", type=int, default=None)
     p.set_defaults(func=cmd_oracle)

@@ -26,16 +26,40 @@ Independent cross-checks implemented here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from jantzen.blocks import Block, DefectError, normalize
+from jantzen.blocks import Block, DefectError, normalize, root_offset
 from jantzen.kl import KLTable, table_for
-from jantzen.roots import RootSystem, Weight, boxes, partition_count
+from jantzen.roots import (
+    RootSystem,
+    Weight,
+    boxes,
+    partition_count,
+    positive_integral_pairings,
+    reflect,
+)
 from jantzen.weyl import WeylElem
 
 
+class LayerRows:
+    """What ordinary and parabolic layer tables share: ``rows[j]`` maps a
+    column to its multiplicity in layer j of the module at ``w``."""
+
+    def mult(self, j: int, z: WeylElem) -> int:
+        if 0 <= j < len(self.rows):
+            return self.rows[j].get(z, 0)
+        return 0
+
+    def _check_head(self, system) -> None:
+        """l(w) + 1 layers, the first of them the simple head {w: 1}."""
+        lw = system.length(self.w)
+        if len(self.rows) != lw + 1:
+            raise DefectError(f"expected {lw + 1} layers, found {len(self.rows)}")
+        if self.rows[0] != {self.w: 1}:
+            raise DefectError("layer 0 is not the simple head")
+
+
 @dataclass
-class LayerTable:
+class LayerTable(LayerRows):
     """Radical layer multiplicities of one Verma module M(w mu).
 
     rows[j] maps z (in W^J) to [Rad_j M(w mu) : L(z mu)]; row 0 is the
@@ -50,11 +74,6 @@ class LayerTable:
     @property
     def loewy_length(self) -> int:
         return len(self.rows)
-
-    def mult(self, j: int, z: WeylElem) -> int:
-        if 0 <= j < len(self.rows):
-            return self.rows[j].get(z, 0)
-        return 0
 
     def total(self, z: WeylElem) -> int:
         """Total multiplicity [M(w mu) : L(z mu)]."""
@@ -76,15 +95,9 @@ class LayerTable:
         return tuple(out)
 
     def validate(self) -> None:
-        lw = self.block.system.length(self.w)
-        if len(self.rows) != lw + 1:
-            raise DefectError(
-                f"expected {lw + 1} layers, found {len(self.rows)}"
-            )
+        self._check_head(self.block.system)
         if any(not row for row in self.rows):
             raise DefectError("radical filtration has an empty layer")
-        if self.rows[0] != {self.w: 1}:
-            raise DefectError("layer 0 is not the simple head")
         if self.rows[-1] != {self.block.system.identity: 1}:
             raise DefectError("bottom layer is not L(mu)")
 
@@ -92,31 +105,48 @@ class LayerTable:
 def layers(block: Block, w: WeylElem, table: KLTable | None = None) -> LayerTable:
     """Radical layer table of M(w mu) for w in W^J."""
     sys = block.system
-    if not sys.is_min_coset_rep(w, block.J):
+    if not block.is_rep(w):
         raise ValueError(
             "w is not a minimal-length coset representative modulo W_J; "
             "apply decompose_yx and use the W^J factor"
         )
     if table is None:
         table = table_for(sys)
+    rows = graded_rows(
+        sys, w, ((z, table.inverse_polynomial(z, w)) for z in block.reps_below(w))
+    )
+    return LayerTable(block=block, w=w, columns=layer_columns(sys, rows), rows=rows)
+
+
+def graded_rows(sys, w: WeylElem, polys, defect=DefectError) -> tuple[dict, ...]:
+    """Layer rows of a module at w from graded multiplicities.
+
+    ``polys`` yields pairs (z, n) with n a polynomial in q; its coefficient
+    of q^k is the multiplicity of the simple at z in layer l(w) - l(z) - 2k.
+    A negative coefficient, or a layer index below 0, raises ``defect``.
+    """
     lw = sys.length(w)
     rows: list[dict] = [dict() for _ in range(lw + 1)]
-    for z in sys.bruhat_interval_below(w):
-        if not sys.is_min_coset_rep(z, block.J):
-            continue
-        poly = table.inverse_polynomial(z, w)
+    for z, n in polys:
         base = lw - sys.length(z)
-        for k, c in enumerate(poly.coeffs):
+        for k, c in enumerate(n.coeffs):
             if c == 0:
                 continue
+            if c < 0:
+                raise defect(
+                    f"negative graded multiplicity {c} at q^{k} for column "
+                    f"of length {sys.length(z)} under w of length {lw}"
+                )
             j = base - 2 * k
             if j < 0:
-                raise DefectError("layer index underflow; degree bound broken")
-            rows[j][z] = rows[j].get(z, 0) + c
-    columns = tuple(
-        sorted({z for row in rows for z in row}, key=sys.sort_key)
-    )
-    return LayerTable(block=block, w=w, columns=columns, rows=tuple(rows))
+                raise defect("layer index underflow; degree bound broken")
+            rows[j][z] = c
+    return tuple(rows)
+
+
+def layer_columns(sys, rows) -> tuple[WeylElem, ...]:
+    """Every column with a nonzero entry in some row, by (length, word)."""
+    return tuple(sorted({z for row in rows for z in row}, key=sys.sort_key))
 
 
 @dataclass
@@ -165,22 +195,15 @@ def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
 
     rhs: dict[WeylElem, int] = {}
     reflected = []
-    for i, coroot in enumerate(rs.coroots):
-        p = sum(k * c for k, c in zip(coroot, nu.coords))
-        if not (p > 0 and Fraction(p).denominator == 1):
-            continue
+    for i, _ in positive_integral_pairings(rs, nu):
         alpha = rs.positive_roots[i]
-        wc = rs.root_to_weight_coords(alpha)
-        refl = Weight(tuple(c - p * x for c, x in zip(nu.coords, wc)))
-        sub_block, v = normalize(rs, refl)
+        sub_block, v = normalize(rs, reflect(rs, nu, alpha))
         if not sub_block.same_block(block):
             raise DefectError(
                 "reflected weight landed in a different block"
             )
         reflected.append((alpha, v))
-        for z in sys.bruhat_interval_below(v):
-            if not sys.is_min_coset_rep(z, block.J):
-                continue
+        for z in block.reps_below(v):
             rhs[z] = rhs.get(z, 0) + table.inverse_polynomial(z, v)(1)
 
     per_column = []
@@ -260,21 +283,16 @@ def simple_weight_dims(block: Block, z: WeylElem, depth: int) -> dict:
     """
     sys = block.system
     rs = block.rs
-    if not sys.is_min_coset_rep(z, block.J):
+    if not block.is_rep(z):
         raise ValueError("z must be a minimal-length coset representative")
     table = table_for(sys)
-    below = [
-        v
-        for v in sys.bruhat_interval_below(z)
-        if sys.is_min_coset_rep(v, block.J)
-    ]
+    below = block.reps_below(z)
     index = {v: i for i, v in enumerate(below)}
     size = len(below)
     mult = [[0] * size for _ in range(size)]
     for col, u in enumerate(below):
-        for v in sys.bruhat_interval_below(u):
-            if v in index:
-                mult[index[v]][col] = table.inverse_polynomial(v, u)(1)
+        for v in block.reps_below(u):
+            mult[index[v]][col] = table.inverse_polynomial(v, u)(1)
     # back-substitute the z-column of the inverse: coeffs[v] with
     # ch L(z mu) = sum_v coeffs[v] ch M(v mu)
     coeffs = [0] * size
@@ -286,13 +304,7 @@ def simple_weight_dims(block: Block, z: WeylElem, depth: int) -> dict:
         coeffs[row] = val  # diagonal entries are 1
 
     zmu = z.apply(block.mu)
-    offsets = {}
-    for v in below:
-        delta = zmu - v.apply(block.mu)
-        rc = rs.weight_to_root_coords(delta.coords)
-        if any(c.denominator != 1 for c in rc):
-            raise DefectError("orbit difference is not in the root lattice")
-        offsets[v] = tuple(int(c) for c in rc)
+    offsets = {v: root_offset(rs, zmu - v.apply(block.mu)) for v in below}
 
     out = {}
     for beta in boxes(rs.rank, depth):

@@ -85,9 +85,9 @@ class KLTable:
         v = sys.right_mul(w, s)
         xs = sys.right_mul(x, s)
         if sys.length(xs) < sys.length(x):
-            base = self._below(xs, v) + self._below(x, v).shift(1)
+            base = self.polynomial(xs, v) + self.polynomial(x, v).shift(1)
         else:
-            base = self._below(xs, v).shift(1) + self._below(x, v)
+            base = self.polynomial(xs, v).shift(1) + self.polynomial(x, v)
         lw = sys.length(w)
         for z in sys.bruhat_interval_below(v):
             if not sys.right_descent(z, s):
@@ -95,15 +95,10 @@ class KLTable:
             m = self.mu(z, v)
             if m == 0 or not sys.bruhat_leq(x, z):
                 continue
-            base = base - m * self._below(x, z).shift((lw - sys.length(z)) // 2)
+            base = base - m * self.polynomial(x, z).shift((lw - sys.length(z)) // 2)
         self._check(x, w, diff, base)
         self._p[key] = base
         return base
-
-    def _below(self, x: WeylElem, w: WeylElem) -> Poly:
-        if not self.system.bruhat_leq(x, w):
-            return Poly()
-        return self._compute(x, w)
 
     def _check(self, x, w, diff, poly: Poly) -> None:
         if poly.coeff(0) != 1:
@@ -144,10 +139,6 @@ class KLTable:
     def expected_pair_count(self) -> int:
         sys = self.system
         return sum(len(sys.bruhat_interval_below(w)) for w in sys.elements())
-
-
-def kl_polynomial(table: KLTable, x: WeylElem, w: WeylElem) -> Poly:
-    return table.polynomial(x, w)
 
 
 def build_table(system: CoxeterSystem) -> KLTable:

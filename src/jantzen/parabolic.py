@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from jantzen.blocks import Block, DefectError
-from jantzen.filtration import layers
+from jantzen.blocks import Block, DefectError, root_offset
+from jantzen.filtration import LayerRows, graded_rows, layer_columns, layers
 from jantzen.kl import KLTable, table_for
 from jantzen.poly import Poly
 from jantzen.roots import Weight, partition_table
@@ -59,6 +59,17 @@ class ParabolicBlock:
     def highest_weight(self, w: WeylElem) -> Weight:
         return self.block.system.mul(self.wI, w).apply(self.block.mu)
 
+    def check_rep(self, w: WeylElem) -> None:
+        if w not in self.rep_set:
+            raise ValueError("w is not an upper coset representative for (I, J)")
+
+    def signed_levi(self) -> list:
+        """(u, (-1)^l(u)) for every u in W_I, by length."""
+        sys = self.block.system
+        return [
+            (u, -1 if sys.length(u) % 2 else 1) for u in sys.subgroup_elements(self.I)
+        ]
+
 
 def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
     """Exact filter for {}^I W^J; validates I against the block's simples."""
@@ -69,9 +80,8 @@ def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
     for i in ambient_I:
         if not 0 <= i < rs.rank:
             raise ValueError(f"simple index {i + 1} out of range for {rs.lie_type}")
-        alpha = tuple(1 if k == i else 0 for k in range(rs.rank))
         try:
-            local.append(sys.simple_roots.index(alpha))
+            local.append(sys.simple_idx.index(rs.simple_indices[i]))
         except ValueError:
             raise ValueError(
                 f"alpha_{i + 1} is not integral for this block; "
@@ -87,7 +97,7 @@ def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
 
 
 @dataclass
-class ParabolicLayerTable:
+class ParabolicLayerTable(LayerRows):
     """Radical layers of one parabolic Verma module.
 
     rows[j] maps z in {}^I W^J to the multiplicity of the simple with
@@ -105,17 +115,8 @@ class ParabolicLayerTable:
         last = max((j for j, row in enumerate(self.rows) if row), default=-1)
         return last + 1
 
-    def mult(self, j: int, z: WeylElem) -> int:
-        if 0 <= j < len(self.rows):
-            return self.rows[j].get(z, 0)
-        return 0
-
     def validate(self) -> None:
-        sys = self.pblock.block.system
-        if len(self.rows) != sys.length(self.w) + 1:
-            raise DefectError("row count must be l(w) + 1")
-        if self.rows[0] != {self.w: 1}:
-            raise DefectError("layer 0 must be the module's own parameter")
+        self._check_head(self.pblock.block.system)
 
 
 def parabolic_layers(
@@ -124,52 +125,33 @@ def parabolic_layers(
     """Layer table of the parabolic Verma with highest weight w_I w mu."""
     block = pblock.block
     sys = block.system
-    if w not in pblock.rep_set:
-        raise ValueError("w is not an upper coset representative for (I, J)")
+    pblock.check_rep(w)
     if table is None:
         table = table_for(sys)
     wI = pblock.wI
     wIw = sys.mul(wI, w)
-    targets = [
-        (sys.mul(u, wIw), -1 if sys.length(u) % 2 else 1)
-        for u in sys.subgroup_elements(pblock.I)
-    ]
+    targets = [(sys.mul(u, wIw), sign) for u, sign in pblock.signed_levi()]
     lw = sys.length(w)
     n_polys = {}
-    rows: list[dict] = [dict() for _ in range(lw + 1)]
-    for z in sys.elements():
+    # only columns in {}^I W^J survive translation onto the singular weight;
+    # reps are in (length, word) order, so the rows keep that order
+    for z in pblock.reps:
         if sys.length(z) > lw:
-            continue
-        if not sys.upper_coset_membership(z, pblock.I, ()):
-            continue
+            break
         wIz = sys.mul(wI, z)
         n = Poly()
         for target, sign in targets:
             if sys.bruhat_leq(wIz, target):
                 n = n + sign * table.inverse_polynomial(wIz, target)
-        if n.is_zero():
-            continue
-        if z not in pblock.rep_set:
-            continue  # column killed by translation onto the singular weight
-        n_polys[z] = n
-        base = lw - sys.length(z)
-        for k, c in enumerate(n.coeffs):
-            if c == 0:
-                continue
-            if c < 0:
-                raise ConventionDefectError(
-                    f"negative graded multiplicity {c} at q^{k} for column "
-                    f"of length {sys.length(z)} under w of length {lw}"
-                )
-            j = base - 2 * k
-            if j < 0:
-                raise ConventionDefectError(
-                    "layer index underflow in the graded alternating sum"
-                )
-            rows[j][z] = rows[j].get(z, 0) + c
-    columns = tuple(sorted({z for row in rows for z in row}, key=sys.sort_key))
+        if not n.is_zero():
+            n_polys[z] = n
+    rows = graded_rows(sys, w, n_polys.items(), ConventionDefectError)
     return ParabolicLayerTable(
-        pblock=pblock, w=w, columns=columns, rows=tuple(rows), n_polys=n_polys
+        pblock=pblock,
+        w=w,
+        columns=layer_columns(sys, rows),
+        rows=rows,
+        n_polys=n_polys,
     )
 
 
@@ -186,15 +168,13 @@ def parabolic_layers_dual_path(
     """
     block = pblock.block
     sys = block.system
-    if w not in pblock.rep_set:
-        raise ValueError("w is not an upper coset representative for (I, J)")
+    pblock.check_rep(w)
     wI = pblock.wI
     wIw = sys.mul(wI, w)
     lw = sys.length(w)
     span = lw + sys.length(wI)
     acc: list[dict] = [dict() for _ in range(span + 1)]
-    for u in sys.subgroup_elements(pblock.I):
-        sign = -1 if sys.length(u) % 2 else 1
+    for u, sign in pblock.signed_levi():
         shift = sys.length(u)
         target = sys.mul(u, wIw)
         if not sys.is_min_coset_rep(target, block.J):
@@ -225,9 +205,12 @@ def parabolic_layers_dual_path(
                     "negative multiplicity in the signed superposition"
                 )
             rows[j][z] = c
-    columns = tuple(sorted({z for row in rows for z in row}, key=sys.sort_key))
     return ParabolicLayerTable(
-        pblock=pblock, w=w, columns=columns, rows=tuple(rows), n_polys={}
+        pblock=pblock,
+        w=w,
+        columns=layer_columns(sys, rows),
+        rows=tuple(rows),
+        n_polys={},
     )
 
 
@@ -259,9 +242,9 @@ def parabolic_character_check(
     """
     block = pblock.block
     rs = block.rs
-    sys = block.system
-    if w not in pblock.rep_set:
-        raise ValueError("w is not an upper coset representative for (I, J)")
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
+    pblock.check_rep(w)
     lam = pblock.highest_weight(w)
 
     levi_pos = [
@@ -286,16 +269,9 @@ def parabolic_character_check(
 
     levi_shifts = []
     verma_shifts = []
-    for u in sys.subgroup_elements(pblock.I):
-        sign = -1 if sys.length(u) % 2 else 1
+    for u, sign in pblock.signed_levi():
         for source, out in ((base, levi_shifts), (lam, verma_shifts)):
-            diff = source - u.apply(source)
-            rc = rs.weight_to_root_coords(diff.coords)
-            if any(c.denominator != 1 for c in rc):
-                raise DefectError("orbit difference is not in the root lattice")
-            if any(c < 0 for c in rc):
-                raise DefectError("orbit difference is not a sum of positive roots")
-            out.append((sign, tuple(int(c) for c in rc)))
+            out.append((sign, root_offset(rs, source - u.apply(source))))
 
     levi = partition_table(rs, depth, levi_pos)
     nil = partition_table(rs, depth, nil_pos)

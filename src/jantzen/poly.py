@@ -68,9 +68,6 @@ class Poly:
     def __sub__(self, other):
         return self + (-_as_poly(other))
 
-    def __rsub__(self, other):
-        return _as_poly(other) + (-self)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:

@@ -1,4 +1,4 @@
-"""Root systems, exact weights, and Kostant partition counts.
+"""Root systems, exact weights, Kostant partition counts, exact linear algebra.
 
 All arithmetic is exact.  Roots and coroots are integer vectors in the
 simple-root and simple-coroot bases; a weight is a vector of rationals in
@@ -7,6 +7,10 @@ numbering fixes the Cartan matrices, with the convention
 ``cartan[i][j] = <alpha_j, alpha_i^vee>``, so ``rho`` is the all-ones
 weight and the reflection in ``alpha_i`` subtracts ``coords[i]`` times the
 i-th Cartan column.
+
+The package's one exact linear solver (``solve``, Gauss-Jordan over the
+rationals), its one matrix product (``matmul``) and its one coroot pairing
+(``coroot_pairing``) live here too.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 _VALID_RANK = {
     "A": lambda n: n >= 1,
@@ -191,7 +196,7 @@ class RootSystem:
     def weight_to_root_coords(self, coords) -> tuple[Fraction, ...]:
         """Solve cartan @ x = coords exactly (valid for root-lattice vectors)."""
         if self._inv_cartan is None:
-            self._inv_cartan = _invert(self.cartan)
+            self._inv_cartan = invert(self.cartan)
         n = self.rank
         return tuple(
             sum(self._inv_cartan[i][k] * Fraction(coords[k]) for k in range(n))
@@ -199,23 +204,63 @@ class RootSystem:
         )
 
 
-def _invert(mat):
-    n = len(mat)
+def solve(vectors, target):
+    """Exact coefficients c with sum_j c[j] * vectors[j] == target, or None.
+
+    Gauss-Jordan elimination over the rationals on the matrix whose columns
+    are ``vectors``.  A vector that depends on earlier ones gets coefficient
+    0, and the elimination stops once every row has a pivot.  None means the
+    target is not in the span of the vectors.
+    """
+    rows = len(target)
     aug = [
-        [Fraction(mat[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
+        [Fraction(v[r]) for v in vectors] + [Fraction(target[r])]
+        for r in range(rows)
     ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    pivots = []
+    for c in range(len(vectors)):
+        r = len(pivots)
+        if r == rows:
+            break
+        sel = next((i for i in range(r, rows) if aug[i][c] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+    if any(aug[i][-1] != 0 for i in range(len(pivots), rows)):
+        return None
+    coeffs = [Fraction(0)] * len(vectors)
+    for i, c in enumerate(pivots):
+        coeffs[c] = aug[i][-1]
+    return coeffs
+
+
+def identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def invert(mat) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact inverse of a square matrix, one ``solve`` per unit column."""
+    columns = tuple(zip(*mat))
+    inverse_columns = [solve(columns, e) for e in identity_matrix(len(mat))]
+    if None in inverse_columns:
+        raise ValueError("matrix is singular")
+    return tuple(zip(*inverse_columns))
+
+
+def matmul(a, b):
+    """Product of two square matrices given as row tuples."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -260,12 +305,14 @@ def rho(rs: RootSystem) -> Weight:
     return Weight(tuple(Fraction(1) for _ in range(rs.rank)))
 
 
+def coroot_pairing(w: Weight, coroot):
+    """<w, alpha^vee> for a coroot given in simple-coroot coordinates."""
+    return sum(map(mul, coroot, w.coords))
+
+
 def pairing(rs: RootSystem, w: Weight, root) -> Fraction:
     """<w, root^vee> for any root of the system."""
-    coroot = rs.coroot_of(root)
-    return sum(
-        (k * c for k, c in zip(coroot, w.coords)), start=Fraction(0)
-    )
+    return Fraction(coroot_pairing(w, rs.coroot_of(root)))
 
 
 def reflect(rs: RootSystem, w: Weight, root) -> Weight:
@@ -275,17 +322,26 @@ def reflect(rs: RootSystem, w: Weight, root) -> Weight:
     return Weight(tuple(c - p * x for c, x in zip(w.coords, wc)))
 
 
+def positive_integral_pairings(rs: RootSystem, w: Weight):
+    """Yield (i, p) for each positive root alpha_i, in root order, whose
+    pairing p = <w, alpha_i^vee> is a positive integer.
+
+    The generator is lazy: a caller that stops early pairs only the
+    coroots it has reached.
+    """
+    for i, coroot in enumerate(rs.coroots):
+        p = coroot_pairing(w, coroot)
+        if p > 0 and Fraction(p).denominator == 1:
+            yield i, p
+
+
 def is_antidominant(rs: RootSystem, w: Weight) -> bool:
     """True iff <w, alpha^vee> is not a positive integer for every alpha > 0.
 
     The check runs over all positive roots, not only the simple ones; for
     nonintegral weights the two conditions differ.
     """
-    for coroot in rs.coroots:
-        p = sum(k * c for k, c in zip(coroot, w.coords))
-        if p > 0 and Fraction(p).denominator == 1:
-            return False
-    return True
+    return next(positive_integral_pairings(rs, w), None) is None
 
 
 # (lie type, sorted root index set) -> {(vec, i): count}: the memo of

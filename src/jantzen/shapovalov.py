@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from jantzen.blocks import DefectError, normalize
+from jantzen.blocks import DefectError, normalize, root_offset
 from jantzen.filtration import layers, simple_weight_dims
-from jantzen.poly import Poly
+from jantzen.poly import Poly, poly_gcd
 from jantzen.roots import (
     LieType,
     RootSystem,
@@ -33,7 +33,9 @@ from jantzen.roots import (
     boxes,
     build_root_system,
     kostant_partition,
-    pairing,
+    matmul,
+    positive_integral_pairings,
+    solve,
 )
 
 DEPTH_CAPS = {"A1": 8, "A2": 5, "B2": 4}
@@ -96,9 +98,9 @@ class ChevalleyBasis:
 
 
 def _matrix_realization(lt: LieType):
-    """Return (size, e_matrices aligned with positive roots, that's all).
+    """Raising matrices aligned with the positive roots.
 
-    e_matrices[b] is the raising matrix for the b-th positive root of
+    The b-th matrix is the raising matrix for the b-th positive root of
     build_root_system(lt); the lowering matrix is its transpose.
     """
     rs = build_root_system(lt)
@@ -110,7 +112,7 @@ def _matrix_realization(lt: LieType):
             support = [k for k, c in enumerate(vec) if c]
             i, j = support[0], support[-1] + 1
             mats.append(_unit(m, i, j))
-        return m, mats
+        return mats
     if family == "C" or (family == "B" and n == 2):
         perm = (1, 0) if family == "B" else tuple(range(n))
         m = 2 * n
@@ -136,7 +138,7 @@ def _matrix_realization(lt: LieType):
             else:
                 a, b = pos
                 mats.append(_madd(_unit(m, a, n + b), _unit(m, b, n + a)))
-        return m, mats
+        return mats
     raise UnsupportedTypeError(
         f"no transpose-closed realization for {lt}; supported families are "
         "A_n, C_n, and B2"
@@ -157,71 +159,22 @@ def _msub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _mmul(a, b):
-    m = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(m)) for c in range(m))
-        for r in range(m)
-    )
-
-
 def _mbracket(a, b):
-    return _msub(_mmul(a, b), _mmul(b, a))
+    return _msub(matmul(a, b), matmul(b, a))
 
 
 def _transpose(a):
     return tuple(tuple(row[c] for row in a) for c in range(len(a)))
 
 
-def _solve_in_basis(basis_flat, target_flat):
-    """Exact coordinates of target in the span, or None."""
-    rows = len(target_flat)
-    cols = len(basis_flat)
-    aug = [
-        [Fraction(basis_flat[c][r]) for c in range(cols)]
-        + [Fraction(target_flat[r])]
-        for r in range(rows)
-    ]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        sel = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][-1]
-    for i in range(r, rows):
-        if aug[i][-1] != 0:
-            return None
-    return sol
-
-
 @lru_cache(maxsize=None)
 def chevalley_basis(lt: LieType) -> ChevalleyBasis:
     """Build and exhaustively validate the structure-constant table."""
     rs = build_root_system(lt)
-    m, e_mats = _matrix_realization(lt)
+    e_mats = _matrix_realization(lt)
     N, n = len(rs.positive_roots), rs.rank
     f_mats = [_transpose(x) for x in e_mats]
-    simple_pos = {}
-    for k in range(n):
-        alpha = tuple(1 if j == k else 0 for j in range(n))
-        simple_pos[k] = rs.positive_roots.index(alpha)
-    h_mats = [
-        _mbracket(e_mats[simple_pos[k]], f_mats[simple_pos[k]]) for k in range(n)
-    ]
+    h_mats = [_mbracket(e_mats[b], f_mats[b]) for b in rs.simple_indices]
     gens = list(f_mats) + list(h_mats) + list(e_mats)
     flat = [tuple(v for row in g for v in row) for g in gens]
     d = len(gens)
@@ -233,7 +186,7 @@ def chevalley_basis(lt: LieType) -> ChevalleyBasis:
                 continue
             br = _mbracket(gens[i], gens[j])
             tflat = tuple(v for row in br for v in row)
-            sol = _solve_in_basis(flat, tflat)
+            sol = solve(flat, tflat)
             if sol is None:
                 raise DefectError("bracket left the span of the basis")
             entry = {}
@@ -259,9 +212,7 @@ def chevalley_basis(lt: LieType) -> ChevalleyBasis:
     # weights: [h_k, e_b] = <beta_b, alpha_k^vee> e_b and dually for f_b
     for k in range(n):
         for b in range(N):
-            pair = sum(
-                rs.positive_roots[b][j] * rs.cartan[k][j] for j in range(n)
-            )
+            pair = rs.root_to_weight_coords(rs.positive_roots[b])[k]
             want = {cb.e(b): pair} if pair else {}
             if cb.bracket(cb.h(k), cb.e(b)) != want:
                 raise DefectError("weight bookkeeping failure on raising gens")
@@ -447,16 +398,10 @@ def smith_normal_form(mat) -> tuple:
                 continue
             if out[j].divmod(out[i])[1].is_zero():
                 continue
-            g = _gcd(out[i], out[j])
+            g = poly_gcd(out[i], out[j])
             lcm = (out[i].divmod(g)[0] * out[j]).monic()
             out[i], out[j] = g, lcm
     return tuple(out)
-
-
-def _gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
 
 
 def jantzen_dims_from_gram(mat) -> tuple:
@@ -495,6 +440,8 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
     cap = depth_cap(lt)
     if depth is None:
         depth = cap
+    if depth < 0:
+        raise ValueError(f"depth must be nonnegative, got {depth}")
     if depth > cap:
         raise DepthCapError(
             f"depth {depth} exceeds the straightening budget {cap} for {lt}"
@@ -503,25 +450,18 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
     engine = PBWEngine(cb)
 
     block, y = normalize(rs, nu)
-    sys = block.system
     tab = layers(block, y, None)
     levels = tab.level_multiplicities()
 
     offsets = {}
     sdims = {}
     for z in tab.columns:
-        diff = nu - z.apply(block.mu)
-        rc = rs.weight_to_root_coords(diff.coords)
-        if any(c.denominator != 1 or c < 0 for c in rc):
-            raise DefectError("column offset is not a nonnegative root sum")
-        offsets[z] = tuple(int(c) for c in rc)
+        offsets[z] = root_offset(rs, nu - z.apply(block.mu))
         sdims[z] = simple_weight_dims(block, z, depth)
 
-    det_shifts = []
-    for root in rs.positive_roots:
-        val = pairing(rs, nu, root)
-        if val.denominator == 1 and val > 0:
-            det_shifts.append((int(val), root))
+    det_shifts = [
+        (int(p), rs.positive_roots[i]) for i, p in positive_integral_pairings(rs, nu)
+    ]
 
     failures = []
     comparisons = 0
@@ -532,7 +472,6 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
         if len(mat) != kostant_partition(rs, beta):
             raise DefectError("weight space basis does not match the partition count")
         dims = jantzen_dims_from_gram(mat)
-        top = len(dims)
         pred = []
         i = 1
         while True:
@@ -548,9 +487,7 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
             i += 1
         while pred and pred[-1] == 0:
             pred.pop()
-        got = list(dims)
-        while got and got[-1] == 0:
-            got.pop()
+        got = list(dims)  # its last entry counts the largest valuation: never 0
         comparisons += max(len(pred), len(got), 1)
         if got != pred:
             failures.append(

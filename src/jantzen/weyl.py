@@ -32,9 +32,8 @@ never enumerated, so only its enumeration-based queries (``elements``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from jantzen.roots import RootSystem, Weight
+from jantzen.roots import RootSystem, Weight, identity_matrix, invert, matmul, solve
 
 MAX_GROUP_ORDER = 1152
 
@@ -47,20 +46,8 @@ class DefectError(RuntimeError):
     """A structural invariant failed; results would not be trustworthy."""
 
 
-def _matmul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 def _matvec(m, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
-
-
-def _identity_matrix(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 class WeylElem:
@@ -74,7 +61,7 @@ class WeylElem:
         self._hash = None
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
-        return WeylElem(_matmul(self.wt, other.wt), _matmul(self.rt, other.rt))
+        return WeylElem(matmul(self.wt, other.wt), matmul(self.rt, other.rt))
 
     def __eq__(self, other):
         return isinstance(other, WeylElem) and self.wt == other.wt
@@ -93,7 +80,7 @@ class WeylElem:
         return _matvec(self.rt, tuple(vec))
 
     def is_identity(self) -> bool:
-        return self.wt == _identity_matrix(len(self.wt))
+        return self.wt == identity_matrix(len(self.wt))
 
     def inverse(self) -> "WeylElem":
         return WeylElem(_int_inverse(self.wt), _int_inverse(self.rt))
@@ -103,32 +90,14 @@ class WeylElem:
 
 
 def _int_inverse(mat):
-    n = len(mat)
-    aug = [
-        [Fraction(mat[i][j]) for j in range(n)]
-        + [Fraction(1 if j == i else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = []
-    for row in aug:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
-            raise AssertionError("matrix inverse is not integral")
-        out.append(tuple(int(v) for v in vals))
-    return tuple(out)
+    inv = invert(mat)
+    if any(v.denominator != 1 for row in inv for v in row):
+        raise AssertionError("matrix inverse is not integral")
+    return tuple(tuple(int(v) for v in row) for row in inv)
 
 
 def identity_elem(rank: int) -> WeylElem:
-    m = _identity_matrix(rank)
+    m = identity_matrix(rank)
     return WeylElem(m, m)
 
 
@@ -534,13 +503,8 @@ def _indecomposables(rs: RootSystem, pos_idx) -> tuple[int, ...]:
                 break
         if not decomposable:
             simple.append(i)
-    simple.sort(
-        key=lambda i: (
-            sum(rs.positive_roots[i]),
-            tuple(-x for x in rs.positive_roots[i]),
-        )
-    )
-    return tuple(simple)
+    # root index order is (height, leftmost support first) order
+    return tuple(sorted(simple))
 
 
 def _validate_subsystem(rs: RootSystem, simple_idx, pos_idx) -> None:
@@ -551,7 +515,7 @@ def _validate_subsystem(rs: RootSystem, simple_idx, pos_idx) -> None:
     # every integral positive root is a nonnegative integer combination of
     # the indecomposables
     for vec in pos_vecs:
-        coeffs = _express(simples, vec)
+        coeffs = solve(simples, vec)
         if coeffs is None or any(
             c.denominator != 1 or c < 0 for c in coeffs
         ):
@@ -569,38 +533,6 @@ def _validate_subsystem(rs: RootSystem, simple_idx, pos_idx) -> None:
                     f"reflection in {srv} does not preserve the integral "
                     f"subsystem (moved {vec} to {img})"
                 )
-
-
-def _express(basis_vecs, target):
-    """Exact coefficients of target in the given independent vectors, or None."""
-    n = len(target)
-    cols = len(basis_vecs)
-    aug = [
-        [Fraction(basis_vecs[j][i]) for j in range(cols)] + [Fraction(target[i])]
-        for i in range(n)
-    ]
-    row = 0
-    pivots = []
-    for col in range(cols):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if aug[r][cols] != 0:
-            return None
-    coeffs = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        coeffs[col] = aug[r][cols]
-    return coeffs
 
 
 # (lie type, sorted positive-root index set) -> CoxeterSystem.  Finite: one

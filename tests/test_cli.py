@@ -7,6 +7,9 @@ and the disk-cache controls.
 
 import json
 import os
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -27,6 +30,35 @@ def _run(capsys, argv):
 def _run_json(capsys, argv):
     code, out = _run(capsys, argv)
     return code, json.loads(out)
+
+
+def _readme_transcripts():
+    """(argv, stdout) of every "$ jantzen ..." example block in the README."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    out = []
+    for block in re.findall(r"```\n(\$ jantzen .*?)```", readme.read_text(), re.S):
+        command, _, expected = block.partition("\n")
+        out.append((shlex.split(command)[2:], expected))
+    return out
+
+
+_TRANSCRIPTS = _readme_transcripts()
+
+
+@pytest.mark.parametrize(
+    "argv, expected", _TRANSCRIPTS, ids=[argv[0] for argv, _ in _TRANSCRIPTS]
+)
+def test_readme_transcript(argv, expected, capsys):
+    code, out = _run(capsys, argv + ["--no-cache"])
+    assert code == 0
+    assert out == expected
+
+
+def test_readme_transcripts_found():
+    assert [argv for argv, _ in _TRANSCRIPTS] == [
+        ["layers", "--type", "B2", "--weight", "1,1"],
+        ["block", "--type", "A2", "--weight=-1/3,-1/3"],
+    ]
 
 
 def test_layers_json_a1(capsys):
@@ -212,6 +244,22 @@ def test_oracle_depth_over_cap_is_usage_error(capsys):
     code = main(["oracle", "--type", "A1", "--weight", "1", "--depth", "99"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--type", "A1", "--weight", "1", "--depth", "-3"],
+        ["parabolic", "--type", "A2", "--weight", "-1,-1", "--I", "1", "--depth", "-1"],
+    ],
+    ids=["oracle", "parabolic"],
+)
+def test_negative_depth_is_usage_error(argv, capsys):
+    code = main(argv + ["--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "depth must be nonnegative" in captured.err
 
 
 def test_usage_errors(capsys):

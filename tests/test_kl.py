@@ -19,7 +19,6 @@ from jantzen.kl import (
     build_table,
     cache_key,
     cache_path,
-    kl_polynomial,
     load_table,
     save_table,
     table_for,
@@ -124,7 +123,6 @@ def test_a3_nontrivial_polynomial():
     x = sys.element_from_word((1,))
     w = sys.element_from_word((1, 0, 2, 1))
     assert table.polynomial(x, w) == Poly((1, 1))  # 1 + q
-    assert kl_polynomial(table, x, w) == Poly((1, 1))
     # the same element written with the commuting letters swapped
     assert sys.element_from_word((1, 2, 0, 1)) == w
 

@@ -197,6 +197,14 @@ def test_character_check_values():
     assert all(v == 0 for beta, v in by_beta.items() if any(beta))
 
 
+def test_character_check_rejects_negative_depth():
+    # a negative depth has no rows, so the check would pass vacuously
+    rs = _rs("A2")
+    pb = enumerate_IWJ(integral_block(rs, Weight.of(-1, -1)), (0,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        parabolic_character_check(pb, pb.reps[0], -1)
+
+
 def test_character_check_adjoint_levi():
     # A2, I = {1}, w = e: the parabolic Verma induced from the trivial
     # Levi character: dim at offset beta counts sl3/p weight vectors.

@@ -11,13 +11,18 @@ from jantzen.roots import (
     boxes,
     build_root_system,
     height_vectors,
+    identity_matrix,
+    invert,
     is_antidominant,
     kostant_partition,
+    matmul,
     pairing,
     partition_count,
     partition_table,
+    positive_integral_pairings,
     reflect,
     rho,
+    solve,
 )
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4"]
@@ -332,3 +337,59 @@ def test_lie_type_parse():
     for bad in ("", "A", "A0", "B1", "X5", "G3", "E5", "F5", "Ax"):
         with pytest.raises(ValueError):
             LieType.parse(bad)
+
+
+def _combine(vectors, coeffs):
+    return tuple(
+        sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(len(vectors[0]))
+    )
+
+
+def test_solve_inconsistent_target_is_none():
+    assert solve([(1, 0, 0), (0, 1, 0)], (0, 0, 1)) is None
+    # dependent vectors, target off their common line
+    assert solve([(1, 2), (2, 4)], (1, 0)) is None
+
+
+def test_solve_dependent_vectors():
+    vectors = [(1, 2, 0), (2, 4, 0), (0, 1, 1), (1, 3, 1)]
+    target = (3, 8, 2)
+    coeffs = solve(vectors, target)
+    assert coeffs is not None
+    assert _combine(vectors, coeffs) == target
+    # a vector that depends on earlier ones gets coefficient 0
+    assert coeffs[1] == 0 and coeffs[3] == 0
+    assert all(isinstance(c, Fraction) for c in coeffs)
+
+
+def test_solve_rational_and_overdetermined():
+    # more rows than vectors, exact rational answer
+    vectors = [(2, 0, 1), (0, 3, 1)]
+    coeffs = solve(vectors, (1, 1, Fraction(5, 6)))
+    assert coeffs == [Fraction(1, 2), Fraction(1, 3)]
+    assert solve(vectors, (1, 1, 1)) is None
+
+
+def test_invert_is_exact_on_cartan_matrices():
+    for name in TYPES:
+        rs = build_root_system(LieType.parse(name))
+        inv = invert(rs.cartan)
+        assert matmul(rs.cartan, inv) == identity_matrix(rs.rank)
+        assert matmul(inv, rs.cartan) == identity_matrix(rs.rank)
+    with pytest.raises(ValueError):
+        invert(((1, 2), (2, 4)))
+
+
+def test_positive_integral_pairings_match_pairing():
+    for name in ("A2", "B2", "G2"):
+        rs = build_root_system(LieType.parse(name))
+        half = Fraction(1, 2)
+        for coords in [(1, 1), (1, 0), (-1, 2), (half, 1), (3 * half, 2)]:
+            w = Weight.of(*coords)
+            want = [
+                (i, pairing(rs, w, root))
+                for i, root in enumerate(rs.positive_roots)
+                if pairing(rs, w, root) > 0 and pairing(rs, w, root).denominator == 1
+            ]
+            assert list(positive_integral_pairings(rs, w)) == want
+            assert is_antidominant(rs, w) == (not want)

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from jantzen.poly import Poly
+from jantzen.poly import Poly, poly_gcd
 from jantzen.roots import LieType, Weight, build_root_system
 from jantzen.shapovalov import (
     DegenerateFormError,
@@ -190,6 +190,13 @@ def test_smith_normal_form_divisibility_chain():
             assert b.divmod(a)[1].is_zero()
 
 
+def test_poly_gcd_is_monic():
+    a = (T - ONE) * (T - 2 * ONE) * 3
+    b = (T - ONE) * (T + ONE)
+    assert poly_gcd(a, b) == T - ONE
+    assert poly_gcd(a, Poly()) == a.monic()
+
+
 def test_jantzen_dims_from_valuations():
     m = [[T, Poly()], [Poly(), T * T * T]]
     # valuations (1, 3): one vector survives past levels 2 and 3
@@ -229,3 +236,9 @@ def test_oracle_depth_cap_enforced():
     rs = _rs("C3")
     with pytest.raises(DepthCapError):
         oracle_compare(rs, Weight.of(-1, -1, -1), 4)
+
+
+def test_oracle_rejects_negative_depth():
+    # a negative depth has no weight spaces, so the oracle would pass vacuously
+    with pytest.raises(ValueError, match="nonnegative"):
+        oracle_compare(_rs("A1"), Weight.of(1), -3)

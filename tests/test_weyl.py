@@ -9,6 +9,7 @@ from jantzen.roots import LieType, Weight, build_root_system, pairing, rho
 from jantzen.suite import ACCEPTANCE_TYPES
 from jantzen.weyl import (
     CapExceededError,
+    WeylElem,
     format_word,
     identity_elem,
     parse_word,
@@ -378,3 +379,19 @@ def test_group_over_cap_still_answers_by_matrices():
         assert block.system is sys
         assert y.apply(block.mu) == nu
         assert sys.length(y) == len(rs.positive_roots)
+
+
+def test_generator_inverses_are_exact():
+    # every simple reflection is an involution, in both of its matrices
+    for name in ACCEPTANCE_TYPES:
+        sys = weyl_group(build_root_system(LieType.parse(name)))
+        for g in sys.gens:
+            inv = g.inverse()
+            assert inv == g and inv.rt == g.rt
+            assert (g * inv).is_identity()
+            assert all(type(v) is int for row in inv.wt + inv.rt for v in row)
+
+
+def test_non_integral_inverse_raises():
+    with pytest.raises(AssertionError, match="not integral"):
+        WeylElem(((2, 0), (0, 1)), ((1, 0), (0, 1))).inverse()
