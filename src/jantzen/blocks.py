@@ -20,8 +20,9 @@ from jantzen.roots import (
     coroot_pairing,
     is_antidominant,
     positive_integral_pairings,
+    reflect,
 )
-from jantzen.weyl import CoxeterSystem, DefectError, WeylElem, subsystem
+from jantzen.weyl import CoxeterSystem, DefectError, subsystem
 
 
 def _integral_positive_indices(rs: RootSystem, w: Weight) -> tuple[int, ...]:
@@ -49,18 +50,19 @@ class Block:
     def delta_roots(self) -> tuple[tuple[int, ...], ...]:
         return self.system.simple_roots
 
-    def coset_reps(self) -> tuple[WeylElem, ...]:
+    def coset_reps(self) -> tuple[int, ...]:
         return self.system.min_coset_reps(self.J).reps
 
-    def is_rep(self, w: WeylElem) -> bool:
+    def is_rep(self, w: int) -> bool:
         return self.system.is_min_coset_rep(w, self.J)
 
-    def reps_below(self, w: WeylElem) -> list[WeylElem]:
+    def reps_below(self, w: int) -> list[int]:
         """The z in W^J with z <= w, sorted by (length, word)."""
         return [z for z in self.system.bruhat_interval_below(w) if self.is_rep(z)]
 
-    def apply(self, w: WeylElem) -> Weight:
-        return w.apply(self.mu)
+    def apply(self, w: int) -> Weight:
+        """The weight w(mu)."""
+        return self.system.apply(w, self.mu)
 
     def same_block(self, other: "Block") -> bool:
         return self.rs is other.rs and self.mu == other.mu
@@ -89,11 +91,10 @@ def integral_block(rs: RootSystem, mu: Weight) -> Block:
     return _block(rs, mu, _integral_positive_indices(rs, mu))
 
 
-def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, WeylElem]:
+def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, int]:
     """Antidominant representative of nu and the minimal w with w(mu) = nu."""
     pos_idx = _integral_positive_indices(rs, nu)
     system = subsystem(rs, pos_idx)
-    coroots = [rs.coroots[i] for i in system.simple_idx]
 
     # nu = s_{i1} ... s_{ik} cur, with word = (i1, ..., ik)
     cur = nu
@@ -101,17 +102,15 @@ def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, WeylElem]:
     changed = True
     while changed:
         changed = False
-        for i, coroot in enumerate(coroots):
-            if coroot_pairing(cur, coroot) > 0:
-                cur = system.gens[i].apply(cur)
+        for i, k in enumerate(system.simple_idx):
+            if coroot_pairing(cur, rs.coroots[k]) > 0:
+                cur = reflect(rs, cur, rs.positive_roots[k])
                 word.append(i)
                 changed = True
                 break
     block = _block(rs, cur, pos_idx)
-    if not word:
-        return block, system.identity
     y, _ = system.decompose_yx(system.element_from_word(word), block.J)
-    if y.apply(block.mu) != nu:
+    if block.apply(y) != nu:
         raise DefectError("normalization did not reproduce the input weight")
     return block, y
 

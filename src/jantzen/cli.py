@@ -24,12 +24,7 @@ import sys
 import traceback
 
 from jantzen.blocks import Block, DefectError, normalize
-from jantzen.filtration import (
-    domination_check,
-    jantzen_filtration,
-    layers,
-    sum_formula_check,
-)
+from jantzen.filtration import domination_check, layers, sum_formula_check
 from jantzen.kl import table_for
 from jantzen.parabolic import (
     enumerate_IWJ,
@@ -111,7 +106,7 @@ def _simples(system: CoxeterSystem, row: dict) -> list:
     """The simples of one layer or level, in (length, word) order."""
     return [
         {"z_word": _word_str(system, z), "mult": row[z]}
-        for z in sorted(row, key=system.sort_key)
+        for z in sorted(row)
     ]
 
 
@@ -184,22 +179,22 @@ def cmd_kl(args) -> int:
 
 
 def cmd_layers(args) -> int:
-    nu, block, _, _ = _normalized(args)
-    rep = jantzen_filtration(block.rs, nu)
-    rep.table.validate()
+    nu, block, w, _ = _normalized(args)
     sum_res = sum_formula_check(block.rs, nu)
+    table = sum_res.table
+    table.validate()
     sys_ = block.system
     report = {
         **_head(nu, block),
-        "w_word": _word_str(sys_, rep.w),
+        "w_word": _word_str(sys_, w),
         "J": [j + 1 for j in block.J],
-        "loewy_length": rep.loewy_length,
-        "layers": _layers(sys_, rep.table.rows),
+        "loewy_length": table.loewy_length,
+        "layers": _layers(sys_, table.rows),
         "sum_formula": "pass" if sum_res.passed else "fail",
         "details": {
             "levels": [
                 {"i": i, "simples": _simples(sys_, lvl)}
-                for i, lvl in enumerate(rep.levels)
+                for i, lvl in enumerate(table.level_multiplicities())
             ],
             "sum_formula_columns": _sum_columns(sys_, sum_res.per_column),
         },
@@ -242,7 +237,7 @@ def cmd_sumcheck(args) -> int:
         checked = 0
         failed = []
         for w in block.coset_reps():
-            res = sum_formula_check(rs, w.apply(mu))
+            res = sum_formula_check(rs, block.apply(w))
             checked += 1
             if not res.passed:
                 failed.append(_word_str(block.system, w))
@@ -315,6 +310,8 @@ def cmd_conjecture(args) -> int:
 
 
 def cmd_parabolic(args) -> int:
+    if args.depth < 0:
+        raise UsageError(f"depth must be nonnegative, got {args.depth}")
     nu, block, _, table = _normalized(args)
     sys_ = block.system
     try:

@@ -37,14 +37,13 @@ from jantzen.roots import (
     positive_integral_pairings,
     reflect,
 )
-from jantzen.weyl import WeylElem
 
 
 class LayerRows:
     """What ordinary and parabolic layer tables share: ``rows[j]`` maps a
     column to its multiplicity in layer j of the module at ``w``."""
 
-    def mult(self, j: int, z: WeylElem) -> int:
+    def mult(self, j: int, z: int) -> int:
         if 0 <= j < len(self.rows):
             return self.rows[j].get(z, 0)
         return 0
@@ -67,19 +66,19 @@ class LayerTable(LayerRows):
     """
 
     block: Block
-    w: WeylElem
-    columns: tuple[WeylElem, ...]
+    w: int
+    columns: tuple[int, ...]
     rows: tuple[dict, ...]
 
     @property
     def loewy_length(self) -> int:
         return len(self.rows)
 
-    def total(self, z: WeylElem) -> int:
+    def total(self, z: int) -> int:
         """Total multiplicity [M(w mu) : L(z mu)]."""
         return sum(row.get(z, 0) for row in self.rows)
 
-    def weighted_total(self, z: WeylElem) -> int:
+    def weighted_total(self, z: int) -> int:
         """sum_j j * [Rad_j : L(z mu)] = sum_{i>=1} [M^i : L(z mu)]."""
         return sum(j * row.get(z, 0) for j, row in enumerate(self.rows))
 
@@ -102,7 +101,7 @@ class LayerTable(LayerRows):
             raise DefectError("bottom layer is not L(mu)")
 
 
-def layers(block: Block, w: WeylElem, table: KLTable | None = None) -> LayerTable:
+def layers(block: Block, w: int, table: KLTable | None = None) -> LayerTable:
     """Radical layer table of M(w mu) for w in W^J."""
     sys = block.system
     if not block.is_rep(w):
@@ -115,10 +114,10 @@ def layers(block: Block, w: WeylElem, table: KLTable | None = None) -> LayerTabl
     rows = graded_rows(
         sys, w, ((z, table.inverse_polynomial(z, w)) for z in block.reps_below(w))
     )
-    return LayerTable(block=block, w=w, columns=layer_columns(sys, rows), rows=rows)
+    return LayerTable(block=block, w=w, columns=layer_columns(rows), rows=rows)
 
 
-def graded_rows(sys, w: WeylElem, polys, defect=DefectError) -> tuple[dict, ...]:
+def graded_rows(sys, w: int, polys, defect=DefectError) -> tuple[dict, ...]:
     """Layer rows of a module at w from graded multiplicities.
 
     ``polys`` yields pairs (z, n) with n a polynomial in q; its coefficient
@@ -144,16 +143,16 @@ def graded_rows(sys, w: WeylElem, polys, defect=DefectError) -> tuple[dict, ...]
     return tuple(rows)
 
 
-def layer_columns(sys, rows) -> tuple[WeylElem, ...]:
+def layer_columns(rows) -> tuple[int, ...]:
     """Every column with a nonzero entry in some row, by (length, word)."""
-    return tuple(sorted({z for row in rows for z in row}, key=sys.sort_key))
+    return tuple(sorted({z for row in rows for z in row}))
 
 
 @dataclass
 class FiltrationReport:
     nu: Weight
     block: Block
-    w: WeylElem
+    w: int
     table: LayerTable
     levels: tuple[dict, ...]
 
@@ -175,10 +174,11 @@ def jantzen_filtration(rs: RootSystem, nu: Weight) -> FiltrationReport:
 class SumFormulaResult:
     nu: Weight
     block: Block
-    w: WeylElem
+    w: int
     passed: bool
-    per_column: tuple[tuple[WeylElem, int, int], ...]  # (z, lhs, rhs)
-    reflected: tuple[tuple[tuple[int, ...], WeylElem], ...]  # (alpha, v_alpha)
+    per_column: tuple[tuple[int, int, int], ...]  # (z, lhs, rhs)
+    reflected: tuple[tuple[tuple[int, ...], int], ...]  # (alpha, v_alpha)
+    table: LayerTable  # the layers of M(nu) on the left-hand side
 
 
 def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
@@ -189,11 +189,10 @@ def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
     compared as multiplicity vectors over z in W^J.
     """
     block, w = normalize(rs, nu)
-    sys = block.system
-    table = table_for(sys)
+    table = table_for(block.system)
     lt = layers(block, w, table)
 
-    rhs: dict[WeylElem, int] = {}
+    rhs: dict[int, int] = {}
     reflected = []
     for i, _ in positive_integral_pairings(rs, nu):
         alpha = rs.positive_roots[i]
@@ -208,7 +207,7 @@ def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
 
     per_column = []
     passed = True
-    cols = sorted(set(lt.columns) | set(rhs), key=sys.sort_key)
+    cols = sorted(set(lt.columns) | set(rhs))
     for z in cols:
         lhs_z = lt.weighted_total(z)
         rhs_z = rhs.get(z, 0)
@@ -222,23 +221,24 @@ def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
         passed=passed,
         per_column=tuple(per_column),
         reflected=tuple(reflected),
+        table=lt,
     )
 
 
 @dataclass
 class DominationResult:
     block: Block
-    x: WeylElem
-    w: WeylElem
+    x: int
+    w: int
     r: int
     passed: bool
-    violations: tuple[tuple[int, WeylElem, int, int], ...]
+    violations: tuple[tuple[int, int, int, int], ...]
 
 
 def domination_check(
     block: Block,
-    x: WeylElem,
-    w: WeylElem,
+    x: int,
+    w: int,
     tx: LayerTable | None = None,
     tw: LayerTable | None = None,
 ) -> DominationResult:
@@ -273,7 +273,7 @@ def domination_check(
     )
 
 
-def simple_weight_dims(block: Block, z: WeylElem, depth: int) -> dict:
+def simple_weight_dims(block: Block, z: int, depth: int) -> dict:
     """Weight multiplicities of L(z mu) at offsets from its highest weight.
 
     Returns {beta: dim} for root-lattice offsets beta with height <= depth.
@@ -303,8 +303,8 @@ def simple_weight_dims(block: Block, z: WeylElem, depth: int) -> dict:
             val -= mult[row][col] * coeffs[col]
         coeffs[row] = val  # diagonal entries are 1
 
-    zmu = z.apply(block.mu)
-    offsets = {v: root_offset(rs, zmu - v.apply(block.mu)) for v in below}
+    zmu = block.apply(z)
+    offsets = {v: root_offset(rs, zmu - block.apply(v)) for v in below}
 
     out = {}
     for beta in boxes(rs.rank, depth):

@@ -31,7 +31,7 @@ import tempfile
 
 from jantzen import roots, weyl
 from jantzen.poly import Poly
-from jantzen.weyl import CoxeterSystem, DefectError, WeylElem, format_word, parse_word
+from jantzen.weyl import CoxeterSystem, DefectError, format_word, parse_word
 
 CACHE_VERSION = "KLCACHE v2"
 _ONE = Poly((1,))
@@ -48,15 +48,15 @@ class KLTable:
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self._p: dict[tuple[WeylElem, WeylElem], Poly] = {}
+        self._p: dict[tuple[int, int], Poly] = {}
 
-    def polynomial(self, x: WeylElem, w: WeylElem) -> Poly:
+    def polynomial(self, x: int, w: int) -> Poly:
         sys = self.system
         if not sys.bruhat_leq(x, w):
             return Poly()
         return self._compute(x, w)
 
-    def inverse_polynomial(self, x: WeylElem, w: WeylElem) -> Poly:
+    def inverse_polynomial(self, x: int, w: int) -> Poly:
         """Inverse polynomial Q(x, w) = P(w0 w, w0 x), w0 the longest element.
 
         These are the multiplicity polynomials in the antidominant
@@ -70,7 +70,7 @@ class KLTable:
         sys = self.system
         return self.polynomial(sys.longest_times(w), sys.longest_times(x))
 
-    def _compute(self, x: WeylElem, w: WeylElem) -> Poly:
+    def _compute(self, x: int, w: int) -> Poly:
         key = (x, w)
         got = self._p.get(key)
         if got is not None:
@@ -113,7 +113,7 @@ class KLTable:
         if any(c < 0 for c in poly.coeffs):
             raise KLDefectError(f"negative coefficient in {poly.coeffs}")
 
-    def mu(self, z: WeylElem, v: WeylElem) -> int:
+    def mu(self, z: int, v: int) -> int:
         sys = self.system
         d = sys.length(v) - sys.length(z)
         if d <= 0 or d % 2 == 0 or not sys.bruhat_leq(z, v):
@@ -128,12 +128,8 @@ class KLTable:
         return self
 
     def entries(self):
-        """All computed (x, w, P) sorted canonically."""
-        index = self.system.index  # index order is (length, word) order
-        items = sorted(
-            self._p.items(), key=lambda kv: (index(kv[0][1]), index(kv[0][0]))
-        )
-        for (x, w), poly in items:
+        """All computed (x, w, P), sorted by (w, x)."""
+        for (x, w), poly in sorted(self._p.items(), key=lambda kv: kv[0][::-1]):
             yield x, w, poly
 
     def expected_pair_count(self) -> int:

@@ -35,7 +35,6 @@ from jantzen.kl import KLTable, table_for
 from jantzen.poly import Poly
 from jantzen.roots import Weight, partition_table
 from jantzen.roots import partition_count  # noqa: F401  (hooked by bench/layertrace.py)
-from jantzen.weyl import WeylElem
 
 
 class ConventionDefectError(DefectError):
@@ -49,26 +48,27 @@ class ParabolicBlock:
     block: Block
     ambient_I: tuple[int, ...]  # 0-based ambient simple indices
     I: tuple[int, ...]  # generator indices in the block system
-    wI: WeylElem
-    reps: tuple[WeylElem, ...]  # {}^I W^J
+    wI: int
+    reps: tuple[int, ...]  # {}^I W^J
 
     @cached_property
     def rep_set(self) -> frozenset:
         return frozenset(self.reps)
 
-    def highest_weight(self, w: WeylElem) -> Weight:
-        return self.block.system.mul(self.wI, w).apply(self.block.mu)
+    def highest_weight(self, w: int) -> Weight:
+        return self.block.apply(self.block.system.mul(self.wI, w))
 
-    def check_rep(self, w: WeylElem) -> None:
+    def check_rep(self, w: int) -> None:
         if w not in self.rep_set:
             raise ValueError("w is not an upper coset representative for (I, J)")
 
-    def signed_levi(self) -> list:
-        """(u, (-1)^l(u)) for every u in W_I, by length."""
+    @cached_property
+    def signed_levi(self) -> tuple:
+        """(u, (-1)^l(u)) for every u in W_I, in index order."""
         sys = self.block.system
-        return [
+        return tuple(
             (u, -1 if sys.length(u) % 2 else 1) for u in sys.subgroup_elements(self.I)
-        ]
+        )
 
 
 def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
@@ -105,8 +105,8 @@ class ParabolicLayerTable(LayerRows):
     """
 
     pblock: ParabolicBlock
-    w: WeylElem
-    columns: tuple[WeylElem, ...]
+    w: int
+    columns: tuple[int, ...]
     rows: tuple[dict, ...]
     n_polys: dict
 
@@ -120,7 +120,7 @@ class ParabolicLayerTable(LayerRows):
 
 
 def parabolic_layers(
-    pblock: ParabolicBlock, w: WeylElem, table: KLTable | None = None
+    pblock: ParabolicBlock, w: int, table: KLTable | None = None
 ) -> ParabolicLayerTable:
     """Layer table of the parabolic Verma with highest weight w_I w mu."""
     block = pblock.block
@@ -130,7 +130,7 @@ def parabolic_layers(
         table = table_for(sys)
     wI = pblock.wI
     wIw = sys.mul(wI, w)
-    targets = [(sys.mul(u, wIw), sign) for u, sign in pblock.signed_levi()]
+    targets = [(sys.mul(u, wIw), sign) for u, sign in pblock.signed_levi]
     lw = sys.length(w)
     n_polys = {}
     # only columns in {}^I W^J survive translation onto the singular weight;
@@ -149,14 +149,14 @@ def parabolic_layers(
     return ParabolicLayerTable(
         pblock=pblock,
         w=w,
-        columns=layer_columns(sys, rows),
+        columns=layer_columns(rows),
         rows=rows,
         n_polys=n_polys,
     )
 
 
 def parabolic_layers_dual_path(
-    pblock: ParabolicBlock, w: WeylElem, table: KLTable | None = None
+    pblock: ParabolicBlock, w: int, table: KLTable | None = None
 ) -> ParabolicLayerTable:
     """Same table assembled from ordinary layer tables with grading shifts.
 
@@ -174,7 +174,7 @@ def parabolic_layers_dual_path(
     lw = sys.length(w)
     span = lw + sys.length(wI)
     acc: list[dict] = [dict() for _ in range(span + 1)]
-    for u, sign in pblock.signed_levi():
+    for u, sign in pblock.signed_levi:
         shift = sys.length(u)
         target = sys.mul(u, wIw)
         if not sys.is_min_coset_rep(target, block.J):
@@ -208,7 +208,7 @@ def parabolic_layers_dual_path(
     return ParabolicLayerTable(
         pblock=pblock,
         w=w,
-        columns=layer_columns(sys, rows),
+        columns=layer_columns(rows),
         rows=tuple(rows),
         n_polys={},
     )
@@ -217,14 +217,14 @@ def parabolic_layers_dual_path(
 @dataclass
 class CharCheckResult:
     pblock: ParabolicBlock
-    w: WeylElem
+    w: int
     depth: int
     passed: bool
     rows: tuple[tuple[tuple[int, ...], int, int], ...]  # (beta, lhs, rhs)
 
 
 def parabolic_character_check(
-    pblock: ParabolicBlock, w: WeylElem, depth: int
+    pblock: ParabolicBlock, w: int, depth: int
 ) -> CharCheckResult:
     """Compare ch of the parabolic Verma two ways, on offsets of height <= depth.
 
@@ -242,6 +242,7 @@ def parabolic_character_check(
     """
     block = pblock.block
     rs = block.rs
+    sys = block.system
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     pblock.check_rep(w)
@@ -269,9 +270,9 @@ def parabolic_character_check(
 
     levi_shifts = []
     verma_shifts = []
-    for u, sign in pblock.signed_levi():
+    for u, sign in pblock.signed_levi:
         for source, out in ((base, levi_shifts), (lam, verma_shifts)):
-            out.append((sign, root_offset(rs, source - u.apply(source))))
+            out.append((sign, root_offset(rs, source - sys.apply(u, source))))
 
     levi = partition_table(rs, depth, levi_pos)
     nil = partition_table(rs, depth, nil_pos)

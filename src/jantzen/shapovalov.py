@@ -456,7 +456,7 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
     offsets = {}
     sdims = {}
     for z in tab.columns:
-        offsets[z] = root_offset(rs, nu - z.apply(block.mu))
+        offsets[z] = root_offset(rs, nu - block.apply(z))
         sdims[z] = simple_weight_dims(block, z, depth)
 
     det_shifts = [

@@ -1,41 +1,50 @@
-"""Weyl group elements as exact integer matrices; lengths, Bruhat order, cosets.
+"""Weyl groups as integer-indexed tables: lengths, Bruhat order, cosets.
 
-A group element stores two integer action matrices: ``wt`` acts on weight
-coordinates, ``rt`` on root coordinates.  Identity is matrix equality, so
-braid-equivalent words collapse automatically.  A ``CoxeterSystem`` is a
-reflection subsystem of an ambient root system (the full system, or the
-integral subsystem of a block) with its own simple roots, length function
-(inversion count over the subsystem) and Bruhat order; Kazhdan-Lusztig
-combinatorics runs against this interface without caring which case it is.
+A ``CoxeterSystem`` is a reflection subsystem of an ambient root system
+(the full system, or the integral subsystem of a block) with its own simple
+roots, length function (inversion count over the subsystem) and Bruhat
+order; Kazhdan-Lusztig combinatorics runs against this interface without
+caring which case it is.
+
+A group element is an int: its index in the system's enumeration order.
+The first query on a system enumerates the group breadth-first from the
+identity, which yields the elements in (length, canonical word) order: the
+identity is 0, the generator s_i is i + 1 and the longest element w0 comes
+last.  Enumeration is deterministic, so an index names the same element in
+every system built for the same root set.  Per element the system keeps one
+integer matrix, the action on weight coordinates, which recognizes an
+element reached twice during the walk and is the one weight action
+(``apply``); and one list each for the length, the canonical reduced word,
+the right-descent bitmask, the products w s_i, the inverse and w0 w.  Every
+other query is a lookup or a walk through these lists.  A group larger than
+``MAX_GROUP_ORDER`` is never enumerated: its first query raises
+``CapExceededError``.
 
 Systems are interned: ``subsystem`` keeps one per (type, positive-root
 index set) for the life of the process, and checks the root-system axioms
 of the subsystem once, when it first builds it.  ``weyl_group`` is the
 entry for the full root set.
-
-The first query that needs the group enumerates it breadth-first from the
-identity, which yields the elements in (length, canonical word) order.
-Each element gets one record (``_Elem``, in ``_info``): its index in that
-order, length, canonical reduced word, inverse, the products w s_i for
-every generator, the right-descent bitmask and the product w0 w.  Every
-element a record refers to is the canonical object the group stores, so
-descents, generator products, words, coset tests and w0 w are answered by
-lookups instead of matrix arithmetic.  Elements outside the group (a
-product formed by the caller with ``*`` that is equal to no member, or a
-member of another system) fall back to the matrix definitions, and so does
-every element of a group larger than ``MAX_GROUP_ORDER``: such a group is
-never enumerated, so only its enumeration-based queries (``elements``,
-``word``, ``index``, Bruhat order, ``min_coset_reps``) raise
-``CapExceededError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from jantzen.roots import RootSystem, Weight, identity_matrix, invert, matmul, solve
+from jantzen.roots import (
+    RootSystem,
+    Weight,
+    coroot_pairing,
+    identity_matrix,
+    matmul,
+    solve,
+)
 
 MAX_GROUP_ORDER = 1152
+
+# The Coxeter matrix entry m(s_a, s_b) of two simple roots a, b, keyed by
+# the product of their Cartan integers <a, b^vee> <b, a^vee>; the product
+# is 4 only for a = b, where m = 1.
+_COXETER_ENTRY = {0: 2, 1: 3, 2: 4, 3: 6, 4: 1}
 
 
 class CapExceededError(ValueError):
@@ -46,86 +55,28 @@ class DefectError(RuntimeError):
     """A structural invariant failed; results would not be trustworthy."""
 
 
-def _matvec(m, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+def _root_pairing(rs: RootSystem, root, alpha) -> int:
+    """<root, alpha^vee> for roots in simple-root coordinates."""
+    return coroot_pairing(Weight(rs.root_to_weight_coords(root)), rs.coroot_of(alpha))
 
 
-class WeylElem:
-    """One Weyl group element; equality and hashing use the weight action."""
-
-    __slots__ = ("wt", "rt", "_hash")
-
-    def __init__(self, wt, rt):
-        self.wt = wt
-        self.rt = rt
-        self._hash = None
-
-    def __mul__(self, other: "WeylElem") -> "WeylElem":
-        return WeylElem(matmul(self.wt, other.wt), matmul(self.rt, other.rt))
-
-    def __eq__(self, other):
-        return isinstance(other, WeylElem) and self.wt == other.wt
-
-    def __hash__(self):
-        # elements are dictionary keys throughout; the nested tuple is
-        # hashed once per object
-        if self._hash is None:
-            self._hash = hash(self.wt)
-        return self._hash
-
-    def apply(self, w: Weight) -> Weight:
-        return Weight(_matvec(self.wt, w.coords))
-
-    def apply_root(self, vec) -> tuple[int, ...]:
-        return _matvec(self.rt, tuple(vec))
-
-    def is_identity(self) -> bool:
-        return self.wt == identity_matrix(len(self.wt))
-
-    def inverse(self) -> "WeylElem":
-        return WeylElem(_int_inverse(self.wt), _int_inverse(self.rt))
-
-    def __repr__(self):
-        return f"WeylElem({self.wt})"
-
-
-def _int_inverse(mat):
-    inv = invert(mat)
-    if any(v.denominator != 1 for row in inv for v in row):
-        raise AssertionError("matrix inverse is not integral")
-    return tuple(tuple(int(v) for v in row) for row in inv)
-
-
-def identity_elem(rank: int) -> WeylElem:
-    m = identity_matrix(rank)
-    return WeylElem(m, m)
-
-
-def reflection_elem(rs: RootSystem, root_vec) -> WeylElem:
-    """The reflection in a (positive) root, as exact matrices."""
+def _reflection_matrix(rs: RootSystem, alpha):
+    """The reflection lambda -> lambda - <lambda, alpha^vee> alpha, acting
+    on weight coordinates."""
     n = rs.rank
-    rc = tuple(root_vec)
-    coroot = rs.coroot_of(rc)
-    wc = rs.root_to_weight_coords(rc)
-    wt = tuple(
+    coroot = rs.coroot_of(alpha)
+    wc = rs.root_to_weight_coords(alpha)
+    return tuple(
         tuple((1 if i == j else 0) - wc[i] * coroot[j] for j in range(n))
         for i in range(n)
     )
-    kc = tuple(
-        sum(coroot[j] * rs.cartan[j][l] for j in range(n)) for l in range(n)
-    )
-    rt = tuple(
-        tuple((1 if i == j else 0) - rc[i] * kc[j] for j in range(n))
-        for i in range(n)
-    )
-    return WeylElem(wt, rt)
 
 
-def _first_nonzero(vec):
-    for v in vec:
-        if v != 0:
-            return v
-    return 0
+def _walk(right, w: int, word) -> int:
+    """w s_{i1} ... s_{ik} for the word (i1, ..., ik)."""
+    for i in word:
+        w = right[w][i]
+    return w
 
 
 @dataclass(frozen=True)
@@ -133,28 +84,22 @@ class CosetData:
     """Minimal-length coset representatives for a standard parabolic W_J."""
 
     J: tuple[int, ...]
-    reps: tuple[WeylElem, ...]
+    reps: tuple[int, ...]
 
 
-class _Elem:
-    """Everything a CoxeterSystem records about one of its elements.
+class _Tables:
+    """The per-element lists of an enumerated system, indexed by element.
 
-    ``elem``, ``inverse``, ``right`` and ``w0x`` hold canonical element
-    objects; ``right[i]`` is w s_i and bit i of ``descents`` is set iff
-    l(w s_i) < l(w).
+    ``right[w][i]`` is w s_i, bit i of ``descents[w]`` is set iff
+    l(w s_i) < l(w), ``matrix[w]`` is the action of w on weight
+    coordinates, and ``reflections`` lists the reflections of the system
+    in the order of its positive roots.
     """
 
-    __slots__ = ("elem", "index", "length", "word", "inverse", "right", "descents", "w0x")
-
-    def __init__(self, elem, index, length, word):
-        self.elem = elem
-        self.index = index
-        self.length = length
-        self.word = word
-        self.inverse = None
-        self.right = ()
-        self.descents = 0
-        self.w0x = None
+    __slots__ = (
+        "matrix", "length", "word", "descents", "right", "inverse", "w0x",
+        "reflections",
+    )
 
 
 class CoxeterSystem:
@@ -170,14 +115,10 @@ class CoxeterSystem:
         self.simple_idx = tuple(simple_idx)
         self.pos_idx = tuple(sorted(pos_idx))
         self.simple_roots = tuple(rs.positive_roots[i] for i in self.simple_idx)
-        self.gens = tuple(
-            reflection_elem(rs, rs.positive_roots[i]) for i in self.simple_idx
-        )
-        self.identity = identity_elem(rs.rank)
-        self._pos_vecs = tuple(rs.positive_roots[i] for i in self.pos_idx)
-        self._info = None  # elem -> _Elem
-        self._too_large = False  # enumeration hit MAX_GROUP_ORDER
-        self._order_list = None
+        self.identity = 0
+        # the elements of length one, in word order
+        self.gens = tuple(range(1, len(self.simple_idx) + 1))
+        self._info = None  # _Tables, once enumerated
         self._downsets = None
         self._coxeter_matrix = None
 
@@ -185,116 +126,72 @@ class CoxeterSystem:
 
     @property
     def num_gens(self) -> int:
-        return len(self.gens)
+        return len(self.simple_idx)
 
-    def _tables(self):
-        """The per-element records, or None for a group over the cap."""
-        if self._info is None and not self._too_large:
-            try:
-                self._enumerate()
-            except CapExceededError:
-                pass
+    def _tables(self) -> _Tables:
+        if self._info is None:
+            self._enumerate()
         return self._info
 
-    def _record(self, w: WeylElem):
-        """The record of a group element; None for a non-member, and for
-        every element of a group too large to enumerate."""
-        info = self._tables()
-        return None if info is None else info.get(w)
+    def length(self, w: int) -> int:
+        return self._tables().length[w]
 
-    def length(self, w: WeylElem) -> int:
-        rec = self._record(w)
-        if rec is not None:
-            return rec.length
-        return sum(
-            1 for vec in self._pos_vecs if _first_nonzero(w.apply_root(vec)) < 0
-        )
-
-    def _descents(self, w: WeylElem) -> int:
-        """Right-descent bitmask: bit i is set iff l(w s_i) < l(w)."""
-        rec = self._record(w)
-        if rec is not None:
-            return rec.descents
-        return sum(
-            1 << i
-            for i, vec in enumerate(self.simple_roots)
-            if _first_nonzero(w.apply_root(vec)) < 0
-        )
-
-    def right_descent(self, w: WeylElem, i: int) -> bool:
+    def right_descent(self, w: int, i: int) -> bool:
         """True iff l(w s_i) < l(w)."""
-        return bool(self._descents(w) >> i & 1)
+        return bool(self._tables().descents[w] >> i & 1)
 
-    def first_right_descent(self, w: WeylElem):
-        mask = self._descents(w)
+    def first_right_descent(self, w: int):
+        mask = self._tables().descents[w]
         return (mask & -mask).bit_length() - 1 if mask else None
 
-    def right_mul(self, w: WeylElem, i: int) -> WeylElem:
+    def right_mul(self, w: int, i: int) -> int:
         """The product w s_i."""
-        rec = self._record(w)
-        return rec.right[i] if rec is not None else w * self.gens[i]
+        return self._tables().right[w][i]
 
-    def _left_mul(self, i: int, w: WeylElem) -> WeylElem:
+    def _left_mul(self, i: int, w: int) -> int:
         """The product s_i w, as (w^-1 s_i)^-1."""
-        rec = self._record(w)
-        if rec is None:
-            return self.gens[i] * w
-        info = self._info
-        return info[info[rec.inverse].right[i]].inverse
+        t = self._tables()
+        return t.inverse[t.right[t.inverse[w]][i]]
 
-    def _walk(self, w: WeylElem, word) -> WeylElem:
-        """w s_{i1} ... s_{ik} for a group element w and word (i1, ..., ik)."""
-        info = self._info
-        for i in word:
-            w = info[w].right[i]
-        return w
+    def mul(self, x: int, y: int) -> int:
+        """The product x y, as a walk along the shorter of the two reduced
+        words: x s_{j1} ... s_{jm} for the word of y, or
+        (y^-1 s_{ik} ... s_{i1})^-1 for the word (i1, ..., ik) of x."""
+        t = self._tables()
+        if t.length[x] < t.length[y]:
+            return t.inverse[_walk(t.right, t.inverse[y], reversed(t.word[x]))]
+        return _walk(t.right, x, t.word[y])
 
-    def mul(self, x: WeylElem, y: WeylElem) -> WeylElem:
-        """The product x y of two group elements, as a walk along the
-        shorter of their reduced words: x s_{j1} ... s_{jm} for the word of
-        y, or (y^-1 s_{ik} ... s_{i1})^-1 for the word (i1, ..., ik) of x."""
-        self._enumerate()
-        info = self._info
-        rx, ry = info[x], info[y]
-        if rx.length < ry.length:
-            return info[self._walk(ry.inverse, reversed(rx.word))].inverse
-        return self._walk(x, ry.word)
-
-    def element_from_word(self, word) -> WeylElem:
+    def element_from_word(self, word) -> int:
         word = tuple(word)
         for i in word:
             if not 0 <= i < self.num_gens:
                 raise ValueError(f"generator index {i} out of range")
-        if self._tables() is None:
-            out = self.identity
-            for i in word:
-                out = out * self.gens[i]
-            return out
-        return self._walk(self.identity, word)
+        return _walk(self._tables().right, 0, word)
 
-    def longest_times(self, w: WeylElem) -> WeylElem:
-        """The product w0 w for a group element w, w0 the longest element."""
-        self._enumerate()
-        return self._info[w].w0x
+    def longest_times(self, w: int) -> int:
+        """The product w0 w, w0 the longest element."""
+        return self._tables().w0x[w]
+
+    def apply(self, w: int, weight: Weight) -> Weight:
+        """The image w(lambda) of a weight in the pairing basis.
+
+        Row i of the matrix of w is the coroot w^-1(alpha_i^vee), since
+        <w lambda, alpha_i^vee> = <lambda, w^-1 alpha_i^vee>."""
+        return Weight(
+            tuple(coroot_pairing(weight, row) for row in self._tables().matrix[w])
+        )
 
     def coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:
         if self._coxeter_matrix is None:
-            k = self.num_gens
-            mat = [[1] * k for _ in range(k)]
-            for i in range(k):
-                for j in range(k):
-                    if i == j:
-                        continue
-                    prod = self.gens[i] * self.gens[j]
-                    power = prod
-                    order = 1
-                    while not power.is_identity():
-                        power = power * prod
-                        order += 1
-                        if order > 6:
-                            raise AssertionError("generator product order > 6")
-                    mat[i][j] = order
-            self._coxeter_matrix = tuple(tuple(row) for row in mat)
+            rs, simples = self.rs, self.simple_roots
+            self._coxeter_matrix = tuple(
+                tuple(
+                    _COXETER_ENTRY[_root_pairing(rs, a, b) * _root_pairing(rs, b, a)]
+                    for b in simples
+                )
+                for a in simples
+            )
         return self._coxeter_matrix
 
     # -- enumeration ---------------------------------------------------------
@@ -306,158 +203,139 @@ class CoxeterSystem:
         product not seen yet is new at length L + 1, and a product already
         seen at length L - 1 marks a right descent.  Within a level the
         frontier is in word order and each element's canonical word is
-        that of its first discoverer plus one generator, so the elements
-        come out sorted by (length, word).
+        that of its first discoverer plus one generator, so indices are
+        handed out in (length, word) order and the walk visits the elements
+        in index order.
         """
         if self._info is not None:
             return
-        if self._too_large:
-            raise CapExceededError(f"group order exceeds cap {MAX_GROUP_ORDER}")
-        gens = self.gens
-        info = {self.identity: _Elem(self.identity, 0, 0, ())}
-        order_list = [self.identity]
-        frontier = [self.identity]
+        rs = self.rs
+        gens = [_reflection_matrix(rs, alpha) for alpha in self.simple_roots]
+        e = identity_matrix(rs.rank)
+        index = {e: 0}
+        matrix, length, word, descents, right = [e], [0], [()], [0], []
+        frontier = [0]
         while frontier:
             new = []
             for w in frontier:
-                rec = info[w]
-                right = []
+                m, lw = matrix[w], length[w]
+                row = []
                 for i, g in enumerate(gens):
-                    u = w * g
-                    got = info.get(u)
-                    if got is None:
-                        if len(info) >= MAX_GROUP_ORDER:
-                            self._too_large = True
+                    prod = matmul(m, g)
+                    u = index.get(prod)
+                    if u is None:
+                        u = len(matrix)
+                        if u >= MAX_GROUP_ORDER:
                             raise CapExceededError(
                                 f"group order exceeds cap {MAX_GROUP_ORDER}"
                             )
-                        got = _Elem(u, len(info), rec.length + 1, rec.word + (i,))
-                        info[u] = got
-                        order_list.append(u)
+                        index[prod] = u
+                        matrix.append(prod)
+                        length.append(lw + 1)
+                        word.append(word[w] + (i,))
+                        descents.append(0)
                         new.append(u)
-                    elif got.length < rec.length:
-                        rec.descents |= 1 << i
-                    right.append(got.elem)
-                rec.right = tuple(right)
+                    elif length[u] < lw:
+                        descents[w] |= 1 << i
+                    row.append(u)
+                right.append(tuple(row))
             frontier = new
-        self._info = info
-        self._order_list = order_list
-        w0 = order_list[-1]  # the unique element of maximal length
-        for rec in info.values():
-            rec.inverse = self._walk(self.identity, reversed(rec.word))
-            rec.w0x = self._walk(w0, rec.word)
+        t = _Tables()
+        t.matrix, t.length, t.word, t.descents, t.right = (
+            matrix, length, word, descents, right
+        )
+        w0 = len(matrix) - 1  # the unique element of maximal length
+        t.inverse = [_walk(right, 0, reversed(v)) for v in word]
+        t.w0x = [_walk(right, w0, v) for v in word]
+        t.reflections = tuple(
+            index[_reflection_matrix(rs, rs.positive_roots[k])] for k in self.pos_idx
+        )
+        self._info = t
 
-    def elements(self) -> tuple[WeylElem, ...]:
-        """All elements, sorted by (length, canonical word)."""
-        self._enumerate()
-        return tuple(self._order_list)
+    def elements(self) -> range:
+        """All elements, in (length, canonical word) order."""
+        return range(self.order())
 
     def order(self) -> int:
-        return len(self.elements())
+        return len(self._tables().length)
 
-    def index(self, w: WeylElem) -> int:
-        self._enumerate()
-        return self._info[w].index
-
-    def word(self, w: WeylElem) -> tuple[int, ...]:
+    def word(self, w: int) -> tuple[int, ...]:
         """A canonical reduced word (from the deterministic enumeration)."""
-        self._enumerate()
-        return self._info[w].word
+        return self._tables().word[w]
 
-    def inverse(self, w: WeylElem) -> WeylElem:
-        rec = self._record(w)
-        return rec.inverse if rec is not None else w.inverse()
+    def inverse(self, w: int) -> int:
+        return self._tables().inverse[w]
 
-    def contains(self, w: WeylElem) -> bool:
-        return self._record(w) is not None
-
-    def sort_key(self, w: WeylElem):
-        return (self.length(w), self.word(w))
-
-    def reflections(self) -> tuple[WeylElem, ...]:
-        return tuple(reflection_elem(self.rs, vec) for vec in self._pos_vecs)
+    def reflections(self) -> tuple[int, ...]:
+        """The reflections in the positive roots, in root order."""
+        return self._tables().reflections
 
     # -- Bruhat order ----------------------------------------------------------
 
     def _build_downsets(self):
-        """Bit i of downsets[w] is set iff element i lies below w: the
-        elements below w are w itself and those below each w t, for the
-        reflections t with l(w t) < l(w)."""
+        """Bit x of downsets[w] is set iff x lies below w: the elements
+        below w are w itself and those below each w t, for the reflections
+        t with l(w t) < l(w)."""
         if self._downsets is not None:
             return
-        self._enumerate()
-        info = self._info
-        refl_words = [info[t].word for t in self.reflections()]
-        downsets = {}
-        for w in self._order_list:
-            rec = info[w]
-            bits = 1 << rec.index
-            for word in refl_words:
-                u = self._walk(w, word)
-                if info[u].length < rec.length:
+        t = self._tables()
+        length, right = t.length, t.right
+        refl_words = [t.word[r] for r in t.reflections]
+        downsets = []
+        for w, lw in enumerate(length):
+            bits = 1 << w
+            for v in refl_words:
+                u = _walk(right, w, v)
+                if length[u] < lw:
                     bits |= downsets[u]
-            downsets[w] = bits
+            downsets.append(bits)
         self._downsets = downsets
 
-    def bruhat_leq(self, x: WeylElem, w: WeylElem) -> bool:
-        self._build_downsets()
-        return bool(self._downsets[w] >> self._info[x].index & 1)
+    def bruhat_leq(self, x: int, w: int) -> bool:
+        if self._downsets is None:
+            self._build_downsets()
+        return bool(self._downsets[w] >> x & 1)
 
-    def bruhat_interval_below(self, w: WeylElem) -> list[WeylElem]:
-        """All x <= w, sorted by (length, word)."""
-        self._build_downsets()
-        bits = self._downsets[w]
-        return [u for i, u in enumerate(self._order_list) if bits >> i & 1]
+    def bruhat_interval_below(self, w: int) -> list[int]:
+        """All x <= w, in index order."""
+        if self._downsets is None:
+            self._build_downsets()
+        bits = bin(self._downsets[w])[:1:-1]  # bit x is character x
+        return [x for x, c in enumerate(bits) if c == "1"]
 
     # -- cosets ---------------------------------------------------------------
 
     def min_coset_reps(self, J) -> CosetData:
-        """Minimal-length representatives of W / W_J, sorted by (length, word)."""
+        """Minimal-length representatives of W / W_J, in index order."""
         J = tuple(sorted(J))
-        reps = tuple(w for w in self.elements() if self.is_min_coset_rep(w, J))
+        mask = sum(1 << j for j in J)
+        reps = tuple(w for w, d in enumerate(self._tables().descents) if not d & mask)
         return CosetData(J=J, reps=reps)
 
-    def is_min_coset_rep(self, w: WeylElem, J) -> bool:
-        mask = self._descents(w)
+    def is_min_coset_rep(self, w: int, J) -> bool:
+        mask = self._tables().descents[w]
         return not any(mask >> j & 1 for j in J)
 
-    def decompose_yx(self, w: WeylElem, J) -> tuple[WeylElem, WeylElem]:
+    def decompose_yx(self, w: int, J) -> tuple[int, int]:
         """w = y x with y in W^J, x in W_J, lengths adding."""
+        descents = self._tables().descents
         v = w
         peeled = []
         while True:
-            mask = self._descents(v)
-            j = next((j for j in J if mask >> j & 1), None)
+            j = next((j for j in J if descents[v] >> j & 1), None)
             if j is None:
                 break
             v = self.right_mul(v, j)
             peeled.append(j)
         return v, self.element_from_word(reversed(peeled))
 
-    def subgroup_elements(self, I) -> tuple[WeylElem, ...]:
-        """All elements of the standard parabolic subgroup W_I, by length."""
-        I = tuple(I)
-        seen = {self.identity}
-        frontier = [self.identity]
-        out = [self.identity]
-        while frontier:
-            new = []
-            for w in frontier:
-                for i in I:
-                    u = self.right_mul(w, i)
-                    if u not in seen:
-                        if len(seen) >= MAX_GROUP_ORDER:
-                            raise CapExceededError(
-                                f"subgroup order exceeds cap {MAX_GROUP_ORDER}"
-                            )
-                        seen.add(u)
-                        out.append(u)
-                        new.append(u)
-            frontier = new
-        out.sort(key=lambda w: (self.length(w), w.wt))
-        return tuple(out)
+    def subgroup_elements(self, I) -> tuple[int, ...]:
+        """All elements of the standard parabolic subgroup W_I, in index
+        order: those whose reduced words use generators in I only."""
+        I = set(I)
+        return tuple(w for w, v in enumerate(self._tables().word) if I.issuperset(v))
 
-    def longest_element(self, I=None) -> WeylElem:
+    def longest_element(self, I=None) -> int:
         """Longest element of W_I (of the whole group when I is None)."""
         if I is None:
             I = range(self.num_gens)
@@ -472,7 +350,7 @@ class CoxeterSystem:
                     changed = True
         return w
 
-    def upper_coset_membership(self, w: WeylElem, I, J) -> bool:
+    def upper_coset_membership(self, w: int, I, J) -> bool:
         """True iff w lies in {}^I W^J: w in W^J and left multiplication by
         each generator in I lengthens w and stays inside W^J."""
         if not self.is_min_coset_rep(w, J):
@@ -525,9 +403,9 @@ def _validate_subsystem(rs: RootSystem, simple_idx, pos_idx) -> None:
             )
     # the simple reflections permute the subsystem
     for srv in simples:
-        s = reflection_elem(rs, srv)
         for vec in pos_vecs:
-            img = s.apply_root(vec)
+            p = _root_pairing(rs, vec, srv)
+            img = tuple(v - p * a for v, a in zip(vec, srv))
             if img not in pos_set and tuple(-c for c in img) not in pos_set:
                 raise DefectError(
                     f"reflection in {srv} does not preserve the integral "

@@ -48,3 +48,33 @@ def test_every_trace_hook_is_found(capsys):
         kl.build_table,
         weyl.CoxeterSystem._enumerate,
     ] == originals
+
+
+def test_traced_build_reads_the_sentinels(capsys):
+    # One small traced build: the enumeration and downset hooks test
+    # CoxeterSystem._info and _downsets to tell a first build, which is
+    # timed, from a later call, which passes straight through.
+    from jantzen import clear_caches
+    from jantzen.roots import LieType, build_root_system
+
+    clear_caches()
+    tracer = _layertrace().Tracer(_StubClock())
+    tracer.install()
+    try:
+        system = weyl.weyl_group(build_root_system(LieType.parse("A3")))
+        table = kl.build_table(system)
+        system._enumerate()
+        system._build_downsets()
+        assert system.word(system.element_from_word((1, 0))) == (1, 0)
+    finally:
+        tracer.uninstall()
+        clear_caches()
+    assert "trace hook" not in capsys.readouterr().err
+    assert tracer.calls["weyl.enumerate"] == 1
+    assert tracer.calls["weyl.downsets"] == 1
+    assert tracer.calls["kl.build"] == 1
+    metrics = tracer.layer_metrics()
+    assert metrics["weyl.systems_built"] == 1
+    assert metrics["weyl.element_from_word.calls"] == 1
+    assert metrics["kl.tables_built"] == 1
+    assert metrics["kl.pairs_computed"] == table.expected_pair_count()

@@ -18,6 +18,7 @@ from jantzen.blocks import DefectError
 from jantzen.cli import main
 from jantzen.kl import KLDefectError
 from jantzen.parabolic import ConventionDefectError
+from jantzen.roots import Weight
 from jantzen.shapovalov import DegenerateFormError
 
 
@@ -251,8 +252,10 @@ def test_oracle_depth_over_cap_is_usage_error(capsys):
     [
         ["oracle", "--type", "A1", "--weight", "1", "--depth", "-3"],
         ["parabolic", "--type", "A2", "--weight", "-1,-1", "--I", "1", "--depth", "-1"],
+        # {}^I W^J is empty here, so no character check ever runs
+        ["parabolic", "--type", "A2", "--weight", "0,0", "--I", "1", "--depth", "-1"],
     ],
-    ids=["oracle", "parabolic"],
+    ids=["oracle", "parabolic", "parabolic-no-parameters"],
 )
 def test_negative_depth_is_usage_error(argv, capsys):
     code = main(argv + ["--no-cache"])
@@ -260,6 +263,40 @@ def test_negative_depth_is_usage_error(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert "depth must be nonnegative" in captured.err
+
+
+def test_layers_builds_one_layer_table(monkeypatch, capsys):
+    # the sum-formula check hands the CLI the layer table it compared
+    from jantzen import filtration
+
+    nu = Weight.of(1, 1)
+    layer_calls = []
+    input_normalizations = []
+
+    def count_layers(orig):
+        def wrapper(*args, **kwargs):
+            layer_calls.append(args[1])
+            return orig(*args, **kwargs)
+
+        return wrapper
+
+    def count_normalize(orig):
+        def wrapper(rs, weight):
+            if weight == nu:
+                input_normalizations.append(weight)
+            return orig(rs, weight)
+
+        return wrapper
+
+    monkeypatch.setattr(filtration, "layers", count_layers(filtration.layers))
+    for module in (cli, filtration):
+        monkeypatch.setattr(module, "normalize", count_normalize(module.normalize))
+    argv = ["layers", "--type", "B2", "--weight", "1,1", "--no-cache"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert "sum formula: pass" in out
+    assert len(layer_calls) == 1
+    assert len(input_normalizations) <= 2
 
 
 def test_usage_errors(capsys):

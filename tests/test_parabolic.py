@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from jantzen import weyl
 from jantzen.blocks import DefectError, integral_block
 from jantzen.filtration import layers
 from jantzen.kl import table_for
@@ -18,7 +19,6 @@ from jantzen.parabolic import (
 )
 from jantzen.roots import LieType, Weight, boxes, build_root_system, partition_count
 from jantzen.suite import suite_weights
-from jantzen.weyl import WeylElem
 
 
 def _rs(name):
@@ -60,7 +60,7 @@ def test_a2_empty_I_degenerates_to_ordinary():
     rs = _rs("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     pb = enumerate_IWJ(block, ())
-    assert pb.wI.is_identity()
+    assert pb.wI == block.system.identity
     assert set(pb.reps) == set(block.coset_reps())
     for w in pb.reps:
         assert parabolic_layers(pb, w).rows == layers(block, w).rows
@@ -70,7 +70,7 @@ def test_a2_full_I_leaves_identity():
     rs = _rs("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     pb = enumerate_IWJ(block, (0, 1))
-    assert [w.is_identity() for w in pb.reps] == [True]
+    assert pb.reps == (block.system.identity,)
     t = parabolic_layers(pb, pb.reps[0])
     assert _named_rows(pb, t) == [{"e": 1}]
 
@@ -174,7 +174,7 @@ def test_wI_is_longest_involution():
     for I in ((0,), (1,), (0, 1), (1, 2), (0, 1, 2)):
         pb = enumerate_IWJ(block, I)
         assert pb.wI == sys.longest_element(I)
-        assert pb.wI * pb.wI == sys.identity
+        assert sys.mul(pb.wI, pb.wI) == sys.identity
 
 
 def test_character_check_values():
@@ -355,7 +355,7 @@ def _char_rows_per_beta(pb, w, depth):
     def shifts(source):
         out = []
         for u in sys.subgroup_elements(pb.I):
-            rc = rs.weight_to_root_coords((source - u.apply(source)).coords)
+            rc = rs.weight_to_root_coords((source - sys.apply(u, source)).coords)
             out.append((-1 if sys.length(u) % 2 else 1, tuple(int(c) for c in rc)))
         return out
 
@@ -419,10 +419,10 @@ def test_parabolic_paths_never_multiply_matrices(monkeypatch):
         for pb, table in prepared
     ]
 
-    def no_products(self, other):
-        raise AssertionError("matrix product of group elements")
+    def no_products(a, b):
+        raise AssertionError("matrix product after enumeration")
 
-    monkeypatch.setattr(WeylElem, "__mul__", no_products)
+    monkeypatch.setattr(weyl, "matmul", no_products)
     for (pb, table), want in zip(prepared, expected):
         got = [
             (
@@ -433,3 +433,33 @@ def test_parabolic_paths_never_multiply_matrices(monkeypatch):
             for w in pb.reps
         ]
         assert got == want
+
+
+def test_levi_built_once_per_parabolic_block(monkeypatch):
+    # W_I with its signs is computed once per parabolic block, however many
+    # modules the layer paths and the character check visit
+    calls = []
+    orig = weyl.CoxeterSystem.subgroup_elements
+
+    def counting(self, I):
+        calls.append(I)
+        return orig(self, I)
+
+    monkeypatch.setattr(weyl.CoxeterSystem, "subgroup_elements", counting)
+    blocks_with_modules = 0
+    modules = 0
+    for name in ("A3", "B3"):
+        rs = _rs(name)
+        for _, mu in suite_weights(rs):
+            block = integral_block(rs, mu)
+            table = table_for(block.system)
+            for I in _block_simple_subsets(rs, block):
+                pb = enumerate_IWJ(block, I)
+                blocks_with_modules += bool(pb.reps)
+                for w in pb.reps:
+                    parabolic_layers(pb, w, table)
+                    parabolic_layers_dual_path(pb, w, table)
+                    parabolic_character_check(pb, w, 2)
+                    modules += 1
+    assert modules > 2 * blocks_with_modules
+    assert len(calls) == blocks_with_modules

@@ -1,21 +1,20 @@
-"""Weyl group enumeration, Bruhat order, and coset representatives."""
+"""Weyl group enumeration, Bruhat order, and coset representatives.
 
+The integer tables are checked against a reference inside this module:
+``_act`` applies the simple reflections, read off ``rs.cartan``, along an
+element's word.  W acts simply transitively on the orbit of rho, so an
+element is known by its image of rho.
+"""
+
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from jantzen.blocks import integral_block
-from jantzen.roots import LieType, Weight, build_root_system, pairing, rho
+from jantzen.blocks import integral_block, normalize
+from jantzen.roots import LieType, Weight, build_root_system, pairing, reflect, rho
 from jantzen.suite import ACCEPTANCE_TYPES
-from jantzen.weyl import (
-    CapExceededError,
-    WeylElem,
-    format_word,
-    identity_elem,
-    parse_word,
-    reflection_elem,
-    weyl_group,
-)
+from jantzen.weyl import CapExceededError, format_word, parse_word, weyl_group
 
 ORDERS = {
     "A1": 2,
@@ -28,9 +27,39 @@ ORDERS = {
     "G2": 12,
 }
 
+# every acceptance type, plus the rank-4 groups of the KL benchmark
+REFERENCE_TYPES = ACCEPTANCE_TYPES + ("A4", "D4")
+
 
 def _group(name):
     return weyl_group(build_root_system(LieType.parse(name)))
+
+
+def _act(rs, word, coords):
+    """s_{i1} ... s_{ik} (coords) for the word (i1, ..., ik): s_i subtracts
+    coords[i] times the i-th column of the Cartan matrix."""
+    v = tuple(coords)
+    for i in reversed(tuple(word)):
+        p = v[i]
+        v = tuple(c - p * rs.cartan[k][i] for k, c in enumerate(v))
+    return v
+
+
+def _rho(rs):
+    return (1,) * rs.rank
+
+
+def _ref_length(rs, image_of_rho):
+    """l(w) = l(w^-1) = #{alpha > 0 : <w rho, alpha^vee> < 0}."""
+    return sum(
+        1
+        for coroot in rs.coroots
+        if sum(c * x for c, x in zip(coroot, image_of_rho)) < 0
+    )
+
+
+def _image(sys, w):
+    return sys.apply(w, rho(sys.rs)).coords
 
 
 def test_group_orders():
@@ -38,42 +67,81 @@ def test_group_orders():
         assert _group(name).order() == order
 
 
+def test_f4_enumerates_at_the_cap():
+    sys = _group("F4")
+    assert sys.order() == 1152
+    assert sys.length(sys.order() - 1) == 24
+
+
+def test_rho_orbit_is_a_bijection():
+    # w -> w(rho) maps the elements one to one onto the orbit of rho,
+    # found here by a search with the reference reflections alone
+    for name in REFERENCE_TYPES:
+        sys = _group(name)
+        rs = sys.rs
+        orbit = {_rho(rs)}
+        frontier = [_rho(rs)]
+        while frontier:
+            new = []
+            for v in frontier:
+                for i in range(rs.rank):
+                    u = _act(rs, (i,), v)
+                    if u not in orbit:
+                        orbit.add(u)
+                        new.append(u)
+            frontier = new
+        images = [_image(sys, w) for w in sys.elements()]
+        assert len(set(images)) == len(images) == sys.order()
+        assert set(images) == orbit
+
+
 def test_longest_element_length():
     for name in ORDERS:
         sys = _group(name)
         w0 = sys.longest_element()
+        assert w0 == sys.order() - 1
         assert sys.length(w0) == len(sys.rs.positive_roots)
-        assert w0 * w0 == sys.identity or sys.length(w0 * w0) == 0
+        assert sys.mul(w0, w0) == sys.identity
 
 
 def test_reflections_count_and_order():
     for name in ORDERS:
         sys = _group(name)
         refl = sys.reflections()
-        assert len(refl) == len(sys.rs.positive_roots)
+        assert len(set(refl)) == len(sys.rs.positive_roots)
         for t in refl:
-            assert t * t == sys.identity
+            assert sys.mul(t, t) == sys.identity
             assert sys.length(t) % 2 == 1
 
 
+def test_reflection_elem_matches_reflections():
+    # the k-th reflection is the reflection in the k-th positive root
+    for name in REFERENCE_TYPES:
+        rs = build_root_system(LieType.parse(name))
+        sys = weyl_group(rs)
+        for t, alpha in zip(sys.reflections(), rs.positive_roots):
+            want = reflect(rs, rho(rs), alpha).coords
+            assert _act(rs, sys.word(t), _rho(rs)) == want
+            assert _image(sys, t) == want
+
+
 def test_braid_relations():
-    # The order of s_i s_j equals the Coxeter matrix entry exactly.
-    for name in ORDERS:
+    # The order of s_i s_j, found by the reference action, equals the
+    # Coxeter matrix entry exactly.
+    for name in REFERENCE_TYPES:
         sys = _group(name)
+        rs = sys.rs
         m = sys.coxeter_matrix()
         for i in range(sys.num_gens):
             assert m[i][i] == 1
             for j in range(sys.num_gens):
                 if i == j:
                     continue
-                prod = sys.gens[i] * sys.gens[j]
-                power = sys.identity
-                order = 0
-                while True:
-                    power = power * prod
+                v = _act(rs, (i, j), _rho(rs))
+                order = 1
+                while v != _rho(rs):
+                    v = _act(rs, (i, j), v)
                     order += 1
-                    if power == sys.identity:
-                        break
                 assert order == m[i][j] == m[j][i]
 
 
@@ -86,27 +154,25 @@ def test_coxeter_matrix_values():
 
 
 def test_length_via_inversions():
-    # l(w) = number of positive roots sent to negative roots.
-    for name in ("A3", "B2", "G2"):
+    # l(w) = number of positive roots made negative, counted on w(rho).
+    for name in REFERENCE_TYPES:
         sys = _group(name)
         for w in sys.elements():
-            inv = 0
-            for alpha in sys.rs.positive_roots:
-                image = w.apply_root(alpha)
-                if all(c <= 0 for c in image):
-                    inv += 1
-            assert inv == sys.length(w)
+            image = _act(sys.rs, sys.word(w), _rho(sys.rs))
+            assert _ref_length(sys.rs, image) == sys.length(w)
 
 
 def test_word_round_trip():
-    for name in ("A3", "B2", "G2"):
+    for name in REFERENCE_TYPES:
         sys = _group(name)
+        rs = sys.rs
         for w in sys.elements():
             word = sys.word(w)
             assert len(word) == sys.length(w)
             assert sys.element_from_word(word) == w
-            assert sys.inverse(w) == w.inverse()
-            assert sys.element_from_word(reversed(word)) == w.inverse()
+            inv = sys.inverse(w)
+            assert sys.element_from_word(reversed(word)) == inv
+            assert _image(sys, inv) == _act(rs, tuple(reversed(word)), _rho(rs))
 
 
 def test_parse_and_format_word():
@@ -125,56 +191,71 @@ def test_parse_and_format_word():
 def test_descents():
     sys = _group("A2")
     s1, s2 = sys.gens
-    w = s1 * s2
+    w = sys.mul(s1, s2)
     assert sys.right_descent(w, 1)
     assert not sys.right_descent(w, 0)
     assert sys.first_right_descent(w) == 1
     assert sys.first_right_descent(sys.identity) is None
 
 
-def _negative(vec):
-    return next(c for c in vec if c != 0) < 0
-
-
 def test_element_tables_match_matrices():
-    # The per-element records against the matrix definitions: w s_i is
-    # the matrix product, i is a right descent iff w(alpha_i) < 0, and the
-    # canonical word walks back to w.
-    for name in ACCEPTANCE_TYPES + ("A4",):
+    # Every table against the reference: w s_i, the descents, w0 w and the
+    # product are the elements whose rho-images the reference words give,
+    # and apply is the reference action.
+    for name in REFERENCE_TYPES:
         sys = _group(name)
+        rs = sys.rs
+        by_image = {_image(sys, w): w for w in sys.elements()}
+        w0_word = sys.word(sys.longest_element())
+        half = Weight.of(*[Fraction(2 * k + 1, 2) for k in range(rs.rank)])
+        sample = sys.elements()[:: max(1, sys.order() // 12)]
         for w in sys.elements():
-            assert sys.element_from_word(sys.word(w)) == w
-            for i, g in enumerate(sys.gens):
-                u = sys.right_mul(w, i)
-                assert u == w * g
-                assert sys.contains(u)
-                descent = _negative(w.apply_root(sys.simple_roots[i]))
-                assert sys.right_descent(w, i) == descent
-                assert (sys.length(u) < sys.length(w)) == descent
+            word = sys.word(w)
+            lw = _ref_length(rs, _act(rs, word, _rho(rs)))
+            for i in range(sys.num_gens):
+                image = _act(rs, word + (i,), _rho(rs))
+                assert sys.right_mul(w, i) == by_image[image]
+                assert sys.right_descent(w, i) == (_ref_length(rs, image) < lw)
+            assert sys.longest_times(w) == by_image[_act(rs, w0_word + word, _rho(rs))]
+            for y in sample:
+                image = _act(rs, word + sys.word(y), _rho(rs))
+                assert sys.mul(w, y) == by_image[image]
+            assert sys.apply(w, half).coords == _act(rs, word, half.coords)
+
+
+def test_subsystem_tables_match_reflections():
+    # The integral group of (-1/2, -1) in B2 is generated by the reflections
+    # in the orthogonal roots alpha2 and alpha1 + alpha2; that of (-1/2, -1)
+    # in G2 by those in a short and a long root.  Along words, the reference
+    # here is roots.reflect in the system's simple roots.
+    for name, coords in (("B2", (Fraction(-1, 2), -1)), ("G2", (Fraction(-1, 2), -1))):
+        rs = build_root_system(LieType.parse(name))
+        sys = integral_block(rs, Weight.of(*coords)).system
+        assert sys.simple_roots != rs.positive_roots[:2]
+
+        def act(word, lam):
+            for i in reversed(word):
+                lam = reflect(rs, lam, sys.simple_roots[i])
+            return lam
+
+        r = rho(rs)
+        by_image = {sys.apply(w, r): w for w in sys.elements()}
+        assert len(by_image) == sys.order()
+        for w in sys.elements():
+            assert sys.apply(w, r) == act(sys.word(w), r)
+            for i in range(sys.num_gens):
+                assert sys.right_mul(w, i) == by_image[act(sys.word(w) + (i,), r)]
+        m = sys.coxeter_matrix()[0][1]
+        assert sys.order() == 2 * m
 
 
 def test_elements_sorted_by_sort_key():
-    for name in ACCEPTANCE_TYPES + ("A4",):
+    # index order is (length, word) order
+    for name in REFERENCE_TYPES:
         sys = _group(name)
-        elems = sys.elements()
-        assert list(elems) == sorted(elems, key=sys.sort_key)
-        assert [sys.index(w) for w in elems] == list(range(len(elems)))
-
-
-def test_non_members_use_matrices():
-    # The integral group of (-1/2, -1) in B2 is generated by the reflections
-    # in the orthogonal roots alpha2 and alpha1 + alpha2; s_1 lies outside.
-    rs = build_root_system(LieType.parse("B2"))
-    sys = integral_block(rs, Weight.of(Fraction(-1, 2), -1)).system
-    assert sys.order() == 4
-    s1 = weyl_group(rs).gens[0]
-    assert not sys.contains(s1)
-    assert sys.right_mul(s1, 0) == s1 * sys.gens[0]
-    assert sys.length(s1) == sum(
-        1 for vec in sys._pos_vecs if _negative(s1.apply_root(vec))
-    )
-    assert sys.right_descent(s1, 0) == _negative(s1.apply_root(sys.simple_roots[0]))
-    assert sys.inverse(s1) == s1.inverse()
+        keys = [(sys.length(w), sys.word(w)) for w in sys.elements()]
+        assert keys == sorted(set(keys))
+        assert [sys.word(g) for g in sys.gens] == [(i,) for i in range(sys.num_gens)]
 
 
 def _bruhat_oracle(sys):
@@ -195,9 +276,8 @@ def _bruhat_oracle(sys):
         if key in memo:
             return memo[key]
         i = sys.first_right_descent(w)
-        s = sys.gens[i]
-        ws = w * s
-        xs = x * s
+        ws = sys.right_mul(w, i)
+        xs = sys.right_mul(x, i)
         if sys.length(xs) < lx:
             got = leq(xs, ws)
         else:
@@ -222,8 +302,8 @@ def test_bruhat_interval_below():
     for name in ("A2", "B2", "G2", "A3"):
         sys = _group(name)
         for w in sys.elements():
-            below = set(sys.bruhat_interval_below(w))
-            expected = {x for x in sys.elements() if sys.bruhat_leq(x, w)}
+            below = sys.bruhat_interval_below(w)
+            expected = [x for x in sys.elements() if sys.bruhat_leq(x, w)]
             assert below == expected
         w0 = sys.longest_element()
         assert len(sys.bruhat_interval_below(w0)) == sys.order()
@@ -233,15 +313,13 @@ def test_bruhat_basics():
     sys = _group("A2")
     s1, s2 = sys.gens
     assert sys.bruhat_leq(sys.identity, s1)
-    assert sys.bruhat_leq(s2, s1 * s2)
-    assert sys.bruhat_leq(s1, s1 * s2)
-    assert not sys.bruhat_leq(s1 * s2, s2 * s1)
+    assert sys.bruhat_leq(s2, sys.mul(s1, s2))
+    assert sys.bruhat_leq(s1, sys.mul(s1, s2))
+    assert not sys.bruhat_leq(sys.mul(s1, s2), sys.mul(s2, s1))
     assert sys.bruhat_leq(s1, sys.longest_element())
 
 
 def test_min_coset_reps():
-    import itertools
-
     for name in ("A3", "B2", "B3", "G2"):
         sys = _group(name)
         n = sys.num_gens
@@ -256,7 +334,7 @@ def test_min_coset_reps():
                     assert sys.is_min_coset_rep(w, J)
                     # w is the unique shortest element of wW_J.
                     for u in sub:
-                        g = w * u
+                        g = sys.mul(w, u)
                         assert g not in seen
                         seen.add(g)
                         assert sys.length(g) == sys.length(w) + sys.length(u)
@@ -265,8 +343,6 @@ def test_min_coset_reps():
 
 def test_decompose_yx():
     # g = y x with y the minimal coset representative and x in W_J.
-    import itertools
-
     for name in ("A3", "B2"):
         sys = _group(name)
         for r in range(sys.num_gens + 1):
@@ -274,7 +350,7 @@ def test_decompose_yx():
                 sub = set(sys.subgroup_elements(J))
                 for g in sys.elements():
                     y, x = sys.decompose_yx(g, J)
-                    assert y * x == g
+                    assert sys.mul(y, x) == g
                     assert sys.is_min_coset_rep(y, J)
                     assert x in sub
                     assert sys.length(y) + sys.length(x) == sys.length(g)
@@ -289,6 +365,10 @@ def test_subgroup_elements():
     assert len(sys.subgroup_elements((0, 1, 2))) == 48
     w0 = sys.longest_element((1, 2))
     assert sys.length(w0) == 4
+    # closed under the generators of I, in index order
+    sub = sys.subgroup_elements((1, 2))
+    assert list(sub) == sorted(sub)
+    assert {sys.right_mul(u, i) for u in sub for i in (1, 2)} == set(sub)
 
 
 def test_upper_coset_membership():
@@ -297,7 +377,7 @@ def test_upper_coset_membership():
     sys = _group("A2")
     s1, s2 = sys.gens
     members = [w for w in sys.elements() if sys.upper_coset_membership(w, (0,), ())]
-    assert set(members) == {sys.identity, s2, s2 * s1}
+    assert set(members) == {sys.identity, s2, sys.mul(s2, s1)}
     # I = full set leaves only the identity.
     members = [w for w in sys.elements() if sys.upper_coset_membership(w, (0, 1), ())]
     assert members == [sys.identity]
@@ -307,15 +387,17 @@ def test_upper_coset_membership():
 
 
 def test_apply_weight_action():
+    # <w lambda, (w alpha)^vee> = <lambda, alpha^vee>, with w alpha computed
+    # by the same weight action on the root's weight coordinates
     rs = build_root_system(LieType.parse("B2"))
     sys = weyl_group(rs)
     r = rho(rs)
     for w in sys.elements():
-        image = w.apply(r)
-        # the shifted action is length-preserving on pairings with the
-        # inverse image of each root
+        image = sys.apply(w, r)
+        assert image.coords == _act(rs, sys.word(w), _rho(rs))
         for alpha in rs.positive_roots:
-            moved = w.apply_root(alpha)
+            moved_wc = sys.apply(w, Weight.of(*rs.root_to_weight_coords(alpha)))
+            moved = tuple(int(c) for c in rs.weight_to_root_coords(moved_wc.coords))
             sign = 1
             if all(c <= 0 for c in moved):
                 moved = tuple(-c for c in moved)
@@ -323,24 +405,9 @@ def test_apply_weight_action():
             assert pairing(rs, image, moved) == sign * pairing(rs, r, alpha)
 
 
-def test_reflection_elem_matches_reflections():
-    for name in ("A2", "B2", "G2"):
-        rs = build_root_system(LieType.parse(name))
-        sys = weyl_group(rs)
-        refl = set(sys.reflections())
-        for alpha in rs.positive_roots:
-            assert reflection_elem(rs, alpha) in refl
-
-
-def test_identity_elem():
-    e = identity_elem(3)
-    assert e.is_identity()
-    assert e.apply(Weight.of(1, 2, 3)) == Weight.of(1, 2, 3)
-
-
 def test_sort_key_orders_by_length():
     sys = _group("B2")
-    elems = sorted(sys.elements(), key=sys.sort_key)
+    elems = sorted(sys.elements())
     lengths = [sys.length(w) for w in elems]
     assert lengths == sorted(lengths)
     assert elems[0] == sys.identity
@@ -348,50 +415,22 @@ def test_sort_key_orders_by_length():
 
 
 def test_group_order_cap():
+    # a group over the cap fails closed on its first query of any kind
     rs = build_root_system(LieType.parse("D5"))  # |W| = 1920 > cap
     sys = weyl_group(rs)
-    with pytest.raises(CapExceededError):
-        sys.elements()
+    for query in (
+        sys.elements,
+        lambda: sys.length(sys.identity),
+        lambda: sys.element_from_word((0, 1)),
+        lambda: sys.subgroup_elements((0, 1, 2)),
+        lambda: sys.apply(sys.identity, rho(rs)),
+    ):
+        with pytest.raises(CapExceededError, match="exceeds cap 1152"):
+            query()
 
 
-def test_group_over_cap_still_answers_by_matrices():
-    # Queries that need no enumeration keep working on a group over the
-    # cap, before and after a capped enumeration has been attempted.
-    from jantzen.blocks import normalize
-
+def test_normalize_over_cap_fails_closed():
     rs = build_root_system(LieType.parse("D5"))
-    sys = weyl_group(rs)
-    for attempt in range(2):
-        with pytest.raises(CapExceededError):
-            sys.elements()
-        w = sys.element_from_word((0, 1, 2, 3, 4))
-        g = sys.gens
-        assert w == g[0] * g[1] * g[2] * g[3] * g[4]
-        assert sys.length(w) == 5
-        # s_4 and s_5 commute, so both are right descents of w
-        assert sys.first_right_descent(w) == 3
-        assert sys.right_descent(w, 4) and not sys.right_descent(w, 2)
-        assert sys.right_mul(w, 4) == sys.element_from_word((0, 1, 2, 3))
-        assert len(sys.subgroup_elements((0, 1, 2))) == 24  # type A3
-        assert sys.length(sys.longest_element((0, 1, 2))) == 6
-        nu = Weight.of(1, 2, 1, 1, 1)  # dominant regular integral
-        block, y = normalize(rs, nu)
-        assert block.system is sys
-        assert y.apply(block.mu) == nu
-        assert sys.length(y) == len(rs.positive_roots)
-
-
-def test_generator_inverses_are_exact():
-    # every simple reflection is an involution, in both of its matrices
-    for name in ACCEPTANCE_TYPES:
-        sys = weyl_group(build_root_system(LieType.parse(name)))
-        for g in sys.gens:
-            inv = g.inverse()
-            assert inv == g and inv.rt == g.rt
-            assert (g * inv).is_identity()
-            assert all(type(v) is int for row in inv.wt + inv.rt for v in row)
-
-
-def test_non_integral_inverse_raises():
-    with pytest.raises(AssertionError, match="not integral"):
-        WeylElem(((2, 0), (0, 1)), ((1, 0), (0, 1))).inverse()
+    for nu in (Weight.of(1, 2, 1, 1, 1), Weight.of(-1, -1, -1, -1, -1)):
+        with pytest.raises(CapExceededError, match="exceeds cap 1152"):
+            normalize(rs, nu)
