@@ -4,7 +4,7 @@ The package computes radical layer tables of possibly singular, possibly
 nonintegral Verma modules through integral Weyl group combinatorics and
 Kazhdan-Lusztig polynomials, and verifies them against two independent
 computations: the Jantzen sum formula and a from-scratch contravariant
-form reduction over Q[t].
+form, deformed over Q[t] and reduced over the local ring Q[t]_(t).
 """
 
 from jantzen.kl import clear_caches

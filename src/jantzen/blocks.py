@@ -51,7 +51,7 @@ class Block:
         return self.system.simple_roots
 
     def coset_reps(self) -> tuple[int, ...]:
-        return self.system.min_coset_reps(self.J).reps
+        return self.system.min_coset_reps(self.J)
 
     def is_rep(self, w: int) -> bool:
         return self.system.is_min_coset_rep(w, self.J)

@@ -77,12 +77,12 @@ def _prime_table(sys: CoxeterSystem, args):
 
 
 def _normalized(args):
-    """Parse --type and --weight, normalize the weight and prime the KL
-    table of its block: (nu, block, w, table) with nu = w mu."""
+    """Parse --type and --weight and normalize the weight: (nu, block, w)
+    with nu = w mu."""
     rs = build_root_system(LieType.parse(args.type))
     nu = _weight(rs, args.weight)
     block, w = normalize(rs, nu)
-    return nu, block, w, _prime_table(block.system, args)
+    return nu, block, w
 
 
 def _head(nu: Weight, block: Block) -> dict:
@@ -131,7 +131,7 @@ def _sum_columns(system: CoxeterSystem, per_column) -> list:
 
 
 def cmd_block(args) -> int:
-    nu, block, w, _ = _normalized(args)
+    nu, block, w = _normalized(args)
     sys_ = block.system
     report = {
         **_head(nu, block),
@@ -179,7 +179,8 @@ def cmd_kl(args) -> int:
 
 
 def cmd_layers(args) -> int:
-    nu, block, w, _ = _normalized(args)
+    nu, block, w = _normalized(args)
+    _prime_table(block.system, args)
     sum_res = sum_formula_check(block.rs, nu)
     table = sum_res.table
     table.validate()
@@ -211,7 +212,8 @@ def cmd_layers(args) -> int:
 
 def cmd_sumcheck(args) -> int:
     if args.weight is not None:
-        nu, block, _, _ = _normalized(args)
+        nu, block, _ = _normalized(args)
+        _prime_table(block.system, args)
         res = sum_formula_check(block.rs, nu)
         report = {
             **_head(nu, block),
@@ -270,7 +272,8 @@ def cmd_sumcheck(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    nu, block, _, table = _normalized(args)
+    nu, block, _ = _normalized(args)
+    table = _prime_table(block.system, args)
     sys_ = block.system
     reps = block.coset_reps()
     tables = {w: layers(block, w, table) for w in reps}
@@ -312,7 +315,8 @@ def cmd_conjecture(args) -> int:
 def cmd_parabolic(args) -> int:
     if args.depth < 0:
         raise UsageError(f"depth must be nonnegative, got {args.depth}")
-    nu, block, _, table = _normalized(args)
+    nu, block, _ = _normalized(args)
+    table = _prime_table(block.system, args)
     sys_ = block.system
     try:
         ambient_I = sorted(
@@ -367,7 +371,8 @@ def cmd_parabolic(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    nu, block, _, _ = _normalized(args)
+    nu, block, _ = _normalized(args)
+    _prime_table(block.system, args)
     rep = oracle_compare(block.rs, nu, args.depth)
     report = {
         "type": str(rep.lie_type),

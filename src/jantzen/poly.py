@@ -98,35 +98,6 @@ class Poly:
             acc = acc * value + c
         return acc
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division (coefficients become Fractions as needed)."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = Fraction(other.coeffs[-1])
-        quo = [0] * max(0, len(rem) - d)
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            q = Fraction(rem[-1]) / lead
-            quo[k] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= q * b
-            rem.pop()
-        return Poly(quo), Poly(rem)
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return Poly(tuple(Fraction(c, 1) / lead for c in self.coeffs))
-
     def render(self, var: str = "q") -> str:
         if self.is_zero():
             return "0"
@@ -162,10 +133,3 @@ def _as_poly(value) -> Poly:
         return Poly((value,))
     raise TypeError(f"cannot treat {value!r} as a polynomial")
 
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over the rationals."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()

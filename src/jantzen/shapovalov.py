@@ -1,4 +1,4 @@
-"""Contravariant-form oracle: Chevalley bases, PBW reduction, exact SNF.
+"""Contravariant-form oracle: Chevalley bases, PBW reduction, t-valuations.
 
 This module recomputes Jantzen filtration layer dimensions from first
 principles, with no reference to Hecke-algebra combinatorics.  The
@@ -6,8 +6,10 @@ deformed Verma module over Q[t] has highest weight nu + t rho - rho, so
 the Cartan generator attached to the k-th simple root acts on the
 highest weight vector by nu_k - 1 + t.  Gram matrices of the
 contravariant form on weight spaces are assembled by straightening PBW
-words; their Smith normal form over Q[t] yields the t-valuations whose
-counting function gives dim of the i-th Jantzen submodule.
+words.  Elimination over the local ring Q[t]_(t), pivoting on an entry
+of least t-valuation, yields their Smith exponents, the t-valuations of
+the invariant factors, whose counting function gives dim of the i-th
+Jantzen submodule.
 
 Matrix realizations: sl(n+1) for type A and sp(2n) for type C, in bases
 closed under transpose, which realizes the contravariant involution.
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 from jantzen.blocks import DefectError, normalize, root_offset
 from jantzen.filtration import layers, simple_weight_dims
-from jantzen.poly import Poly, poly_gcd
+from jantzen.poly import Poly
 from jantzen.roots import (
     LieType,
     RootSystem,
@@ -335,85 +337,46 @@ def gram_matrix(cb: ChevalleyBasis, nu: Weight, beta, engine: PBWEngine | None =
 
 
 def smith_normal_form(mat) -> tuple:
-    """Invariant factors of a square polynomial matrix, monic, in a
-    divisibility chain; zero factors come last."""
-    a = [row[:] for row in mat]
-    size = len(a)
-    diag = []
-    for k in range(size):
-        pivot = None
+    """Exponents e_1 <= e_2 <= ... of the Smith form diag(t^e_i) of a
+    square polynomial matrix over the local ring Q[t]_(t); ``None`` for a
+    zero factor, and those come last.
+
+    Elimination by least valuation: an entry t^v u with u(0) != 0 and v
+    least in the matrix clears its column by row_i <- u row_i - (a_i / t^v)
+    pivot_row, a multiplication by units of the local ring; its row then
+    clears by column operations that leave the rest unchanged, so v is the
+    next exponent.  The exponents are the t-valuations of the invariant
+    factors over Q[t].
+    """
+    rows = [list(row) for row in mat]
+    exps = []
+    while rows:
         best = None
-        for i in range(k, size):
-            for j in range(k, size):
-                if not a[i][j].is_zero():
-                    if best is None or a[i][j].degree < best:
-                        best = a[i][j].degree
-                        pivot = (i, j)
-        if pivot is None:
-            diag.extend(Poly() for _ in range(size - k))
-            break
-        i0, j0 = pivot
-        a[k], a[i0] = a[i0], a[k]
-        for row in a:
-            row[k], row[j0] = row[j0], row[k]
-        while True:
-            dirty = False
-            for i in range(k + 1, size):
-                if a[i][k].is_zero():
-                    continue
-                q, r = a[i][k].divmod(a[k][k])
-                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                if not r.is_zero():
-                    a[k], a[i] = a[i], a[k]
-                    dirty = True
-            for j in range(k + 1, size):
-                if a[k][j].is_zero():
-                    continue
-                q, r = a[k][j].divmod(a[k][k])
-                for row in a:
-                    row[j] = row[j] - q * row[k]
-                if not r.is_zero():
-                    for row in a:
-                        row[k], row[j] = row[j], row[k]
-                    dirty = True
-            if dirty:
-                continue
-            offender = None
-            for i in range(k + 1, size):
-                for j in range(k + 1, size):
-                    if not a[i][j].divmod(a[k][k])[1].is_zero():
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[k] = [x + y for x, y in zip(a[k], a[offender])]
-        diag.append(a[k][k])
-    out = [p.monic() for p in diag]
-    for i in range(len(out)):
-        for j in range(i + 1, len(out)):
-            if out[i].is_zero():
-                out[i], out[j] = out[j], out[i]
-                continue
-            if out[j].divmod(out[i])[1].is_zero():
-                continue
-            g = poly_gcd(out[i], out[j])
-            lcm = (out[i].divmod(g)[0] * out[j]).monic()
-            out[i], out[j] = g, lcm
-    return tuple(out)
+        for i, row in enumerate(rows):
+            for j, p in enumerate(row):
+                v = p.valuation
+                if v >= 0 and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            return tuple(exps) + (None,) * len(rows)
+        v, i, j = best
+        pivot = rows.pop(i)
+        u = Poly(pivot.pop(j).coeffs[v:])
+        for r, row in enumerate(rows):
+            q = Poly(row.pop(j).coeffs[v:])
+            rows[r] = [u * x - q * y for x, y in zip(row, pivot)]
+        exps.append(v)
+    return tuple(exps)
 
 
 def jantzen_dims_from_gram(mat) -> tuple:
-    """dims[i-1] = dim of the i-th Jantzen submodule's slice, from SNF."""
-    factors = smith_normal_form(mat)
-    vals = []
-    for p in factors:
-        if p.is_zero():
-            raise DegenerateFormError("invariant factor vanishes identically")
-        vals.append(p.valuation)
-    top = max(vals, default=0)
-    return tuple(sum(1 for v in vals if v >= i) for i in range(1, top + 1))
+    """dims[i-1] = dim of the i-th Jantzen submodule's slice: the number
+    of Smith exponents at least i."""
+    exps = smith_normal_form(mat)
+    if None in exps:
+        raise DegenerateFormError("invariant factor vanishes identically")
+    top = exps[-1] if exps else 0
+    return tuple(sum(1 for v in exps if v >= i) for i in range(1, top + 1))
 
 
 @dataclass

@@ -18,7 +18,7 @@ element reached twice during the walk and is the one weight action
 the right-descent bitmask, the products w s_i, the inverse and w0 w.  Every
 other query is a lookup or a walk through these lists.  A group larger than
 ``MAX_GROUP_ORDER`` is never enumerated: its first query raises
-``CapExceededError``.
+``CapExceededError``, and every later query raises it again at once.
 
 Systems are interned: ``subsystem`` keeps one per (type, positive-root
 index set) for the life of the process, and checks the root-system axioms
@@ -27,8 +27,6 @@ entry for the full root set.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from jantzen.roots import (
     RootSystem,
@@ -79,14 +77,6 @@ def _walk(right, w: int, word) -> int:
     return w
 
 
-@dataclass(frozen=True)
-class CosetData:
-    """Minimal-length coset representatives for a standard parabolic W_J."""
-
-    J: tuple[int, ...]
-    reps: tuple[int, ...]
-
-
 class _Tables:
     """The per-element lists of an enumerated system, indexed by element.
 
@@ -119,6 +109,7 @@ class CoxeterSystem:
         # the elements of length one, in word order
         self.gens = tuple(range(1, len(self.simple_idx) + 1))
         self._info = None  # _Tables, once enumerated
+        self._over_cap = False  # set when enumeration passed MAX_GROUP_ORDER
         self._downsets = None
         self._coxeter_matrix = None
 
@@ -209,6 +200,8 @@ class CoxeterSystem:
         """
         if self._info is not None:
             return
+        if self._over_cap:
+            raise CapExceededError(f"group order exceeds cap {MAX_GROUP_ORDER}")
         rs = self.rs
         gens = [_reflection_matrix(rs, alpha) for alpha in self.simple_roots]
         e = identity_matrix(rs.rank)
@@ -226,6 +219,7 @@ class CoxeterSystem:
                     if u is None:
                         u = len(matrix)
                         if u >= MAX_GROUP_ORDER:
+                            self._over_cap = True
                             raise CapExceededError(
                                 f"group order exceeds cap {MAX_GROUP_ORDER}"
                             )
@@ -305,12 +299,10 @@ class CoxeterSystem:
 
     # -- cosets ---------------------------------------------------------------
 
-    def min_coset_reps(self, J) -> CosetData:
+    def min_coset_reps(self, J) -> tuple[int, ...]:
         """Minimal-length representatives of W / W_J, in index order."""
-        J = tuple(sorted(J))
         mask = sum(1 << j for j in J)
-        reps = tuple(w for w, d in enumerate(self._tables().descents) if not d & mask)
-        return CosetData(J=J, reps=reps)
+        return tuple(w for w, d in enumerate(self._tables().descents) if not d & mask)
 
     def is_min_coset_rep(self, w: int, J) -> bool:
         mask = self._tables().descents[w]

@@ -13,7 +13,7 @@ import shlex
 
 import pytest
 
-from jantzen import cli, clear_caches
+from jantzen import cli, clear_caches, kl
 from jantzen.blocks import DefectError
 from jantzen.cli import main
 from jantzen.kl import KLDefectError
@@ -263,6 +263,31 @@ def test_negative_depth_is_usage_error(argv, capsys):
     assert code == 2
     assert captured.out == ""
     assert "depth must be nonnegative" in captured.err
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "A3", "G2"])
+def test_block_builds_no_kl_table(name, monkeypatch, capsys, tmp_path):
+    # block reports the group order and the coset count; neither needs KL
+    golden = pathlib.Path(__file__).resolve().parent / "golden"
+    index = json.loads((golden / "index.json").read_text())
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("block built or loaded a KL table")
+
+    monkeypatch.setattr(kl, "build_table", no_table)
+    monkeypatch.setattr(kl, "load_table", no_table)
+    for case in (f"block-{name}", f"block-{name}-json"):
+        clear_caches()
+        code, out = _run(capsys, index[case]["argv"])
+        assert code == 0
+        assert out == (golden / f"{case}.out").read_text()
+    # with the disk cache on, nothing is read or written either
+    argv = [a for a in index[f"block-{name}"]["argv"] if a != "--no-cache"]
+    clear_caches()
+    code, _ = _run(capsys, argv + ["--cache", str(tmp_path)])
+    assert code == 0
+    assert os.listdir(tmp_path) == []
+    clear_caches()
 
 
 def test_layers_builds_one_layer_table(monkeypatch, capsys):

@@ -1,17 +1,20 @@
 """First-principles contravariant-form oracle: Chevalley bases, PBW
-straightening, deformed Gram matrices, Smith normal form over Q[t], and the
-comparison against the layer-table predictions.
+straightening, deformed Gram matrices, the Smith exponents over the local
+ring Q[t]_(t), and the comparison against the layer-table predictions.
 
 The deformation direction is rho: the Gram entries are polynomials in t
 with h_k acting on the highest weight by <nu - rho, alpha_k^vee> + t.
 Everything below is exact; no floats anywhere.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jantzen.poly import Poly, poly_gcd
+from jantzen.poly import Poly
 from jantzen.roots import LieType, Weight, build_root_system
 from jantzen.shapovalov import (
     DegenerateFormError,
@@ -139,8 +142,8 @@ def test_a2_gram_and_dims():
         [Poly((0, 1, 1)), Poly((0, -1))],
         [Poly((0, -1)), Poly((0, 2))],
     ]
-    snf = smith_normal_form(mat)
-    assert snf == (T, Poly((0, Fraction(1, 2), 1)))
+    # the invariant factors over Q[t] are t and t/2 + t^2
+    assert smith_normal_form(mat) == (1, 1)
     # both invariant factors vanish at t = 0 to order exactly 1: the
     # Jantzen filtration has a two-dimensional first slice here and stops
     assert jantzen_dims_from_gram(mat) == (2,)
@@ -157,44 +160,88 @@ def test_gram_is_symmetric():
 
 
 def test_smith_normal_form_examples():
-    # 3x3 with nontrivial chain: 1 | t-1 | t^2-1
+    # 3x3 with invariant factors 1 | t-1 | t^2-1: units at t = 0
     m = [
         [T - ONE, ONE, -ONE],
         [Poly(), T, -ONE],
         [Poly(), -ONE, T],
     ]
-    assert smith_normal_form(m) == (ONE, T - ONE, Poly((-1, 0, 1)))
-    # coprime diagonal collapses to 1 | t(t+1)
+    assert smith_normal_form(m) == (0, 0, 0)
+    # coprime diagonal: invariant factors 1 | t(t+1)
     m = [[T, Poly()], [Poly(), T + ONE]]
-    assert smith_normal_form(m) == (ONE, Poly((0, 1, 1)))
-    # rank-one polynomial matrix: zero factor comes last
+    assert smith_normal_form(m) == (0, 1)
+    # rank-one polynomial matrix: invariant factors t, 0; the zero comes last
     m = [[T, T], [T, T]]
-    assert smith_normal_form(m) == (T, Poly())
-    # constant matrices only see rank over Q[t]
+    assert smith_normal_form(m) == (1, None)
+    # constant matrices only see rank
     rows = ((2, 1, 0, 0), (1, 2, 1, 0), (0, 1, 2, 1), (0, 1, 2, 1))
     m = [[Poly.const(v) for v in row] for row in rows]
-    assert smith_normal_form(m) == (ONE, ONE, ONE, Poly())
+    assert smith_normal_form(m) == (0, 0, 0, None)
 
 
 def test_smith_normal_form_divisibility_chain():
+    # t^a divides t^b iff a <= b: the exponents are nondecreasing
     m = [
         [T * T, T, ONE],
         [T, T * T, T],
         [ONE, T, T * T],
     ]
-    factors = smith_normal_form(m)
-    for a, b in zip(factors, factors[1:]):
-        if a.is_zero():
-            assert b.is_zero()
-        elif not b.is_zero():
-            assert b.divmod(a)[1].is_zero()
+    exps = smith_normal_form(m)
+    assert None not in exps
+    assert list(exps) == sorted(exps)
 
 
-def test_poly_gcd_is_monic():
-    a = (T - ONE) * (T - 2 * ONE) * 3
-    b = (T - ONE) * (T + ONE)
-    assert poly_gcd(a, b) == T - ONE
-    assert poly_gcd(a, Poly()) == a.monic()
+def _det(m) -> Poly:
+    """Leibniz expansion; the sign of a permutation from its inversions."""
+    n = len(m)
+    total = Poly()
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Poly.const(-1 if inversions % 2 else 1)
+        for r, c in enumerate(perm):
+            term = term * m[r][c]
+        total = total + term
+    return total
+
+
+_entries = st.builds(
+    lambda shift, coeffs: Poly(coeffs).shift(shift),
+    st.integers(0, 2),
+    st.lists(st.integers(-2, 2), max_size=3),
+)
+
+
+@st.composite
+def _poly_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return [
+        [Poly()] * n if draw(st.booleans()) and draw(st.booleans())
+        else [draw(_entries) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_poly_matrices())
+def test_smith_exponents_match_minor_valuations(m):
+    # over a discrete valuation ring the k-th determinantal divisor is the
+    # least valuation of a k x k minor, and it equals e_1 + ... + e_k
+    exps = smith_normal_form(m)
+    n = len(m)
+    assert len(exps) == n
+    known = [e for e in exps if e is not None]
+    assert exps[: len(known)] == tuple(known) and known == sorted(known)
+    for k in range(1, n + 1):
+        vals = [
+            _det([[m[r][c] for c in cols] for r in rows]).valuation
+            for rows in itertools.combinations(range(n), k)
+            for cols in itertools.combinations(range(n), k)
+        ]
+        vals = [v for v in vals if v >= 0]
+        if k <= len(known):
+            assert min(vals) == sum(known[:k])
+        else:
+            assert vals == []
 
 
 def test_jantzen_dims_from_valuations():

@@ -325,8 +325,7 @@ def test_min_coset_reps():
         n = sys.num_gens
         for r in range(n + 1):
             for J in itertools.combinations(range(n), r):
-                data = sys.min_coset_reps(J)
-                reps = data.reps
+                reps = sys.min_coset_reps(J)
                 sub = sys.subgroup_elements(J)
                 assert len(reps) * len(sub) == sys.order()
                 seen = set()
@@ -427,6 +426,30 @@ def test_group_order_cap():
     ):
         with pytest.raises(CapExceededError, match="exceeds cap 1152"):
             query()
+
+
+def test_over_cap_failure_is_remembered(monkeypatch):
+    # only the first query walks the group; later ones raise at once
+    from jantzen import clear_caches, weyl
+
+    calls = []
+
+    def counting_matmul(a, b):
+        calls.append(1)
+        return orig(a, b)
+
+    orig = weyl.matmul
+    monkeypatch.setattr(weyl, "matmul", counting_matmul)
+    clear_caches()  # a fresh, never enumerated D5 system
+    sys = weyl_group(build_root_system(LieType.parse("D5")))
+    with pytest.raises(CapExceededError, match="group order exceeds cap 1152"):
+        sys.order()
+    assert calls
+    calls.clear()
+    for query in (sys.order, lambda: sys.length(sys.identity)):
+        with pytest.raises(CapExceededError, match="group order exceeds cap 1152"):
+            query()
+    assert calls == []
 
 
 def test_normalize_over_cap_fails_closed():
