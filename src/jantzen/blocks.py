@@ -64,9 +64,6 @@ class Block:
         """The weight w(mu)."""
         return self.system.apply(w, self.mu)
 
-    def same_block(self, other: "Block") -> bool:
-        return self.rs is other.rs and self.mu == other.mu
-
 
 def _block(rs: RootSystem, mu: Weight, pos_idx) -> Block:
     """Block of an antidominant weight whose integral positive roots are

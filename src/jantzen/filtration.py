@@ -32,11 +32,12 @@ from jantzen.kl import KLTable, table_for
 from jantzen.roots import (
     RootSystem,
     Weight,
-    boxes,
-    partition_count,
+    partition_table,
     positive_integral_pairings,
     reflect,
+    shifted_sum,
 )
+from jantzen.roots import partition_count  # noqa: F401  (hooked by bench/layertrace.py)
 
 
 class LayerRows:
@@ -73,10 +74,6 @@ class LayerTable(LayerRows):
     @property
     def loewy_length(self) -> int:
         return len(self.rows)
-
-    def total(self, z: int) -> int:
-        """Total multiplicity [M(w mu) : L(z mu)]."""
-        return sum(row.get(z, 0) for row in self.rows)
 
     def weighted_total(self, z: int) -> int:
         """sum_j j * [Rad_j : L(z mu)] = sum_{i>=1} [M^i : L(z mu)]."""
@@ -149,28 +146,6 @@ def layer_columns(rows) -> tuple[int, ...]:
 
 
 @dataclass
-class FiltrationReport:
-    nu: Weight
-    block: Block
-    w: int
-    table: LayerTable
-    levels: tuple[dict, ...]
-
-    @property
-    def loewy_length(self) -> int:
-        return self.table.loewy_length
-
-
-def jantzen_filtration(rs: RootSystem, nu: Weight) -> FiltrationReport:
-    """Layers and filtration levels of M(nu), normalizing nu first."""
-    block, w = normalize(rs, nu)
-    table = layers(block, w)
-    return FiltrationReport(
-        nu=nu, block=block, w=w, table=table, levels=table.level_multiplicities()
-    )
-
-
-@dataclass
 class SumFormulaResult:
     nu: Weight
     block: Block
@@ -189,18 +164,20 @@ def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
     compared as multiplicity vectors over z in W^J.
     """
     block, w = normalize(rs, nu)
-    table = table_for(block.system)
+    sys = block.system
+    table = table_for(sys)
     lt = layers(block, w, table)
+    reflection = dict(zip(sys.pos_idx, sys.reflections()))
 
     rhs: dict[int, int] = {}
     reflected = []
     for i, _ in positive_integral_pairings(rs, nu):
         alpha = rs.positive_roots[i]
-        sub_block, v = normalize(rs, reflect(rs, nu, alpha))
-        if not sub_block.same_block(block):
-            raise DefectError(
-                "reflected weight landed in a different block"
-            )
+        # s_alpha nu = t w mu for t the reflection in alpha, so the W^J
+        # part v of t w is the parameter of s_alpha nu in this block
+        v, _ = sys.decompose_yx(sys.mul(reflection[i], w), block.J)
+        if block.apply(v) != reflect(rs, nu, alpha):
+            raise DefectError("reflected parameter does not reproduce s_alpha nu")
         reflected.append((alpha, v))
         for z in block.reps_below(v):
             rhs[z] = rhs.get(z, 0) + table.inverse_polynomial(z, v)(1)
@@ -304,17 +281,10 @@ def simple_weight_dims(block: Block, z: int, depth: int) -> dict:
         coeffs[row] = val  # diagonal entries are 1
 
     zmu = block.apply(z)
-    offsets = {v: root_offset(rs, zmu - block.apply(v)) for v in below}
-
-    out = {}
-    for beta in boxes(rs.rank, depth):
-        total = 0
-        for v in below:
-            shift = tuple(b - o for b, o in zip(beta, offsets[v]))
-            if any(c < 0 for c in shift):
-                continue
-            total += coeffs[index[v]] * partition_count(rs, shift)
-        if total < 0:
-            raise DefectError("negative simple weight multiplicity")
-        out[beta] = total
+    terms = [
+        (coeffs[index[v]], root_offset(rs, zmu - block.apply(v))) for v in below
+    ]
+    out = shifted_sum(partition_table(rs, depth), terms)
+    if any(d < 0 for d in out.values()):
+        raise DefectError("negative simple weight multiplicity")
     return out

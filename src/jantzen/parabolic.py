@@ -33,7 +33,7 @@ from jantzen.blocks import Block, DefectError, root_offset
 from jantzen.filtration import LayerRows, graded_rows, layer_columns, layers
 from jantzen.kl import KLTable, table_for
 from jantzen.poly import Poly
-from jantzen.roots import Weight, partition_table
+from jantzen.roots import Weight, partition_table, shifted_sum
 from jantzen.roots import partition_count  # noqa: F401  (hooked by bench/layertrace.py)
 
 
@@ -278,29 +278,13 @@ def parabolic_character_check(
     nil = partition_table(rs, depth, nil_pos)
     full = partition_table(rs, depth)
 
-    # Levi weight multiplicities, nonzero entries only; a negative
-    # coordinate in a shifted box has no table entry and counts 0
-    levi_dims = {}
-    for gamma in levi:
-        total = 0
-        for sign, d in levi_shifts:
-            total += sign * levi.get(tuple(g - s for g, s in zip(gamma, d)), 0)
-        if total:
-            levi_dims[gamma] = total
-
-    rows = []
-    passed = True
-    for beta in full:
-        lhs = 0
-        for gamma, fdim in levi_dims.items():
-            rest = tuple(b - g for b, g in zip(beta, gamma))
-            lhs += fdim * nil.get(rest, 0)
-        rhs = 0
-        for sign, d in verma_shifts:
-            rhs += sign * full.get(tuple(b - s for b, s in zip(beta, d)), 0)
-        if lhs != rhs:
-            passed = False
-        rows.append((beta, lhs, rhs))
+    # the Levi weight multiplicities, convolved (nonzero ones only) with
+    # the nilradical partition function
+    levi_dims = shifted_sum(levi, levi_shifts)
+    lhs = shifted_sum(nil, [(m, g) for g, m in levi_dims.items() if m])
+    rhs = shifted_sum(full, verma_shifts)
+    rows = tuple((beta, lhs[beta], rhs[beta]) for beta in full)
+    passed = all(a == b for _, a, b in rows)
     return CharCheckResult(
-        pblock=pblock, w=w, depth=depth, passed=passed, rows=tuple(rows)
+        pblock=pblock, w=w, depth=depth, passed=passed, rows=rows
     )

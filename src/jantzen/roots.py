@@ -1,4 +1,4 @@
-"""Root systems, exact weights, Kostant partition counts, exact linear algebra.
+"""Root systems, exact weights, Kostant partition tables, exact linear algebra.
 
 All arithmetic is exact.  Roots and coroots are integer vectors in the
 simple-root and simple-coroot bases; a weight is a vector of rationals in
@@ -10,7 +10,10 @@ i-th Cartan column.
 
 The package's one exact linear solver (``solve``, Gauss-Jordan over the
 rationals), its one matrix product (``matmul``) and its one coroot pairing
-(``coroot_pairing``) live here too.
+(``coroot_pairing``) live here too, as does its one form of the partition
+function: a table truncated at a height (``partition_table``), read at
+shifted boxes by ``shifted_sum`` for every signed sum of shifted partition
+functions a character check needs.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import mul, sub
 
 _VALID_RANK = {
     "A": lambda n: n >= 1,
@@ -294,12 +297,6 @@ class Weight:
     def __sub__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
-    def __rmul__(self, scalar) -> "Weight":
-        return Weight(tuple(Fraction(scalar) * a for a in self.coords))
-
 
 def rho(rs: RootSystem) -> Weight:
     return Weight(tuple(Fraction(1) for _ in range(rs.rank)))
@@ -344,9 +341,6 @@ def is_antidominant(rs: RootSystem, w: Weight) -> bool:
     return next(positive_integral_pairings(rs, w), None) is None
 
 
-# (lie type, sorted root index set) -> {(vec, i): count}: the memo of
-# partition_count's recursion, shared by every RootSystem of that type.
-_partition_memos: dict = {}
 # (lie type, sorted root index set, depth) -> {box: count}: see partition_table.
 _partition_tables: dict = {}
 
@@ -357,66 +351,60 @@ def _root_key(rs: RootSystem, root_indices) -> tuple[int, ...]:
     return tuple(sorted(root_indices))
 
 
+def partition_table(rs: RootSystem, depth: int, root_indices=None) -> dict:
+    """Partition counts over the given positive roots (all by default) on
+    every box of height <= depth, keyed in boxes() order.
+
+    One pass per root walks the boxes in order and adds the count at
+    b - root to the count at b; b - root has smaller height, so its count
+    already includes this root, and each root may be used any number of
+    times.  Tables are memoised per (type, root set, depth); callers read
+    them and must not change them.
+    """
+    root_indices = _root_key(rs, root_indices)
+    key = (rs.lie_type, root_indices, depth)
+    table = _partition_tables.get(key)
+    if table is None:
+        table = dict.fromkeys(boxes(rs.rank, depth), 0)
+        if table:
+            table[(0,) * rs.rank] = 1
+        for i in root_indices:
+            root = rs.positive_roots[i]
+            for b in table:
+                prev = table.get(tuple(map(sub, b, root)))
+                if prev:
+                    table[b] += prev
+        _partition_tables[key] = table
+    return table
+
+
 def partition_count(rs: RootSystem, beta, root_indices=None) -> int:
-    """Number of multiset decompositions of beta into the given positive roots."""
+    """Number of multiset decompositions of beta into the given positive
+    roots: a lookup in the table of height(beta)."""
     beta = tuple(int(b) for b in beta)
     if len(beta) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(beta)}")
     if any(b < 0 for b in beta):
         return 0
-    root_indices = _root_key(rs, root_indices)
-    roots = [rs.positive_roots[i] for i in root_indices]
-    memo = _partition_memos.setdefault((rs.lie_type, root_indices), {})
+    return partition_table(rs, sum(beta), root_indices)[beta]
 
-    def count(vec, i):
-        if all(v == 0 for v in vec):
-            return 1
-        if i == len(roots):
-            return 0
-        key = (vec, i)
-        if key in memo:
-            return memo[key]
+
+def shifted_sum(table: dict, terms) -> dict:
+    """{b: sum of c * table[b - d] over the terms (c, d)} on every box b
+    of the table; the shifts d are nonnegative, and a shifted box outside
+    the table counts 0."""
+    out = {}
+    for b in table:
         total = 0
-        cur = vec
-        while True:
-            total += count(cur, i + 1)
-            nxt = tuple(a - b for a, b in zip(cur, roots[i]))
-            if any(c < 0 for c in nxt):
-                break
-            cur = nxt
-        memo[key] = total
-        return total
-
-    return count(beta, 0)
-
-
-def partition_table(rs: RootSystem, depth: int, root_indices=None) -> dict:
-    """partition_count on every box of height <= depth, keyed in boxes() order.
-
-    Each table is computed from its own root set and memoised per (type,
-    root set, depth); callers read it and must not change it.
-    """
-    root_indices = _root_key(rs, root_indices)
-    key = (rs.lie_type, root_indices, depth)
-    got = _partition_tables.get(key)
-    if got is None:
-        got = {b: partition_count(rs, b, root_indices) for b in boxes(rs.rank, depth)}
-        _partition_tables[key] = got
-    return got
+        for c, d in terms:
+            total += c * table.get(tuple(map(sub, b, d)), 0)
+        out[b] = total
+    return out
 
 
 def clear_partition_caches() -> None:
-    """Forget every partition-count memo and truncated table."""
-    _partition_memos.clear()
+    """Forget every truncated partition table."""
     _partition_tables.clear()
-
-
-def kostant_partition(rs: RootSystem, beta) -> int:
-    """Kostant partition function: Verma weight multiplicity at depth beta."""
-    beta = tuple(int(b) for b in beta)
-    if any(b < 0 for b in beta):
-        raise ValueError(f"beta must be a nonnegative root-lattice vector: {beta}")
-    return partition_count(rs, beta)
 
 
 def boxes(rank: int, depth: int) -> list[tuple[int, ...]]:
@@ -429,8 +417,3 @@ def boxes(rank: int, depth: int) -> list[tuple[int, ...]]:
         out = [v + (c,) for v in out for c in range(depth - sum(v) + 1)]
     out.sort(key=lambda v: (sum(v), v))
     return out
-
-
-def height_vectors(rank: int, max_height: int):
-    """All nonnegative integer vectors with 1 <= sum <= max_height, sorted."""
-    return boxes(rank, max_height)[1:]

@@ -32,11 +32,11 @@ from jantzen.roots import (
     LieType,
     RootSystem,
     Weight,
-    boxes,
     build_root_system,
-    kostant_partition,
     matmul,
+    partition_table,
     positive_integral_pairings,
+    shifted_sum,
     solve,
 )
 
@@ -422,17 +422,24 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
         offsets[z] = root_offset(rs, nu - block.apply(z))
         sdims[z] = simple_weight_dims(block, z, depth)
 
-    det_shifts = [
-        (int(p), rs.positive_roots[i]) for i, p in positive_integral_pairings(rs, nu)
-    ]
+    # the sum formula's determinant valuation: sum over the integral
+    # alpha of the partition function shifted by <nu, alpha^vee> alpha
+    kostant = partition_table(rs, depth)
+    det_want = shifted_sum(
+        kostant,
+        [
+            (1, tuple(int(p) * r for r in rs.positive_roots[i]))
+            for i, p in positive_integral_pairings(rs, nu)
+        ],
+    )
 
     failures = []
     comparisons = 0
     spaces = 0
-    for beta in boxes(rs.rank, depth):
+    for beta, size in kostant.items():
         spaces += 1
         _, mat = gram_matrix(cb, nu, beta, engine)
-        if len(mat) != kostant_partition(rs, beta):
+        if len(mat) != size:
             raise DefectError("weight space basis does not match the partition count")
         dims = jantzen_dims_from_gram(mat)
         pred = []
@@ -457,12 +464,7 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
                 f"beta={beta}: gram dims {got} != predicted {pred}"
             )
         det_val = sum(dims)
-        want = 0
-        for mult, root in det_shifts:
-            arg = tuple(b - mult * r for b, r in zip(beta, root))
-            if any(v < 0 for v in arg):
-                continue
-            want += kostant_partition(rs, arg)
+        want = det_want[beta]
         if det_val != want:
             failures.append(
                 f"beta={beta}: determinant valuation {det_val} != {want}"

@@ -8,14 +8,13 @@ from jantzen.blocks import DefectError, integral_block, normalize, phi_plus_coun
 from jantzen.filtration import (
     LayerTable,
     domination_check,
-    jantzen_filtration,
     layers,
     simple_weight_dims,
     sum_formula_check,
 )
 from jantzen.kl import table_for
-from jantzen.roots import LieType, Weight, build_root_system, kostant_partition
-from jantzen.suite import suite_weights
+from jantzen.roots import LieType, Weight, build_root_system, partition_count, reflect
+from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
 
 
 def _rs(name):
@@ -30,43 +29,49 @@ def _named_rows(table):
     ]
 
 
+def _filtration(rs, nu):
+    """Block, parameter and layer table of M(nu)."""
+    block, w = normalize(rs, nu)
+    return block, w, layers(block, w)
+
+
 def test_sl2_regular():
     rs = _rs("A1")
-    rep = jantzen_filtration(rs, Weight.of(1))
-    assert rep.block.mu == Weight.of(-1)
-    assert rep.loewy_length == 2
-    assert _named_rows(rep.table) == [{"1": 1}, {"e": 1}]
+    block, w, table = _filtration(rs, Weight.of(1))
+    assert block.mu == Weight.of(-1)
+    assert table.loewy_length == 2
+    assert _named_rows(table) == [{"1": 1}, {"e": 1}]
     # M^1 = M(s mu), M^2 = 0
-    sys = rep.block.system
-    e = sys.identity
-    assert rep.levels[0] == {rep.w: 1, e: 1}
-    assert rep.levels[1] == {e: 1}
-    assert rep.levels[2] == {}
-    rep.table.validate()
+    e = block.system.identity
+    levels = table.level_multiplicities()
+    assert levels[0] == {w: 1, e: 1}
+    assert levels[1] == {e: 1}
+    assert levels[2] == {}
+    table.validate()
 
 
 def test_sl2_antidominant():
     rs = _rs("A1")
-    rep = jantzen_filtration(rs, Weight.of(-3))
-    assert rep.w == rep.block.system.identity
-    assert _named_rows(rep.table) == [{"e": 1}]
-    assert rep.levels == ({rep.block.system.identity: 1}, {})
+    block, w, table = _filtration(rs, Weight.of(-3))
+    assert w == block.system.identity
+    assert _named_rows(table) == [{"e": 1}]
+    assert table.level_multiplicities() == ({block.system.identity: 1}, {})
 
 
 def test_sl2_singular():
     rs = _rs("A1")
-    rep = jantzen_filtration(rs, Weight.of(0))
-    assert rep.block.J == (0,)
-    assert rep.loewy_length == 1
-    assert _named_rows(rep.table) == [{"e": 1}]
+    block, _, table = _filtration(rs, Weight.of(0))
+    assert block.J == (0,)
+    assert table.loewy_length == 1
+    assert _named_rows(table) == [{"e": 1}]
 
 
 def test_sl2_nonintegral():
     rs = _rs("A1")
-    rep = jantzen_filtration(rs, Weight.of(Fraction(-1, 2)))
-    assert rep.block.system.order() == 1
-    assert rep.loewy_length == 1
-    assert _named_rows(rep.table) == [{"e": 1}]
+    block, _, table = _filtration(rs, Weight.of(Fraction(-1, 2)))
+    assert block.system.order() == 1
+    assert table.loewy_length == 1
+    assert _named_rows(table) == [{"e": 1}]
 
 
 def test_a2_regular_full_orbit():
@@ -197,7 +202,7 @@ def test_level_multiplicities_are_suffix_sums():
         assert levels[i] == acc
     # totals agree with column sums
     for z in table.columns:
-        assert table.total(z) == levels[0].get(z, 0)
+        assert sum(row.get(z, 0) for row in table.rows) == levels[0].get(z, 0)
         assert table.weighted_total(z) == sum(
             levels[i].get(z, 0) for i in range(1, len(levels))
         )
@@ -234,6 +239,22 @@ def test_sum_formula_across_small_suites():
             for w in block.coset_reps():
                 res = sum_formula_check(rs, block.apply(w))
                 assert res.passed, (name, label, block.system.word(w))
+
+
+def test_sum_formula_reflected_parameters_match_normalize():
+    # sum_formula_check reads v_alpha as the W^J part of t_alpha w; the
+    # reference normalizes s_alpha nu from scratch.
+    for name in ACCEPTANCE_TYPES:
+        rs = _rs(name)
+        for label, mu in suite_weights(rs, 0):
+            block = integral_block(rs, mu)
+            for w in block.coset_reps():
+                nu = block.apply(w)
+                res = sum_formula_check(rs, nu)
+                for alpha, v in res.reflected:
+                    block2, v2 = normalize(rs, reflect(rs, nu, alpha))
+                    assert block2.mu == mu
+                    assert v == v2, (name, label, nu.serialize(), alpha)
 
 
 def test_domination_a2():
@@ -293,7 +314,7 @@ def test_simple_weight_dims_a2():
     # L(mu) = M(mu): Kostant partition counts.
     dims = simple_weight_dims(block, sys.identity, 3)
     for beta, d in dims.items():
-        assert d == kostant_partition(rs, beta)
+        assert d == partition_count(rs, beta)
     # L(s1 mu): quotient of M(s1 mu) by M(mu).  Its character is
     # ch M(s1 mu) - ch M(mu) at the matching offsets.
     s1 = sys.gens[0]
@@ -306,9 +327,9 @@ def test_simple_weight_dims_a2():
     dims = simple_weight_dims(block, s1, 3)
     for beta, d in dims.items():
         lower = tuple(b - s for b, s in zip(beta, shift))
-        expected = kostant_partition(rs, beta)
+        expected = partition_count(rs, beta)
         if all(c >= 0 for c in lower):
-            expected -= kostant_partition(rs, lower)
+            expected -= partition_count(rs, lower)
         assert d == expected, beta
 
 
@@ -330,6 +351,6 @@ def test_filtration_report_loewy_length():
         (Weight.of(0, 1), 4),  # nu = s2 s1 s2 mu for mu = (0, -1)
         (Weight.of(-1, -1), 1),
     ):
-        rep = jantzen_filtration(rs, nu)
-        assert rep.loewy_length == expected
-        rep.table.validate()
+        _, _, table = _filtration(rs, nu)
+        assert table.loewy_length == expected
+        table.validate()
