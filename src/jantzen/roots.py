@@ -207,21 +207,23 @@ class RootSystem:
         )
 
 
-def solve(vectors, target):
-    """Exact coefficients c with sum_j c[j] * vectors[j] == target, or None.
+def solve(vectors, targets):
+    """Per target, exact coefficients c with sum_j c[j] * vectors[j] ==
+    target, or None when the target is not in the span of the vectors.
 
-    Gauss-Jordan elimination over the rationals on the matrix whose columns
-    are ``vectors``.  A vector that depends on earlier ones gets coefficient
-    0, and the elimination stops once every row has a pivot.  None means the
-    target is not in the span of the vectors.
+    One Gauss-Jordan elimination over the rationals on the matrix whose
+    columns are ``vectors``, augmented by every target.  A vector that
+    depends on earlier ones gets coefficient 0, and the elimination stops
+    once every row has a pivot.
     """
-    rows = len(target)
+    targets = list(targets)
+    rows, k = len(targets[0]) if targets else 0, len(vectors)
     aug = [
-        [Fraction(v[r]) for v in vectors] + [Fraction(target[r])]
+        [Fraction(v[r]) for v in vectors] + [Fraction(t[r]) for t in targets]
         for r in range(rows)
     ]
     pivots = []
-    for c in range(len(vectors)):
+    for c in range(k):
         r = len(pivots)
         if r == rows:
             break
@@ -236,12 +238,13 @@ def solve(vectors, target):
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
         pivots.append(c)
-    if any(aug[i][-1] != 0 for i in range(len(pivots), rows)):
-        return None
-    coeffs = [Fraction(0)] * len(vectors)
-    for i, c in enumerate(pivots):
-        coeffs[c] = aug[i][-1]
-    return coeffs
+    out = []
+    for j in range(k, k + len(targets)):
+        coeffs = [Fraction(0)] * k
+        for i, c in enumerate(pivots):
+            coeffs[c] = aug[i][j]
+        out.append(None if any(aug[i][j] for i in range(len(pivots), rows)) else coeffs)
+    return out
 
 
 def identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
@@ -249,9 +252,9 @@ def identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def invert(mat) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square matrix, one ``solve`` per unit column."""
+    """Exact inverse of a square matrix: one ``solve`` for all unit columns."""
     columns = tuple(zip(*mat))
-    inverse_columns = [solve(columns, e) for e in identity_matrix(len(mat))]
+    inverse_columns = solve(columns, identity_matrix(len(mat)))
     if None in inverse_columns:
         raise ValueError("matrix is singular")
     return tuple(zip(*inverse_columns))

@@ -1,22 +1,24 @@
-"""Contravariant-form oracle: Chevalley bases, PBW reduction, t-valuations.
+"""Contravariant-form oracle: Chevalley bases, a Verma module, t-valuations.
 
 This module recomputes Jantzen filtration layer dimensions from first
 principles, with no reference to Hecke-algebra combinatorics.  The
-deformed Verma module over Q[t] has highest weight nu + t rho - rho, so
-the Cartan generator attached to the k-th simple root acts on the
-highest weight vector by nu_k - 1 + t.  Gram matrices of the
-contravariant form on weight spaces are assembled by straightening PBW
-words.  Elimination over the local ring Q[t]_(t), pivoting on an entry
-of least t-valuation, yields their Smith exponents, the t-valuations of
-the invariant factors, whose counting function gives dim of the i-th
-Jantzen submodule.
+deformed Verma module M(nu + t rho - rho) over Q[t] has the PBW basis of
+weakly increasing words in the lowering generators, and the Cartan
+generator of the k-th simple root acts on its highest weight vector by
+nu_k - 1 + t.  Generators act on basis words with one memo entry per
+(generator, word), and the Gram matrix of the contravariant (Shapovalov)
+form on each weight space comes from the one below it by
+<f_b u, w> = <u, e_b w> (Shapovalov 1972; Jantzen, Math. Ann. 226, 1977).
+Elimination over the local ring Q[t]_(t), pivoting on an entry of least
+t-valuation, yields their Smith exponents, whose counting function gives
+dim of the i-th Jantzen submodule.
 
 Matrix realizations: sl(n+1) for type A and sp(2n) for type C, in bases
 closed under transpose, which realizes the contravariant involution.
 B2 is served by the C2 realization with the two simple roots swapped.
 Other types are rejected.  All structure constants are extracted
-exactly and revalidated (Jacobi, transpose antisymmetry, coroot and
-weight bookkeeping) before use.
+exactly, in one elimination, and revalidated (Jacobi, transpose
+antisymmetry, coroot and weight bookkeeping) before use.
 """
 
 from __future__ import annotations
@@ -178,27 +180,23 @@ def chevalley_basis(lt: LieType) -> ChevalleyBasis:
     f_mats = [_transpose(x) for x in e_mats]
     h_mats = [_mbracket(e_mats[b], f_mats[b]) for b in rs.simple_indices]
     gens = list(f_mats) + list(h_mats) + list(e_mats)
-    flat = [tuple(v for row in g for v in row) for g in gens]
+    flat = [sum(g, ()) for g in gens]
     d = len(gens)
 
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    targets = [sum(_mbracket(gens[i], gens[j]), ()) for i, j in pairs]
     brackets = {}
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            br = _mbracket(gens[i], gens[j])
-            tflat = tuple(v for row in br for v in row)
-            sol = solve(flat, tflat)
-            if sol is None:
-                raise DefectError("bracket left the span of the basis")
-            entry = {}
-            for g, c in enumerate(sol):
-                if c != 0:
-                    if c.denominator != 1:
-                        raise DefectError("non-integral structure constant")
-                    entry[g] = int(c)
-            if entry:
-                brackets[(i, j)] = entry
+    for (i, j), sol in zip(pairs, solve(flat, targets)):
+        if sol is None:
+            raise DefectError("bracket left the span of the basis")
+        entry = {}
+        for g, c in enumerate(sol):
+            if c != 0:
+                if c.denominator != 1:
+                    raise DefectError("non-integral structure constant")
+                entry[g] = int(c)
+        if entry:
+            brackets[(i, j)] = entry
 
     cb = ChevalleyBasis(rs=rs, num_positive=N, rank=n, brackets=brackets)
 
@@ -240,49 +238,11 @@ def chevalley_basis(lt: LieType) -> ChevalleyBasis:
     return cb
 
 
-class PBWEngine:
-    """Rewrites generator words into the ordered PBW basis.
-
-    Words are tuples of generator indices; the normal form is a linear
-    combination of weakly increasing words, i.e. lowering, then Cartan,
-    then raising generators.  Straightening uses x y = y x + [x, y] with
-    memoization on whole words.
-    """
-
-    def __init__(self, cb: ChevalleyBasis):
-        self.cb = cb
-        self._memo: dict = {(): {(): 1}}
-
-    def normal_form(self, word) -> dict:
-        word = tuple(word)
-        got = self._memo.get(word)
-        if got is not None:
-            return got
-        bad = next(
-            (i for i in range(len(word) - 1) if word[i] > word[i + 1]), None
-        )
-        if bad is None:
-            out = {word: 1}
-            self._memo[word] = out
-            return out
-        x, y = word[bad], word[bad + 1]
-        pre, post = word[:bad], word[bad + 2 :]
-        acc: dict = {}
-        _merge(acc, self.normal_form(pre + (y, x) + post), 1)
-        for g, c in self.cb.bracket(x, y).items():
-            _merge(acc, self.normal_form(pre + (g,) + post), c)
-        acc = {w: c for w, c in acc.items() if c != 0}
-        self._memo[word] = acc
-        return acc
-
-
-def _merge(acc, terms, scale):
-    for w, c in terms.items():
-        acc[w] = acc.get(w, 0) + c * scale
-
-
 def weight_space_basis(rs: RootSystem, beta) -> tuple:
     """Kostant partitions of beta as weakly increasing root-index words."""
+    beta = tuple(beta)
+    if len(beta) != rs.rank or any(v < 0 for v in beta):
+        raise ValueError(f"offset {beta} is not {rs.rank} nonnegative integers")
     out = []
 
     def rec(prefix, remaining, start):
@@ -298,42 +258,86 @@ def weight_space_basis(rs: RootSystem, beta) -> tuple:
                     b,
                 )
 
-    rec([], tuple(beta), 0)
+    rec([], beta, 0)
     return tuple(sorted(out))
 
 
-def gram_matrix(cb: ChevalleyBasis, nu: Weight, beta, engine: PBWEngine | None = None):
+class VermaModule:
+    """The deformed Verma module M(nu + t rho - rho) over Q[t].
+
+    A vector is a dict {weakly increasing root-index word: Poly}, the word
+    (b_1, ..., b_k) standing for f_b1 ... f_bk v.  ``act`` is memoised per
+    (generator, word) in ``_memo`` and ``gram`` per offset, for this nu.
+    """
+
+    def __init__(self, cb: ChevalleyBasis, nu: Weight):
+        if len(nu.coords) != cb.rank:
+            raise ValueError(f"weight {nu.serialize()} does not have rank {cb.rank}")
+        self.cb = cb
+        # lambda_k = nu_k - 1 + t; ints where nu_k is integral, for speed
+        lam = [c - 1 if c.denominator != 1 else int(c) - 1 for c in nu.coords]
+        self._hw = [Poly((c, 1)) for c in lam]
+        self._memo: dict = {}
+        self._grams: dict = {(0,) * cb.rank: (((),), [[Poly.const(1)]])}
+
+    def act(self, g: int, word: tuple) -> dict:
+        """g (word v): f_b before a word of letters >= b is prepended, h_k
+        and e_b on v give lambda_k v and 0, and any other g before c rest
+        is c (g rest) + [g, c] rest."""
+        key = (g, word)
+        if key in self._memo:
+            return self._memo[key]
+        N = self.cb.num_positive
+        if g < N and (not word or g <= word[0]):
+            out = {(g,) + word: Poly.const(1)}
+        elif not word:
+            out = {(): self._hw[g - N]} if g < N + self.cb.rank else {}
+        else:
+            c, rest = word[0], word[1:]
+            terms = [(p, self.act(c, w)) for w, p in self.act(g, rest).items()]
+            terms += [(k, self.act(g2, rest)) for g2, k in self.cb.bracket(g, c).items()]
+            out = {}
+            for scale, vec in terms:
+                for w, q in vec.items():
+                    out[w] = out.get(w, Poly()) + q * scale
+            out = {w: p for w, p in out.items() if not p.is_zero()}
+        self._memo[key] = out
+        return out
+
+    def gram(self, beta: tuple):
+        """(basis, matrix) on the weight space nu - rho - beta, by the
+        Shapovalov recursion <f_b u, w> = <u, e_b w> from beta - beta_b."""
+        if beta in self._grams:
+            return self._grams[beta]
+        cb = self.cb
+        basis = weight_space_basis(cb.rs, beta)
+        mat = []
+        for b, *u in basis:
+            lower = tuple(x - y for x, y in zip(beta, cb.rs.positive_roots[b]))
+            lower_basis, lower_mat = self.gram(lower)
+            below = dict(zip(lower_basis, lower_mat[lower_basis.index(tuple(u))]))
+            mat.append([
+                sum((p * below[w] for w, p in self.act(cb.e(b), col).items()), Poly())
+                for col in basis
+            ])
+        for i in range(len(basis)):
+            for j in range(i):
+                if mat[i][j] != mat[j][i]:
+                    raise DefectError("contravariant Gram matrix is not symmetric")
+        self._grams[beta] = basis, mat
+        return basis, mat
+
+
+def gram_matrix(cb: ChevalleyBasis, nu: Weight, beta, engine: VermaModule | None = None):
     """Contravariant Gram matrix on the weight space nu - rho - beta.
 
     Entries are polynomials in the deformation variable t.  Returns
     (basis, matrix) where basis lists the PBW words indexing rows and
-    columns.
+    columns.  ``engine``, the VermaModule of (cb, nu), keeps its memos.
     """
-    rs = cb.rs
     if engine is None:
-        engine = PBWEngine(cb)
-    basis = weight_space_basis(rs, beta)
-    hw = [Poly((Fraction(c) - 1, 1)) for c in nu.coords]
-    N, n = cb.num_positive, cb.rank
-
-    def entry(rowword, colword) -> Poly:
-        word = tuple(cb.sigma(g) for g in reversed(rowword)) + colword
-        total = Poly()
-        for nf_word, coeff in engine.normal_form(word).items():
-            if any(g < N or g >= N + n for g in nf_word):
-                continue
-            term = Poly.const(coeff)
-            for g in nf_word:
-                term = term * hw[g - N]
-            total = total + term
-        return total
-
-    mat = [[entry(a, b) for b in basis] for a in basis]
-    for i in range(len(basis)):
-        for j in range(i):
-            if mat[i][j] != mat[j][i]:
-                raise DefectError("contravariant Gram matrix is not symmetric")
-    return basis, mat
+        engine = VermaModule(cb, nu)
+    return engine.gram(tuple(beta))
 
 
 def smith_normal_form(mat) -> tuple:
@@ -410,7 +414,7 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
             f"depth {depth} exceeds the straightening budget {cap} for {lt}"
         )
     cb = chevalley_basis(lt)
-    engine = PBWEngine(cb)
+    engine = VermaModule(cb, nu)
 
     block, y = normalize(rs, nu)
     tab = layers(block, y, None)
@@ -435,26 +439,20 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
 
     failures = []
     comparisons = 0
-    spaces = 0
     for beta, size in kostant.items():
-        spaces += 1
         _, mat = gram_matrix(cb, nu, beta, engine)
         if len(mat) != size:
             raise DefectError("weight space basis does not match the partition count")
         dims = jantzen_dims_from_gram(mat)
         pred = []
-        i = 1
-        while True:
-            if i >= len(levels):
-                break
+        for level in levels[1:]:
             total = 0
-            for z, msum in levels[i].items():
+            for z, msum in level.items():
                 off = tuple(b - o for b, o in zip(beta, offsets[z]))
                 if any(v < 0 for v in off):
                     continue
                 total += sdims[z].get(off, 0)
             pred.append(total)
-            i += 1
         while pred and pred[-1] == 0:
             pred.pop()
         got = list(dims)  # its last entry counts the largest valuation: never 0
@@ -474,7 +472,7 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
         nu=nu,
         depth=depth,
         passed=not failures,
-        spaces=spaces,
+        spaces=len(kostant),
         comparisons=comparisons,
         failures=tuple(failures),
     )

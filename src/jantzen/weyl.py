@@ -384,8 +384,7 @@ def _validate_subsystem(rs: RootSystem, simple_idx, pos_idx) -> None:
     pos_set = set(pos_vecs)
     # every integral positive root is a nonnegative integer combination of
     # the indecomposables
-    for vec in pos_vecs:
-        coeffs = solve(simples, vec)
+    for vec, coeffs in zip(pos_vecs, solve(simples, pos_vecs)):
         if coeffs is None or any(
             c.denominator != 1 or c < 0 for c in coeffs
         ):

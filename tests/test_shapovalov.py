@@ -1,6 +1,10 @@
-"""First-principles contravariant-form oracle: Chevalley bases, PBW
-straightening, deformed Gram matrices, the Smith exponents over the local
+"""First-principles contravariant-form oracle: Chevalley bases, the Verma
+module action, deformed Gram matrices, the Smith exponents over the local
 ring Q[t]_(t), and the comparison against the layer-table predictions.
+
+Gram matrices are checked against a reference inside this module:
+``_reference_gram`` straightens each whole word sigma(row) col in U(g) and
+keeps its pure Cartan part, as the oracle once did.
 
 The deformation direction is rho: the Gram entries are polynomials in t
 with h_k acting on the highest weight by <nu - rho, alpha_k^vee> + t.
@@ -9,18 +13,19 @@ Everything below is exact; no floats anywhere.
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jantzen.poly import Poly
-from jantzen.roots import LieType, Weight, build_root_system
+from jantzen.roots import LieType, Weight, build_root_system, partition_table
 from jantzen.shapovalov import (
     DegenerateFormError,
     DepthCapError,
-    PBWEngine,
     UnsupportedTypeError,
+    VermaModule,
     chevalley_basis,
     depth_cap,
     gram_matrix,
@@ -36,6 +41,42 @@ ONE = Poly.const(1)
 
 def _rs(name):
     return build_root_system(LieType.parse(name))
+
+
+@lru_cache(maxsize=None)
+def _normal_form(name, word):
+    """Weakly increasing words (lowering, Cartan, raising) with integer
+    coefficients, by x y = y x + [x, y] at the first descent of the word."""
+    bad = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
+    if bad is None:
+        return {word: 1}
+    x, y = word[bad], word[bad + 1]
+    pre, post = word[:bad], word[bad + 2 :]
+    out = dict(_normal_form(name, pre + (y, x) + post))
+    for g, c in chevalley_basis(LieType.parse(name)).bracket(x, y).items():
+        for w, k in _normal_form(name, pre + (g,) + post).items():
+            out[w] = out.get(w, 0) + c * k
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def _reference_gram(cb, nu, beta):
+    """<a v, b v> is the pure Cartan part of sigma(a) b, h_k -> nu_k - 1 + t."""
+    N, n = cb.num_positive, cb.rank
+    hw = [T + Poly.const(c - 1) for c in nu.coords]
+    basis = weight_space_basis(cb.rs, beta)
+
+    def entry(a, b):
+        total = Poly()
+        word = tuple(cb.sigma(g) for g in reversed(a)) + b
+        for w, c in _normal_form(str(cb.rs.lie_type), word).items():
+            if all(N <= g < N + n for g in w):
+                term = Poly.const(c)
+                for g in w:
+                    term = term * hw[g - N]
+                total = total + term
+        return total
+
+    return basis, [[entry(a, b) for b in basis] for a in basis]
 
 
 def test_depth_caps():
@@ -100,16 +141,88 @@ def test_antisymmetry_of_brackets():
             assert lhs == rhs, (i, j)
 
 
-def test_pbw_normal_form_sl2():
+def test_verma_action_sl2():
     cb = chevalley_basis(LieType.parse("A1"))
-    eng = PBWEngine(cb)
+    mod = VermaModule(cb, Weight.of(3))
     e, f, h = cb.e(0), cb.f(0), cb.h(0)
-    # e f = f e + h
-    assert eng.normal_form((e, f)) == {(f, e): 1, (h,): 1}
-    # already ordered words are fixed
-    assert eng.normal_form((f, h, e)) == {(f, h, e): 1}
-    # e h = h e - 2 e
-    assert eng.normal_form((e, h)) == {(h, e): 1, (e,): -2}
+    lam = T + Poly.const(2)  # nu - 1 + t
+    assert mod.act(f, ()) == {(0,): ONE}
+    assert mod.act(h, ()) == {(): lam}
+    assert mod.act(e, ()) == {}
+    # e f v = [e, f] v = lambda(h) v
+    assert mod.act(e, (0,)) == {(): lam}
+    # e f^2 v = h f v + f h v = 2 (lambda - 1) f v
+    assert mod.act(e, (0, 0)) == {(0,): (lam - ONE) * 2}
+    # h f v = f h v + [h, f] v = (lambda - 2) f v
+    assert mod.act(h, (0,)) == {(0,): lam - Poly.const(2)}
+
+
+def test_sl2_closed_form_at_depth_30():
+    # <f^n v, f^n v> = n! (lambda)(lambda - 1)...(lambda - n + 1)
+    cb = chevalley_basis(LieType.parse("A1"))
+    nu = Weight.of(Fraction(1, 2))
+    mod = VermaModule(cb, nu)
+    lam = T + Poly.const(nu.coords[0] - 1)
+    want = ONE
+    for n in range(1, 31):
+        want = want * (lam - Poly.const(n - 1)) * n
+        assert gram_matrix(cb, nu, (n,), mod) == (((0,) * n,), [[want]])
+
+
+def test_a2_depth_7_action_memo_stays_small():
+    cb = chevalley_basis(LieType.parse("A2"))
+    nu = Weight.of(1, 1)
+    mod = VermaModule(cb, nu)
+    for beta in partition_table(cb.rs, 7):
+        gram_matrix(cb, nu, beta, mod)
+    # whole-word straightening memoised 24,608 words on this module
+    assert len(mod._memo) < 1000
+
+
+_GRAM_CASES = {"A1": 8, "A2": 5, "B2": 4, "A3": 3}
+
+
+@st.composite
+def _weights(draw):
+    name = draw(st.sampled_from(sorted(_GRAM_CASES)))
+    rank = int(name[1:])
+    coords = [
+        Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))) for _ in range(rank)
+    ]
+    return name, Weight(tuple(coords))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_weights())
+def test_gram_matches_whole_word_straightening(case):
+    # every weight space up to the type's depth
+    name, nu = case
+    cb = chevalley_basis(LieType.parse(name))
+    mod = VermaModule(cb, nu)
+    for beta in partition_table(cb.rs, _GRAM_CASES[name]):
+        assert gram_matrix(cb, nu, beta, mod) == _reference_gram(cb, nu, beta), beta
+
+
+def test_wrong_length_offset_raises():
+    cb = chevalley_basis(LieType.parse("A2"))
+    with pytest.raises(ValueError, match="2 nonnegative integers"):
+        weight_space_basis(cb.rs, (1,))
+    with pytest.raises(ValueError, match="2 nonnegative integers"):
+        gram_matrix(cb, Weight.of(1, 1), (1,))
+
+
+def test_negative_offset_raises():
+    cb = chevalley_basis(LieType.parse("A2"))
+    with pytest.raises(ValueError, match="nonnegative"):
+        weight_space_basis(cb.rs, (-1, 2))
+    with pytest.raises(ValueError, match="nonnegative"):
+        gram_matrix(cb, Weight.of(1, 1), (-1, 2))
+
+
+def test_wrong_rank_weight_raises():
+    cb = chevalley_basis(LieType.parse("A2"))
+    with pytest.raises(ValueError, match="rank 2"):
+        gram_matrix(cb, Weight.of(1), (1, 1))
 
 
 def test_weight_space_basis_matches_kostant_partitions():
@@ -151,9 +264,9 @@ def test_a2_gram_and_dims():
 
 def test_gram_is_symmetric():
     cb = chevalley_basis(LieType.parse("B2"))
-    eng = PBWEngine(cb)
+    mod = VermaModule(cb, Weight.of(1, 1))
     for beta in ((1, 1), (2, 1), (1, 2), (2, 2)):
-        _, mat = gram_matrix(cb, Weight.of(1, 1), beta, eng)
+        _, mat = gram_matrix(cb, Weight.of(1, 1), beta, mod)
         for i in range(len(mat)):
             for j in range(len(mat)):
                 assert mat[i][j] == mat[j][i]
