@@ -494,7 +494,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:  # UsageError included
+    except (ValueError, OSError) as exc:  # UsageError and unusable cache paths
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DefectError as exc:

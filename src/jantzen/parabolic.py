@@ -108,7 +108,6 @@ class ParabolicLayerTable(LayerRows):
     w: int
     columns: tuple[int, ...]
     rows: tuple[dict, ...]
-    n_polys: dict
 
     @property
     def loewy_length(self) -> int:
@@ -151,7 +150,6 @@ def parabolic_layers(
         w=w,
         columns=layer_columns(rows),
         rows=rows,
-        n_polys=n_polys,
     )
 
 
@@ -210,7 +208,6 @@ def parabolic_layers_dual_path(
         w=w,
         columns=layer_columns(rows),
         rows=tuple(rows),
-        n_polys={},
     )
 
 

@@ -13,12 +13,12 @@ Elimination over the local ring Q[t]_(t), pivoting on an entry of least
 t-valuation, yields their Smith exponents, whose counting function gives
 dim of the i-th Jantzen submodule.
 
-Matrix realizations: sl(n+1) for type A and sp(2n) for type C, in bases
-closed under transpose, which realizes the contravariant involution.
-B2 is served by the C2 realization with the two simple roots swapped.
-Other types are rejected.  All structure constants are extracted
-exactly, in one elimination, and revalidated (Jacobi, transpose
-antisymmetry, coroot and weight bookkeeping) before use.
+The Chevalley basis of every type comes from its root data: the
+structure constants N(x, y) by the extraspecial-pair construction
+(Carter, Simple Groups of Lie Type, 1972, 4.1-4.2), coroots for
+[e_x, e_-x], and pairings for the Cartan action.  The table is
+revalidated (integrality, Jacobi, transpose antisymmetry, coroot and
+weight bookkeeping) before use.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 
 from jantzen.blocks import DefectError, normalize, root_offset
 from jantzen.filtration import layers, simple_weight_dims
@@ -35,19 +36,13 @@ from jantzen.roots import (
     RootSystem,
     Weight,
     build_root_system,
-    matmul,
     partition_table,
     positive_integral_pairings,
     shifted_sum,
-    solve,
 )
 
 DEPTH_CAPS = {"A1": 8, "A2": 5, "B2": 4}
 DEFAULT_DEPTH_CAP = 3
-
-
-class UnsupportedTypeError(ValueError):
-    """No transpose-closed matrix realization is wired up for this type."""
 
 
 class DepthCapError(ValueError):
@@ -64,14 +59,15 @@ def depth_cap(lt: LieType) -> int:
 
 @dataclass(frozen=True)
 class ChevalleyBasis:
-    """Exact structure constants in a transpose-closed basis.
+    """Exact integer structure constants of a Chevalley basis.
 
-    Generators are indexed 0..2N+n-1: lowering operators f_b for each
-    positive root b (0 <= b < N), then Cartan elements h_k (N <= N+k),
-    then raising operators e_b (N+n <= N+n+b).  brackets[(i, j)] maps a
-    generator index to the integer coefficient of that generator in
-    [g_i, g_j]; pure scalars never arise since the basis spans a Lie
-    algebra.
+    Generators are indexed 0..2N+n-1: lowering operators f_b = e_{-beta_b}
+    for each positive root beta_b (0 <= b < N), then the simple coroots
+    h_k (N <= N+k), then raising operators e_b = e_{beta_b} (N+n <= N+n+b).
+    brackets[(i, j)] maps a generator index to the integer coefficient of
+    that generator in [g_i, g_j]; a missing pair brackets to 0.  The
+    transpose sigma, swapping e_b and f_b and fixing h_k, is an
+    anti-automorphism: N(-x, -y) = -N(x, y) makes it one.
     """
 
     rs: RootSystem
@@ -101,109 +97,96 @@ class ChevalleyBasis:
         return self.brackets.get((i, j), {})
 
 
-def _matrix_realization(lt: LieType):
-    """Raising matrices aligned with the positive roots.
+def _neg(x: tuple) -> tuple:
+    return tuple(-c for c in x)
 
-    The b-th matrix is the raising matrix for the b-th positive root of
-    build_root_system(lt); the lowering matrix is its transpose.
+
+def _structure_constants(rs: RootSystem) -> dict:
+    """{(x, y): N} with [e_x, e_y] = N e_{x+y}, for roots x, y of either
+    sign whose sum is a root (Carter, Simple Groups of Lie Type, 1972,
+    4.1-4.2).
+
+    Positive roots xi are taken in height order.  The extraspecial pair
+    (a, b) of xi, a the earliest root with xi - a a later positive root,
+    gets N(a, b) = p + 1, p the largest integer with b - p a a root.  Every
+    other pair (a', b') summing to xi follows from the four-root relation
+    for a' + b' - a - b = 0, whose other terms have lower sums.  Each value
+    then spreads by N(y, x) = -N(x, y) = N(-x, -y) and by the three-root
+    relation N(x, y) / |w|^2 = N(y, w) / |x|^2 = N(w, x) / |y|^2 for
+    x + y + w = 0.  Lengths come from the coroots: x^vee = 2x / |x|^2 gives
+    |x|^2 / |theta|^2 = x_k theta^vee_k / (x^vee_k theta_k) for theta the
+    highest root and any k in the support of x.
     """
-    rs = build_root_system(lt)
-    family, n = lt.series, lt.rank
-    if family == "A":
-        m = n + 1
-        mats = []
-        for vec in rs.positive_roots:
-            support = [k for k, c in enumerate(vec) if c]
-            i, j = support[0], support[-1] + 1
-            mats.append(_unit(m, i, j))
-        return mats
-    if family == "C" or (family == "B" and n == 2):
-        perm = (1, 0) if family == "B" else tuple(range(n))
-        m = 2 * n
-        mats = []
-        for vec in rs.positive_roots:
-            cvec = tuple(vec[perm[k]] for k in range(n))
-            # epsilon coordinates of sum c_k alpha_k in C_n
-            eps = [0] * n
-            for k, c in enumerate(cvec):
-                if k < n - 1:
-                    eps[k] += c
-                    eps[k + 1] -= c
-                else:
-                    eps[k] += 2 * c
-            pos = [k for k, v in enumerate(eps) if v > 0]
-            if eps.count(2) == 1 and sum(map(abs, eps)) == 2:
-                a = eps.index(2)
-                mats.append(_unit(m, a, n + a))
-            elif len(pos) == 1 and sum(map(abs, eps)) == 2:
-                a = pos[0]
-                b = eps.index(-1)
-                mats.append(_msub(_unit(m, a, b), _unit(m, n + b, n + a)))
+    pos = rs.positive_roots
+    index = {x: i for i, x in enumerate(pos)}
+    theta, theta_v = pos[-1], rs.coroots[-1]
+    length = {}
+    for x, xv in zip(pos, rs.coroots):
+        k = next(k for k, c in enumerate(x) if c)
+        ratio = Fraction(x[k] * theta_v[k], xv[k] * theta[k])
+        length[x] = length[_neg(x)] = ratio
+    consts = {}
+
+    def put(x, y, c):
+        for a, b, v in ((x, y, c), (y, x, -c), (_neg(x), _neg(y), -c), (_neg(y), _neg(x), c)):
+            consts[a, b] = v
+
+    for i, xi in enumerate(pos):
+        pairs = []
+        for a in pos[:i]:
+            b = tuple(map(sub, xi, a))
+            if index.get(b, -1) > index[a]:
+                pairs.append((a, b))
+        if not pairs:
+            continue  # a simple root
+        g, d = pairs[0]
+        for a, b in pairs:
+            if a == g:
+                p = 0
+                while rs.is_root(tuple(y - (p + 1) * x for x, y in zip(a, b))):
+                    p += 1
+                c = Fraction(p + 1)
             else:
-                a, b = pos
-                mats.append(_madd(_unit(m, a, n + b), _unit(m, b, n + a)))
-        return mats
-    raise UnsupportedTypeError(
-        f"no transpose-closed realization for {lt}; supported families are "
-        "A_n, C_n, and B2"
-    )
-
-
-def _unit(m, i, j):
-    return tuple(
-        tuple(1 if (r, c) == (i, j) else 0 for c in range(m)) for r in range(m)
-    )
-
-
-def _madd(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _msub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mbracket(a, b):
-    return _msub(matmul(a, b), matmul(b, a))
-
-
-def _transpose(a):
-    return tuple(tuple(row[c] for row in a) for c in range(len(a)))
+                # N(a, b) N(-g, -d) / |xi|^2 + N(b, -g) N(a, -d) / |b - g|^2
+                # + N(-g, a) N(b, -d) / |a - g|^2 = 0
+                c = Fraction(0)
+                for u, v, s, t in ((b, _neg(g), a, _neg(d)), (_neg(g), a, b, _neg(d))):
+                    nn = consts.get((u, v), 0) * consts.get((s, t), 0)
+                    if nn:
+                        c += nn / length[tuple(map(add, u, v))]
+                c *= length[xi] / consts[g, d]
+            w = _neg(xi)
+            put(a, b, c)
+            put(b, w, c * length[a] / length[w])
+            put(w, a, c * length[b] / length[w])
+    return consts
 
 
 @lru_cache(maxsize=None)
 def chevalley_basis(lt: LieType) -> ChevalleyBasis:
     """Build and exhaustively validate the structure-constant table."""
     rs = build_root_system(lt)
-    e_mats = _matrix_realization(lt)
     N, n = len(rs.positive_roots), rs.rank
-    f_mats = [_transpose(x) for x in e_mats]
-    h_mats = [_mbracket(e_mats[b], f_mats[b]) for b in rs.simple_indices]
-    gens = list(f_mats) + list(h_mats) + list(e_mats)
-    flat = [sum(g, ()) for g in gens]
-    d = len(gens)
-
-    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
-    targets = [sum(_mbracket(gens[i], gens[j]), ()) for i, j in pairs]
+    d = 2 * N + n
+    gens = {}
+    for b, x in enumerate(rs.positive_roots):
+        gens[_neg(x)], gens[x] = b, N + n + b
     brackets = {}
-    for (i, j), sol in zip(pairs, solve(flat, targets)):
-        if sol is None:
-            raise DefectError("bracket left the span of the basis")
-        entry = {}
-        for g, c in enumerate(sol):
-            if c != 0:
-                if c.denominator != 1:
-                    raise DefectError("non-integral structure constant")
-                entry[g] = int(c)
-        if entry:
-            brackets[(i, j)] = entry
+    for x, g in gens.items():
+        for k, c in enumerate(rs.root_to_weight_coords(x)):
+            if c:
+                brackets[N + k, g] = {g: c}
+                brackets[g, N + k] = {g: -c}
+        brackets[g, gens[_neg(x)]] = {
+            N + k: c for k, c in enumerate(rs.coroot_of(x)) if c
+        }
+    for (x, y), c in _structure_constants(rs).items():
+        if c.denominator != 1:
+            raise DefectError("non-integral structure constant")
+        brackets[gens[x], gens[y]] = {gens[tuple(map(add, x, y))]: int(c)}
 
     cb = ChevalleyBasis(rs=rs, num_positive=N, rank=n, brackets=brackets)
 
-    # transpose closure pins the contravariant involution to the basis
-    for b in range(N):
-        if _transpose(e_mats[b]) != f_mats[b]:
-            raise DefectError("raising matrix is not the transpose of lowering")
     # [e_b, f_b] must equal the coroot in the h basis, exactly
     for b in range(N):
         want = {cb.h(k): c for k, c in enumerate(rs.coroots[b]) if c != 0}

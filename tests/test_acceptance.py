@@ -97,6 +97,8 @@ def test_criterion_2_shapovalov_oracle():
         ("A2", "regular", 5),
         ("A2", "singular-J1", 5),
         ("B2", "regular", 4),
+        # every G2 block, at the default depth cap
+        *(("G2", label, 3) for label, _, _ in _suite("G2")),
     )
     t0 = time.monotonic()
     failures = []

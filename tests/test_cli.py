@@ -380,6 +380,20 @@ def test_cache_env_var(tmp_path, monkeypatch, capsys):
     clear_caches()
 
 
+def test_unusable_cache_dir_is_input_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    clear_caches()
+    code = main(
+        ["layers", "--type", "A2", "--weight", "0,1", "--cache", str(blocker / "sub")]
+    )
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    clear_caches()
+
+
 def _raising(exc):
     def command(args):
         raise exc

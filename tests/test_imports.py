@@ -1,0 +1,54 @@
+"""Every name a package module imports is used in that module.
+
+A stdlib ``ast`` stand-in for a linter's unused-import rule (F401).  A
+name counts as used when it appears as a name anywhere in the module or
+in its ``__all__``; an import line marked ``# noqa: F401`` is exempt.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "jantzen"
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each import the module never uses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.append((node.lineno, name))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_caught():
+    source = (
+        "from fractions import Fraction\n"
+        "import os, sys\n"
+        "from operator import add  # noqa: F401\n"
+        "from operator import sub\n"
+        "__all__ = ['sub']\n"
+        "print(sys.argv)\n"
+    )
+    assert unused_imports(source) == [(1, "Fraction"), (2, "os")]

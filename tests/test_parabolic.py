@@ -269,9 +269,7 @@ def test_validate_errors():
     pb = enumerate_IWJ(block, (0,))
     w = pb.reps[1]
     good = parabolic_layers(pb, w)
-    bad = ParabolicLayerTable(
-        pblock=pb, w=w, columns=good.columns, rows=good.rows[:-1], n_polys=good.n_polys
-    )
+    bad = ParabolicLayerTable(pblock=pb, w=w, columns=good.columns, rows=good.rows[:-1])
     with pytest.raises(DefectError):
         bad.validate()
     bad = ParabolicLayerTable(
@@ -279,7 +277,6 @@ def test_validate_errors():
         w=w,
         columns=good.columns,
         rows=({pb.reps[0]: 1},) + good.rows[1:],
-        n_polys=good.n_polys,
     )
     with pytest.raises(DefectError):
         bad.validate()

@@ -24,7 +24,6 @@ from jantzen.roots import LieType, Weight, build_root_system, partition_table
 from jantzen.shapovalov import (
     DegenerateFormError,
     DepthCapError,
-    UnsupportedTypeError,
     VermaModule,
     chevalley_basis,
     depth_cap,
@@ -34,6 +33,7 @@ from jantzen.shapovalov import (
     smith_normal_form,
     weight_space_basis,
 )
+from jantzen.suite import ACCEPTANCE_TYPES
 
 T = Poly.x()
 ONE = Poly.const(1)
@@ -88,14 +88,10 @@ def test_depth_caps():
     assert depth_cap(LieType.parse("A3")) == 3
 
 
-def test_unsupported_types_raise():
-    for name in ("G2", "B3", "D4"):
-        with pytest.raises(UnsupportedTypeError):
-            chevalley_basis(LieType.parse(name))
-
-
 def test_supported_types_build():
-    for name in ("A1", "A2", "A3", "B2", "C3"):
+    # every type builds from its root data and passes the table's own
+    # checks (integrality, coroots, weights, sigma, Jacobi)
+    for name in ACCEPTANCE_TYPES + ("A4", "B4", "C4", "D4", "F4"):
         cb = chevalley_basis(LieType.parse(name))
         assert cb.num_positive == len(cb.rs.positive_roots)
         assert cb.rank == cb.rs.rank
@@ -123,7 +119,7 @@ def test_cartan_pairing_of_e_f_is_the_coroot():
     # [e_b, f_b] must expand in the h_k with the simple-coroot coefficients
     # of the b-th positive coroot; this pins the normalization for long
     # and short roots at once.
-    for name in ("A1", "A2", "B2", "C3"):
+    for name in ("A1", "A2", "B2", "B3", "C3", "G2"):
         rs = _rs(name)
         cb = chevalley_basis(LieType.parse(name))
         for b, coroot in enumerate(rs.coroots):
@@ -179,28 +175,32 @@ def test_a2_depth_7_action_memo_stays_small():
     assert len(mod._memo) < 1000
 
 
-_GRAM_CASES = {"A1": 8, "A2": 5, "B2": 4, "A3": 3}
+_GRAM_CASES = {"A1": 8, "A2": 5, "B2": 4, "A3": 3, "G2": 3, "B3": 2}
 
 
 @st.composite
 def _weights(draw):
-    name = draw(st.sampled_from(sorted(_GRAM_CASES)))
-    rank = int(name[1:])
-    coords = [
-        Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))) for _ in range(rank)
-    ]
-    return name, Weight(tuple(coords))
+    # one weight per type, so that every type is drawn in every example
+    out = {}
+    for name in _GRAM_CASES:
+        rank = int(name[1:])
+        coords = [
+            Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))) for _ in range(rank)
+        ]
+        out[name] = Weight(tuple(coords))
+    return out
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(derandomize=True, max_examples=12, deadline=None)
 @given(_weights())
-def test_gram_matches_whole_word_straightening(case):
+def test_gram_matches_whole_word_straightening(weights):
     # every weight space up to the type's depth
-    name, nu = case
-    cb = chevalley_basis(LieType.parse(name))
-    mod = VermaModule(cb, nu)
-    for beta in partition_table(cb.rs, _GRAM_CASES[name]):
-        assert gram_matrix(cb, nu, beta, mod) == _reference_gram(cb, nu, beta), beta
+    for name, nu in weights.items():
+        cb = chevalley_basis(LieType.parse(name))
+        mod = VermaModule(cb, nu)
+        for beta in partition_table(cb.rs, _GRAM_CASES[name]):
+            got = gram_matrix(cb, nu, beta, mod)
+            assert got == _reference_gram(cb, nu, beta), (name, beta)
 
 
 def test_wrong_length_offset_raises():
@@ -387,6 +387,18 @@ def test_oracle_small_cases_pass():
         assert rep.passed, (name, coords, rep.failures)
         assert rep.failures == ()
         assert rep.spaces > 0 and rep.comparisons >= rep.spaces
+
+
+@pytest.mark.parametrize("name, weight", [("A3", "0,1,0"), ("B3", "0,1,-1")])
+@pytest.mark.xfail(
+    strict=True,
+    reason="oracle_compare drops the level multiplicity msum: "
+    "beta=(1, 1, 1): gram dims [2, 1, 1] != predicted [1, 1, 1]",
+)
+def test_oracle_counts_repeated_simples(name, weight):
+    # a simple that occurs twice in one level must count twice
+    rep = oracle_compare(_rs(name), Weight.parse(weight))
+    assert rep.passed, rep.failures
 
 
 def test_oracle_depth_cap_enforced():
