@@ -384,6 +384,8 @@ def partition_table(rs: RootSystem, depth: int, root_indices=None) -> dict:
 def partition_count(rs: RootSystem, beta, root_indices=None) -> int:
     """Number of multiset decompositions of beta into the given positive
     roots: a lookup in the table of height(beta)."""
+    if any(b != int(b) for b in beta):
+        raise ValueError(f"offset {tuple(beta)} has a non-integral coordinate")
     beta = tuple(int(b) for b in beta)
     if len(beta) != rs.rank:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(beta)}")

@@ -16,9 +16,10 @@ dim of the i-th Jantzen submodule.
 The Chevalley basis of every type comes from its root data: the
 structure constants N(x, y) by the extraspecial-pair construction
 (Carter, Simple Groups of Lie Type, 1972, 4.1-4.2), coroots for
-[e_x, e_-x], and pairings for the Cartan action.  The table is
-revalidated (integrality, Jacobi, transpose antisymmetry, coroot and
-weight bookkeeping) before use.
+[e_x, e_-x], and pairings for the Cartan action.  Before use the table
+is certified a Lie algebra: integral constants, antisymmetry, and the
+Jacobi identity in derivation form for x among the generators e_i, f_i
+of the simple roots, which is the whole identity because they generate.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ DEFAULT_DEPTH_CAP = 3
 
 
 class DepthCapError(ValueError):
-    """Requested height exceeds the per-type straightening budget."""
+    """Requested height exceeds the per-type depth cap."""
 
 
 class DegenerateFormError(DefectError):
@@ -164,7 +165,7 @@ def _structure_constants(rs: RootSystem) -> dict:
 
 @lru_cache(maxsize=None)
 def chevalley_basis(lt: LieType) -> ChevalleyBasis:
-    """Build and exhaustively validate the structure-constant table."""
+    """Build the structure-constant table and certify it a Lie algebra."""
     rs = build_root_system(lt)
     N, n = len(rs.positive_roots), rs.rank
     d = 2 * N + n
@@ -187,36 +188,28 @@ def chevalley_basis(lt: LieType) -> ChevalleyBasis:
 
     cb = ChevalleyBasis(rs=rs, num_positive=N, rank=n, brackets=brackets)
 
-    # [e_b, f_b] must equal the coroot in the h basis, exactly
-    for b in range(N):
-        want = {cb.h(k): c for k, c in enumerate(rs.coroots[b]) if c != 0}
-        if cb.bracket(cb.e(b), cb.f(b)) != want:
-            raise DefectError("coroot normalization failure")
-    # weights: [h_k, e_b] = <beta_b, alpha_k^vee> e_b and dually for f_b
-    for k in range(n):
-        for b in range(N):
-            pair = rs.root_to_weight_coords(rs.positive_roots[b])[k]
-            want = {cb.e(b): pair} if pair else {}
-            if cb.bracket(cb.h(k), cb.e(b)) != want:
-                raise DefectError("weight bookkeeping failure on raising gens")
-            want = {cb.f(b): -pair} if pair else {}
-            if cb.bracket(cb.h(k), cb.f(b)) != want:
-                raise DefectError("weight bookkeeping failure on lowering gens")
-    # sigma is an anti-automorphism of the abstract table
+    # antisymmetry: [g_j, g_i] = -[g_i, g_j], and [g_i, g_i] = 0
     for (i, j), entry in brackets.items():
-        mirrored = {cb.sigma(g): c for g, c in entry.items()}
-        if cb.bracket(cb.sigma(j), cb.sigma(i)) != mirrored:
-            raise DefectError("transpose is not an anti-automorphism")
-    # Jacobi identity over all generator triples of the abstract table
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
+        if i == j or cb.bracket(j, i) != {g: -c for g, c in entry.items()}:
+            raise DefectError("bracket table is not antisymmetric")
+    # Jacobi: ad_x is a derivation, [x, [y, z]] = [[x, y], z] + [y, [x, z]],
+    # for x in S = {e_i, f_i} and y < z (the rest follows by antisymmetry).
+    # That is all of Jacobi: the x with ad_x a derivation span a subalgebra,
+    # since ad_[x, x'] = [ad_x, ad_x'], and S generates.  (For x = e_i it
+    # makes e_i, h_i, f_i act as sl2 on each alpha_i-string of root spaces,
+    # which is then irreducible, so [e_i, e_y] != 0 when y + alpha_i is a root.)
+    for x in (g for b in rs.simple_indices for g in (cb.e(b), cb.f(b))):
+        adx = [cb.bracket(x, z) for z in range(d)]
+        for y in range(d):
+            for z in range(y + 1, d):
+                terms = [(c, x, g) for g, c in cb.bracket(y, z).items()]
+                terms += [(-c, g, z) for g, c in adx[y].items()]
+                terms += [(-c, y, g) for g, c in adx[z].items()]
                 acc: dict = {}
-                for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    for g, coef in cb.bracket(x, y).items():
-                        for g2, coef2 in cb.bracket(g, z).items():
-                            acc[g2] = acc.get(g2, 0) + coef * coef2
-                if any(v != 0 for v in acc.values()):
+                for c, u, v in terms:
+                    for g, k in cb.bracket(u, v).items():
+                        acc[g] = acc.get(g, 0) + c * k
+                if any(acc.values()):
                     raise DefectError("Jacobi identity failure")
     return cb
 
@@ -394,7 +387,7 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
         raise ValueError(f"depth must be nonnegative, got {depth}")
     if depth > cap:
         raise DepthCapError(
-            f"depth {depth} exceeds the straightening budget {cap} for {lt}"
+            f"depth {depth} exceeds the depth cap {cap} for {lt}"
         )
     cb = chevalley_basis(lt)
     engine = VermaModule(cb, nu)

@@ -239,6 +239,10 @@ def test_kostant_partition_small_values():
     assert partition_count(rs, (-1, 0)) == 0
     with pytest.raises(ValueError):
         partition_count(rs, (1, 0, 0))
+    # a non-integral coordinate is an error, not a truncation
+    for beta in ((Fraction(1, 2), 0), (Fraction(3, 2), Fraction(3, 2))):
+        with pytest.raises(ValueError, match="non-integral"):
+            partition_count(rs, beta)
     g2 = build_root_system(LieType.parse("G2"))
     assert partition_count(g2, (1, 1)) == 2
     assert partition_count(g2, (2, 1)) == 3

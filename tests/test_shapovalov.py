@@ -19,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jantzen import shapovalov
+from jantzen.blocks import DefectError
 from jantzen.poly import Poly
 from jantzen.roots import LieType, Weight, build_root_system, partition_table
 from jantzen.shapovalov import (
@@ -83,18 +85,78 @@ def test_depth_caps():
     assert depth_cap(LieType.parse("A1")) == 8
     assert depth_cap(LieType.parse("A2")) == 5
     assert depth_cap(LieType.parse("B2")) == 4
-    # everything else uses the default straightening budget
+    # everything else uses the default depth cap
     assert depth_cap(LieType.parse("C3")) == 3
     assert depth_cap(LieType.parse("A3")) == 3
 
 
 def test_supported_types_build():
     # every type builds from its root data and passes the table's own
-    # checks (integrality, coroots, weights, sigma, Jacobi)
-    for name in ACCEPTANCE_TYPES + ("A4", "B4", "C4", "D4", "F4"):
+    # certificate (integrality, antisymmetry, Jacobi on e_i and f_i); E8
+    # takes about a second
+    for name in ACCEPTANCE_TYPES + ("A4", "B4", "C4", "D4", "D5", "F4", "E6", "E7", "E8"):
         cb = chevalley_basis(LieType.parse(name))
         assert cb.num_positive == len(cb.rs.positive_roots)
         assert cb.rank == cb.rs.rank
+
+
+def _neg(x):
+    return tuple(-c for c in x)
+
+
+def _pairs_by_sum(rs):
+    """{xi: [(a, b), ...]}: the positive roots a before b with a + b = xi,
+    in the construction's order, so each list starts with xi's
+    extraspecial pair and every later pair comes from the four-root
+    relation."""
+    pos = rs.positive_roots
+    out = {}
+    for xi in pos:
+        for i, a in enumerate(pos):
+            if (b := tuple(x - y for x, y in zip(xi, a))) in pos[i + 1 :]:
+                out.setdefault(xi, []).append((a, b))
+    return out
+
+
+def _put(consts, x, y, c):
+    # one entry orbit: N(y, x) = -N(x, y) = N(-x, -y)
+    for a, b, v in ((x, y, c), (y, x, -c), (_neg(x), _neg(y), -c), (_neg(y), _neg(x), c)):
+        consts[a, b] = v
+
+
+def _extraspecial_plus_one(rs, consts):
+    # p + 2 on the extraspecial pair of the lowest non-simple root
+    a, b = next(iter(_pairs_by_sum(rs).values()))[0]
+    _put(consts, a, b, consts[a, b] + 1)
+
+
+def _four_root_sign_flip(rs, consts):
+    a, b = next(p[1] for p in _pairs_by_sum(rs).values() if len(p) > 1)
+    _put(consts, a, b, -consts[a, b])
+
+
+def _sigma_break(rs, consts):
+    # N(-x, -y) written as +N(x, y) for one pair, still antisymmetric
+    x, y = next(iter(_pairs_by_sum(rs).values()))[0]
+    c = consts[x, y]
+    consts[_neg(x), _neg(y)], consts[_neg(y), _neg(x)] = c, -c
+
+
+@pytest.mark.parametrize("name", ["B3", "G2", "F4"])
+@pytest.mark.parametrize(
+    "corrupt", [_extraspecial_plus_one, _four_root_sign_flip, _sigma_break]
+)
+def test_certificate_rejects_corrupt_constants(monkeypatch, name, corrupt):
+    built = shapovalov._structure_constants
+
+    def corrupted(rs):
+        consts = built(rs)
+        corrupt(rs, consts)
+        return consts
+
+    monkeypatch.setattr(shapovalov, "_structure_constants", corrupted)
+    with pytest.raises(DefectError):
+        chevalley_basis.__wrapped__(LieType.parse(name))
 
 
 def test_sigma_swaps_raising_and_lowering():
@@ -387,6 +449,23 @@ def test_oracle_small_cases_pass():
         assert rep.passed, (name, coords, rep.failures)
         assert rep.failures == ()
         assert rep.spaces > 0 and rep.comparisons >= rep.spaces
+
+
+@pytest.mark.parametrize(
+    "name, weight, depth",
+    [
+        ("E6", "1,1/101,1/103,1/107,1/109,1/113", None),
+        ("E7", "1,1,1/103,1/107,1/109,1/113,1/127", None),
+        ("E8", "1,1/101,1/103,1/107,1/109,1/113,1/127,1/131", 2),
+    ],
+    ids=["E6", "E7", "E8"],
+)
+def test_oracle_on_e_types(name, weight, depth):
+    # nonintegral weights with small integral systems: the E types'
+    # Chevalley bases, normalize and Gram matrices end to end
+    rep = oracle_compare(_rs(name), Weight.parse(weight), depth)
+    assert rep.passed, rep.failures
+    assert rep.spaces > 0
 
 
 @pytest.mark.parametrize("name, weight", [("A3", "0,1,0"), ("B3", "0,1,-1")])
