@@ -6,11 +6,15 @@ v = ws,
     P(x, w) = q^(1-c) P(xs, v) + q^c P(x, v)
               - sum_z mu(z, v) q^((l(w)-l(z))/2) P(x, z)
 
-where c = 1 if xs < x else 0 and z runs over elements below v with
-zs < z and nonvanishing mu(z, v) (the coefficient of q^((l(v)-l(z)-1)/2)
-in P(z, v)).  Everything is exact integer arithmetic; a table build
-verifies the degree bound, positive constant term and coefficient
-nonnegativity on every entry and treats violations as hard defects.
+where c = 1 if xs < x else 0 and z runs over elements with zs < z,
+x <= z and nonvanishing mu(z, v) (the coefficient of q^((l(v)-l(z)-1)/2)
+in P(z, v)).  As in du Cloux's Coxeter (Experiment. Math. 11, 2002), the
+sum runs over a mu-list: for each v, the pairs (z, mu(z, v)) with
+mu(z, v) != 0, read once off the column of P(., v) and kept, so no pair
+scans the Bruhat interval below v.  Everything is exact integer
+arithmetic; a table build verifies the degree bound, positive constant
+term and coefficient nonnegativity on every entry and treats violations
+as hard defects.
 Inverse polynomials Q(x, w) = P(w0 w, w0 x) are exposed alongside P;
 in the antidominant normalization they, not the plain P, carry the
 module multiplicities, satisfying the alternating inversion identity
@@ -19,8 +23,12 @@ sum_z (-1)^(l(z)-l(x)) P(x, z) Q(z, w) = delta(x, w).
 Completed tables persist to disk keyed by a canonical hash of the Coxeter
 matrix, so isomorphic blocks (e.g. an integral subsystem of one type that
 matches the full group of another) share cache files.  The header of a
-cache file carries the SHA-256 of its body; a file whose digest or version
-does not match is a cache miss, and the table is rebuilt.
+cache file carries the SHA-256 of its body.  A file is a cache miss, and
+the table is rebuilt, when its version or digest does not match, when a
+line is not ``x;w;coefficients`` with x and w the canonical words of two
+elements (1-based letters, the identity empty), when a line names a pair
+with x not below w or a pair already read, or when the pairs read are
+fewer than the Bruhat pairs of the group.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import tempfile
 
 from jantzen import roots, weyl
 from jantzen.poly import Poly
-from jantzen.weyl import CoxeterSystem, DefectError, format_word, parse_word
+from jantzen.weyl import CoxeterSystem, DefectError, format_word
 
 CACHE_VERSION = "KLCACHE v2"
 _ONE = Poly((1,))
@@ -49,6 +57,8 @@ class KLTable:
     def __init__(self, system: CoxeterSystem):
         self.system = system
         self._p: dict[tuple[int, int], Poly] = {}
+        # v -> its mu-list, see _mu_list
+        self._mu_lists: dict[int, list[tuple[int, int]]] = {}
 
     def polynomial(self, x: int, w: int) -> Poly:
         sys = self.system
@@ -89,16 +99,31 @@ class KLTable:
         else:
             base = self.polynomial(xs, v).shift(1) + self.polynomial(x, v)
         lw = sys.length(w)
-        for z in sys.bruhat_interval_below(v):
-            if not sys.right_descent(z, s):
-                continue
-            m = self.mu(z, v)
-            if m == 0 or not sys.bruhat_leq(x, z):
-                continue
-            base = base - m * self.polynomial(x, z).shift((lw - sys.length(z)) // 2)
+        for z, m in self._mu_list(v):
+            if sys.right_descent(z, s) and sys.bruhat_leq(x, z):
+                base = base - m * self._compute(x, z).shift((lw - sys.length(z)) // 2)
         self._check(x, w, diff, base)
         self._p[key] = base
         return base
+
+    def _mu_list(self, v: int) -> list[tuple[int, int]]:
+        """The (z, mu(z, v)) with mu(z, v) != 0, read once off column v.
+
+        Only z at odd length difference can have mu != 0; those entries of
+        the column are computed (and checked) here if they are not yet."""
+        got = self._mu_lists.get(v)
+        if got is None:
+            sys = self.system
+            lv = sys.length(v)
+            got = []
+            for z in sys.bruhat_interval_below(v):
+                d = lv - sys.length(z)
+                if d % 2:
+                    m = self._compute(z, v).coeff((d - 1) // 2)
+                    if m:
+                        got.append((z, m))
+            self._mu_lists[v] = got
+        return got
 
     def _check(self, x, w, diff, poly: Poly) -> None:
         if poly.coeff(0) != 1:
@@ -167,11 +192,11 @@ def save_table(table: KLTable, cache_dir: str) -> str:
     path = cache_path(table.system, cache_dir)
     key = cache_key(table.system.coxeter_matrix())
     sys = table.system
-    lines = []
-    for x, w, poly in table.entries():
-        coeffs = ",".join(str(c) for c in poly.coeffs)
-        lines.append(f"{format_word(sys.word(x))};{format_word(sys.word(w))};{coeffs}")
-    body = "".join(line + "\n" for line in lines).encode()
+    words = [format_word(sys.word(u)) for u in sys.elements()]
+    body = "".join(
+        f"{words[x]};{words[w]};{','.join(map(str, poly.coeffs))}\n"
+        for x, w, poly in table.entries()
+    ).encode()
     digest = hashlib.sha256(body).hexdigest()
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
@@ -187,13 +212,15 @@ def save_table(table: KLTable, cache_dir: str) -> str:
 def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
     """Load a table if a valid complete cache exists; None otherwise.
 
-    A file of another version, or whose body does not match the digest in
-    its header, is treated as missing."""
+    A file of another version, whose body does not match the digest in its
+    header, or whose lines are not exactly the Bruhat pairs of the group,
+    each once under canonical words, is treated as missing."""
     path = cache_path(system, cache_dir)
     if not os.path.exists(path):
         return None
     key = cache_key(system.coxeter_matrix())
     table = KLTable(system)
+    entries = table._p
     try:
         with open(path, "rb") as fh:
             header = fh.readline()
@@ -201,22 +228,21 @@ def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
         digest = hashlib.sha256(body).hexdigest()
         if header != f"{CACHE_VERSION} {key} {digest}\n".encode():
             return None
+        index = {format_word(system.word(u)): u for u in system.elements()}
+        polys: dict[str, Poly] = {}
         for line in body.decode().splitlines():
-            line = line.strip()
-            if not line:
-                continue
             x_text, w_text, coeff_text = line.split(";")
-            x = system.element_from_word(parse_word(x_text))
-            w = system.element_from_word(parse_word(w_text))
-            coeffs = (
-                tuple(int(c) for c in coeff_text.split(","))
-                if coeff_text
-                else ()
-            )
-            table._p[(x, w)] = Poly(coeffs)
-    except (OSError, ValueError):
+            x, w = index[x_text], index[w_text]
+            if (x, w) in entries or not system.bruhat_leq(x, w):
+                return None
+            poly = polys.get(coeff_text)
+            if poly is None:
+                coeffs = coeff_text.split(",") if coeff_text else ()
+                poly = polys[coeff_text] = Poly(int(c) for c in coeffs)
+            entries[(x, w)] = poly
+    except (OSError, ValueError, KeyError):
         return None
-    if len(table._p) != table.expected_pair_count():
+    if len(entries) != table.expected_pair_count():
         return None
     return table
 

@@ -8,7 +8,8 @@ criteria are computed once per block and shared.
 
 The weight suite (jantzen.suite) covers, per type: the regular integral
 block, one singular integral block for every nonempty subset of simple
-roots, and three nonintegral blocks.  Types: A1 A2 A3 B2 B3 C3 G2.
+roots, and three nonintegral blocks.  Types: A1 A2 A3 B2 B3 C3 G2; the
+KL sanity criterion also checks the full A4, D4 and B4 tables.
 """
 
 import time
@@ -192,8 +193,11 @@ def test_criterion_5_kl_sanity():
     )
     if p != Poly((1, 1)):
         failures.append(("A3", "expected 1 + q", p.coeffs))
-    # invariants on every entry of every table
-    for name in ACCEPTANCE_TYPES:
+    # invariants on every entry of every table, and at rank 4 the Bruhat
+    # pair counts of the full groups
+    pair_counts = {"A4": 3781, "D4": 9817, "B4": 40249}
+    types = ACCEPTANCE_TYPES + tuple(pair_counts)
+    for name in types:
         rs = _rs(name)
         block = integral_block(rs, Weight.of(*([-1] * rs.rank)))
         sys = block.system
@@ -210,8 +214,10 @@ def test_criterion_5_kl_sanity():
                 failures.append((name, sys.word(x), sys.word(w), "degree bound"))
         if seen != table.expected_pair_count():
             failures.append((name, "pair count", seen, table.expected_pair_count()))
+        if seen != pair_counts.get(name, seen):
+            failures.append((name, "pair count", seen, pair_counts[name]))
         entries += seen
-    _emit(5, failures, f"{entries} polynomials over {len(ACCEPTANCE_TYPES)} types")
+    _emit(5, failures, f"{entries} polynomials over {len(types)} types")
 
 
 def test_criterion_6_integral_length():

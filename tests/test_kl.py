@@ -8,7 +8,9 @@ T_x T_s = T_{xs} (if l(xs) > l(x)) and q T_{xs} + (q-1) T_x otherwise,
 so the oracle shares nothing with the production recursion.
 """
 
+import hashlib
 import os
+import pathlib
 
 import pytest
 
@@ -25,7 +27,7 @@ from jantzen.kl import (
 )
 from jantzen.poly import Poly
 from jantzen.roots import LieType, Weight, build_root_system
-from jantzen.weyl import weyl_group
+from jantzen.weyl import format_word, weyl_group
 
 
 def _system(name):
@@ -91,7 +93,7 @@ def _hecke_oracle(sys):
 
 
 def test_hecke_algebra_oracle():
-    for name in ("A2", "B2", "G2", "A3", "B3"):
+    for name in ("A2", "B2", "G2", "A3", "B3", "A4", "D4"):
         sys = _system(name)
         table = table_for(sys)
         oracle = _hecke_oracle(sys)
@@ -416,3 +418,74 @@ def test_longest_times_matches_matrix_product():
             # table walks
             assert sys.apply(w0x, rho) == sys.apply(w0, sys.apply(x, rho))
             assert sys.length(w0x) == sys.length(w0) - sys.length(x)
+
+
+def _write_cache(path, sys, lines):
+    """Write cache lines under a header whose digest matches them."""
+    body = "".join(line + "\n" for line in lines).encode()
+    key = cache_key(sys.coxeter_matrix())
+    header = f"{CACHE_VERSION} {key} {hashlib.sha256(body).hexdigest()}\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + body)
+
+
+def _swap_for_incomparable(sys, lines):
+    # the diagonal line of s1 s2 becomes the pair (s2 s1, s1 s2), and s2 s1
+    # is not below s1 s2: the line count stays that of the Bruhat pairs
+    x, w = sys.element_from_word((1, 0)), sys.element_from_word((0, 1))
+    assert not sys.bruhat_leq(x, w)
+    return ["2 1;1 2;1" if line == "1 2;1 2;1" else line for line in lines]
+
+
+def _non_canonical_word(sys, lines):
+    # s1 s3 written as s3 s1: the same element, not its canonical word
+    assert format_word(sys.word(sys.element_from_word((2, 0)))) == "1 3"
+    return [
+        ";".join("3 1" if part == "1 3" else part for part in line.split(";"))
+        for line in lines
+    ]
+
+
+def _duplicate_pair(sys, lines):
+    # one pair read twice, every other pair once
+    return lines + [lines[len(lines) // 2]]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_swap_for_incomparable, _non_canonical_word, _duplicate_pair]
+)
+def test_cache_with_valid_digest_fails_closed(tmp_path, corrupt):
+    sys = _system("A3")
+    path = save_table(build_table(sys), str(tmp_path))
+    with open(path, "rb") as fh:
+        good = fh.read()
+    lines = good.decode().splitlines()[1:]
+    # the digest is recomputed correctly: the unchanged lines load
+    _write_cache(path, sys, lines)
+    assert load_table(sys, str(tmp_path)) is not None
+    bad = corrupt(sys, lines)
+    assert bad != lines
+    _write_cache(path, sys, bad)
+    assert load_table(sys, str(tmp_path)) is None
+    # table_for rebuilds the table and rewrites the file
+    clear_caches()
+    rebuilt = table_for(_system("A3"), cache_dir=str(tmp_path), use_disk=True)
+    assert len(list(rebuilt.entries())) == rebuilt.expected_pair_count()
+    with open(path, "rb") as fh:
+        assert fh.read() == good
+
+
+def test_cache_format_golden(tmp_path):
+    # a B3 cache file written by an earlier version of this module: saving
+    # reproduces it byte for byte, and it reads back as a fresh build
+    golden = pathlib.Path(__file__).resolve().parent / "golden" / "klcache-B3.kl"
+    sys = _system("B3")
+    fresh = build_table(sys)
+    path = save_table(fresh, str(tmp_path))
+    with open(path, "rb") as fh:
+        assert fh.read() == golden.read_bytes()
+    loaded = load_table(sys, str(tmp_path))
+    assert loaded is not None
+    assert [(x, w, p.coeffs) for x, w, p in loaded.entries()] == [
+        (x, w, p.coeffs) for x, w, p in fresh.entries()
+    ]
