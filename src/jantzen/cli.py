@@ -58,14 +58,7 @@ def _weight(rs: RootSystem, text: str) -> Weight:
 
 
 def _element(sys: CoxeterSystem, text: str):
-    word = parse_word(text)
-    for i in word:
-        if not 0 <= i < sys.num_gens:
-            raise UsageError(
-                f"generator index {i + 1} out of range; the system has "
-                f"{sys.num_gens} generators"
-            )
-    return sys.element_from_word(word)
+    return sys.element_from_word(parse_word(text))
 
 
 def _word_str(sys: CoxeterSystem, w) -> str:

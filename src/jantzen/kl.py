@@ -1,20 +1,19 @@
 """Kazhdan-Lusztig polynomials over an abstract finite Coxeter system.
 
-The recursion is the classical one: for a right descent s of w, with
-v = ws,
+A table is one column per element w: the map x -> P(x, w) over the x
+below w, so "x <= w" is "x is a key of column w".  As in du Cloux's
+Coxeter (Experiment. Math. 11, 2002), column w is built whole from column
+v = ws, s the first right descent of w, by the classical recursion
 
     P(x, w) = q^(1-c) P(xs, v) + q^c P(x, v)
               - sum_z mu(z, v) q^((l(w)-l(z))/2) P(x, z)
 
-where c = 1 if xs < x else 0 and z runs over elements with zs < z,
-x <= z and nonvanishing mu(z, v) (the coefficient of q^((l(v)-l(z)-1)/2)
-in P(z, v)).  As in du Cloux's Coxeter (Experiment. Math. 11, 2002), the
-sum runs over a mu-list: for each v, the pairs (z, mu(z, v)) with
-mu(z, v) != 0, read once off the column of P(., v) and kept, so no pair
-scans the Bruhat interval below v.  Everything is exact integer
-arithmetic; a table build verifies the degree bound, positive constant
-term and coefficient nonnegativity on every entry and treats violations
-as hard defects.
+where c = 1 if xs < x else 0 and z runs over the mu-list of v: the z with
+zs < z and nonvanishing mu(z, v) (the coefficient of q^((l(v)-l(z)-1)/2)
+in P(z, v)), read off column v while column w is built.  The x below w
+are the u and us for u below v.  Everything is exact integer arithmetic;
+a build verifies the degree bound, constant term 1 and coefficient
+nonnegativity on every entry and treats violations as hard defects.
 Inverse polynomials Q(x, w) = P(w0 w, w0 x) are exposed alongside P;
 in the antidominant normalization they, not the plain P, carry the
 module multiplicities, satisfying the alternating inversion identity
@@ -27,8 +26,9 @@ cache file carries the SHA-256 of its body.  A file is a cache miss, and
 the table is rebuilt, when its version or digest does not match, when a
 line is not ``x;w;coefficients`` with x and w the canonical words of two
 elements (1-based letters, the identity empty), when a line names a pair
-with x not below w or a pair already read, or when the pairs read are
-fewer than the Bruhat pairs of the group.
+with x not below w or a pair already read, when an entry breaks a KL
+invariant (constant term 1, nonnegative coefficients, the degree bound),
+or when the pairs read are fewer than the Bruhat pairs of the group.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from jantzen.weyl import CoxeterSystem, DefectError, format_word
 
 CACHE_VERSION = "KLCACHE v2"
 _ONE = Poly((1,))
+_ZERO = Poly()
 # interned CoxeterSystem -> its complete KLTable
 _registry: dict = {}
 
@@ -52,19 +53,15 @@ class KLDefectError(DefectError):
 
 
 class KLTable:
-    """All P(x, w) for one Coxeter system, computed on demand."""
+    """All P(x, w) for one Coxeter system, one column per w, on demand."""
 
     def __init__(self, system: CoxeterSystem):
         self.system = system
-        self._p: dict[tuple[int, int], Poly] = {}
-        # v -> its mu-list, see _mu_list
-        self._mu_lists: dict[int, list[tuple[int, int]]] = {}
+        # w -> {x: P(x, w)} over the x <= w
+        self._cols: dict[int, dict[int, Poly]] = {}
 
     def polynomial(self, x: int, w: int) -> Poly:
-        sys = self.system
-        if not sys.bruhat_leq(x, w):
-            return Poly()
-        return self._compute(x, w)
+        return self._column(w).get(x, _ZERO)
 
     def inverse_polynomial(self, x: int, w: int) -> Poly:
         """Inverse polynomial Q(x, w) = P(w0 w, w0 x), w0 the longest element.
@@ -80,86 +77,83 @@ class KLTable:
         sys = self.system
         return self.polynomial(sys.longest_times(w), sys.longest_times(x))
 
-    def _compute(self, x: int, w: int) -> Poly:
-        key = (x, w)
-        got = self._p.get(key)
-        if got is not None:
-            return got
+    def _column(self, w: int) -> dict[int, Poly]:
+        col = self._cols.get(w)
+        if col is not None:
+            return col
         sys = self.system
-        diff = sys.length(w) - sys.length(x)
-        if diff <= 2:
-            # degree <= (diff-1)/2 < 1 forces the constant polynomial 1
-            self._p[key] = _ONE
-            return _ONE
         s = sys.first_right_descent(w)
+        if s is None:  # the identity
+            col = self._cols[w] = {w: _ONE}
+            return col
         v = sys.right_mul(w, s)
-        xs = sys.right_mul(x, s)
-        if sys.length(xs) < sys.length(x):
-            base = self.polynomial(xs, v) + self.polynomial(x, v).shift(1)
-        else:
-            base = self.polynomial(xs, v).shift(1) + self.polynomial(x, v)
+        below = self._column(v)
         lw = sys.length(w)
-        for z, m in self._mu_list(v):
-            if sys.right_descent(z, s) and sys.bruhat_leq(x, z):
-                base = base - m * self._compute(x, z).shift((lw - sys.length(z)) // 2)
-        self._check(x, w, diff, base)
-        self._p[key] = base
-        return base
-
-    def _mu_list(self, v: int) -> list[tuple[int, int]]:
-        """The (z, mu(z, v)) with mu(z, v) != 0, read once off column v.
-
-        Only z at odd length difference can have mu != 0; those entries of
-        the column are computed (and checked) here if they are not yet."""
-        got = self._mu_lists.get(v)
-        if got is None:
-            sys = self.system
-            lv = sys.length(v)
-            got = []
-            for z in sys.bruhat_interval_below(v):
-                d = lv - sys.length(z)
-                if d % 2:
-                    m = self._compute(z, v).coeff((d - 1) // 2)
-                    if m:
-                        got.append((z, m))
-            self._mu_lists[v] = got
-        return got
-
-    def _check(self, x, w, diff, poly: Poly) -> None:
-        if poly.coeff(0) != 1:
-            raise KLDefectError(
-                f"constant term {poly.coeff(0)} != 1 for pair of length "
-                f"difference {diff}"
-            )
-        if 2 * poly.degree > diff - 1:
-            raise KLDefectError(
-                f"degree {poly.degree} exceeds bound for length difference {diff}"
-            )
-        if any(c < 0 for c in poly.coeffs):
-            raise KLDefectError(f"negative coefficient in {poly.coeffs}")
+        # the mu-list of v, as (column z, mu(z, v), (l(w) - l(z)) / 2)
+        mus = []
+        for z, p in below.items():
+            d = lw - 1 - sys.length(z)
+            if d % 2 and sys.right_descent(z, s):
+                m = p.coeff((d - 1) // 2)
+                if m:
+                    mus.append((self._column(z), m, (d + 1) // 2))
+        col = {}
+        for x in sorted({u for y in below for u in (y, sys.right_mul(y, s))}):
+            diff = lw - sys.length(x)
+            if diff <= 2:
+                # degree <= (diff-1)/2 < 1 forces the constant polynomial 1
+                col[x] = _ONE
+                continue
+            xs = sys.right_mul(x, s)
+            if sys.length(xs) < sys.length(x):
+                p = below[xs] + below.get(x, _ZERO).shift(1)
+            else:
+                p = below.get(xs, _ZERO).shift(1) + below[x]
+            for cz, m, k in mus:
+                pz = cz.get(x)
+                if pz is not None:
+                    p = p - m * pz.shift(k)
+            _check(diff, p)
+            col[x] = p
+        self._cols[w] = col
+        return col
 
     def mu(self, z: int, v: int) -> int:
         sys = self.system
         d = sys.length(v) - sys.length(z)
-        if d <= 0 or d % 2 == 0 or not sys.bruhat_leq(z, v):
+        if d <= 0 or d % 2 == 0:
             return 0
-        return self._compute(z, v).coeff((d - 1) // 2)
+        return self.polynomial(z, v).coeff((d - 1) // 2)
 
     def build(self) -> "KLTable":
-        sys = self.system
-        for w in sys.elements():
-            for x in sys.bruhat_interval_below(w):
-                self._compute(x, w)
+        for w in self.system.elements():
+            self._column(w)
         return self
 
     def entries(self):
-        """All computed (x, w, P), sorted by (w, x)."""
-        for (x, w), poly in sorted(self._p.items(), key=lambda kv: kv[0][::-1]):
-            yield x, w, poly
+        """All computed (x, w, P), column by column in w order; x ascends
+        within a built column and keeps file order in a loaded one."""
+        for w in sorted(self._cols):
+            for x, poly in self._cols[w].items():
+                yield x, w, poly
 
     def expected_pair_count(self) -> int:
         sys = self.system
         return sum(len(sys.bruhat_interval_below(w)) for w in sys.elements())
+
+
+def _check(diff: int, poly: Poly) -> None:
+    if poly.coeff(0) != 1:
+        raise KLDefectError(
+            f"constant term {poly.coeff(0)} != 1 for pair of length "
+            f"difference {diff}"
+        )
+    if 2 * poly.degree > diff - 1:
+        raise KLDefectError(
+            f"degree {poly.degree} exceeds bound for length difference {diff}"
+        )
+    if any(c < 0 for c in poly.coeffs):
+        raise KLDefectError(f"negative coefficient in {poly.coeffs}")
 
 
 def build_table(system: CoxeterSystem) -> KLTable:
@@ -213,14 +207,15 @@ def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
     """Load a table if a valid complete cache exists; None otherwise.
 
     A file of another version, whose body does not match the digest in its
-    header, or whose lines are not exactly the Bruhat pairs of the group,
-    each once under canonical words, is treated as missing."""
+    header, whose lines are not exactly the Bruhat pairs of the group, each
+    once under canonical words, or with an entry that breaks a KL
+    invariant is treated as missing."""
     path = cache_path(system, cache_dir)
     if not os.path.exists(path):
         return None
     key = cache_key(system.coxeter_matrix())
     table = KLTable(system)
-    entries = table._p
+    cols = table._cols
     try:
         with open(path, "rb") as fh:
             header = fh.readline()
@@ -229,20 +224,32 @@ def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
         if header != f"{CACHE_VERSION} {key} {digest}\n".encode():
             return None
         index = {format_word(system.word(u)): u for u in system.elements()}
-        polys: dict[str, Poly] = {}
+        length = [system.length(u) for u in system.elements()]
+        # coefficient text -> (its polynomial, twice its degree)
+        polys: dict[str, tuple[Poly, int]] = {}
         for line in body.decode().splitlines():
             x_text, w_text, coeff_text = line.split(";")
             x, w = index[x_text], index[w_text]
-            if (x, w) in entries or not system.bruhat_leq(x, w):
+            col = cols.get(w)
+            if col is None:
+                col = cols[w] = {}
+            if x in col or not system.bruhat_leq(x, w):
                 return None
-            poly = polys.get(coeff_text)
-            if poly is None:
+            got = polys.get(coeff_text)
+            if got is None:
                 coeffs = coeff_text.split(",") if coeff_text else ()
-                poly = polys[coeff_text] = Poly(int(c) for c in coeffs)
-            entries[(x, w)] = poly
+                poly = Poly(int(c) for c in coeffs)
+                if poly.coeff(0) != 1 or any(c < 0 for c in poly.coeffs):
+                    return None
+                got = polys[coeff_text] = (poly, 2 * poly.degree)
+            poly, twice_degree = got
+            # the degree bound of a nonconstant entry; it leaves 1 on the diagonal
+            if twice_degree and twice_degree >= length[w] - length[x]:
+                return None
+            col[x] = poly
     except (OSError, ValueError, KeyError):
         return None
-    if len(entries) != table.expected_pair_count():
+    if sum(map(len, cols.values())) != table.expected_pair_count():
         return None
     return table
 

@@ -25,10 +25,6 @@ class Poly:
     def const(cls, c) -> "Poly":
         return cls((c,))
 
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -85,12 +81,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = Poly((1,))
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __call__(self, value):
         acc = 0

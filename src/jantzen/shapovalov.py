@@ -66,9 +66,7 @@ class ChevalleyBasis:
     for each positive root beta_b (0 <= b < N), then the simple coroots
     h_k (N <= N+k), then raising operators e_b = e_{beta_b} (N+n <= N+n+b).
     brackets[(i, j)] maps a generator index to the integer coefficient of
-    that generator in [g_i, g_j]; a missing pair brackets to 0.  The
-    transpose sigma, swapping e_b and f_b and fixing h_k, is an
-    anti-automorphism: N(-x, -y) = -N(x, y) makes it one.
+    that generator in [g_i, g_j]; a missing pair brackets to 0.
     """
 
     rs: RootSystem
@@ -84,15 +82,6 @@ class ChevalleyBasis:
 
     def e(self, b: int) -> int:
         return self.num_positive + self.rank + b
-
-    def sigma(self, gen: int) -> int:
-        """Transpose on generators: swaps e and f, fixes h."""
-        N, n = self.num_positive, self.rank
-        if gen < N:
-            return gen + N + n
-        if gen < N + n:
-            return gen
-        return gen - N - n
 
     def bracket(self, i: int, j: int) -> dict:
         return self.brackets.get((i, j), {})

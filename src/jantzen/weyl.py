@@ -154,10 +154,15 @@ class CoxeterSystem:
         return _walk(t.right, x, t.word[y])
 
     def element_from_word(self, word) -> int:
+        """The element of a word of 0-based generator indices; a bad index
+        is reported 1-based, as words are shown."""
         word = tuple(word)
         for i in word:
             if not 0 <= i < self.num_gens:
-                raise ValueError(f"generator index {i} out of range")
+                raise ValueError(
+                    f"generator index {i + 1} out of range; the system has "
+                    f"{self.num_gens} generators"
+                )
         return _walk(self._tables().right, 0, word)
 
     def longest_times(self, w: int) -> int:

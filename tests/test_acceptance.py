@@ -12,13 +12,14 @@ roots, and three nonintegral blocks.  Types: A1 A2 A3 B2 B3 C3 G2; the
 KL sanity criterion also checks the full A4, D4 and B4 tables.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
 from jantzen import clear_caches
 from jantzen.blocks import DefectError, integral_block, normalize, phi_plus_count
 from jantzen.filtration import domination_check, layers, sum_formula_check
-from jantzen.kl import table_for
+from jantzen.kl import save_table, table_for
 from jantzen.parabolic import (
     enumerate_IWJ,
     parabolic_character_check,
@@ -174,7 +175,7 @@ def test_criterion_4_rigidity():
     _emit(4, failures, f"{count} layer tables")
 
 
-def test_criterion_5_kl_sanity():
+def test_criterion_5_kl_sanity(tmp_path):
     failures = []
     entries = 0
     # rank <= 2 systems have only trivial polynomials
@@ -194,8 +195,15 @@ def test_criterion_5_kl_sanity():
     if p != Poly((1, 1)):
         failures.append(("A3", "expected 1 + q", p.coeffs))
     # invariants on every entry of every table, and at rank 4 the Bruhat
-    # pair counts of the full groups
+    # pair counts of the full groups and the SHA-256 of the saved cache
+    # body, so a change to the KL core must reproduce these tables byte for
+    # byte
     pair_counts = {"A4": 3781, "D4": 9817, "B4": 40249}
+    body_sha256 = {
+        "A4": "0d59b7061bc7a5bfd7a3c3284cac2642892095f8a4fd917689734c524ef4d4ec",
+        "D4": "6063095aa2c5b09bc1ce4328998c877a74127383bdfdeee2a15fc33b08bdad56",
+        "B4": "97d49d0c71826c96f236ef6a0b1962a6b720ef932f8c844dc8f61558da133c8e",
+    }
     types = ACCEPTANCE_TYPES + tuple(pair_counts)
     for name in types:
         rs = _rs(name)
@@ -216,6 +224,12 @@ def test_criterion_5_kl_sanity():
             failures.append((name, "pair count", seen, table.expected_pair_count()))
         if seen != pair_counts.get(name, seen):
             failures.append((name, "pair count", seen, pair_counts[name]))
+        if name in body_sha256:
+            with open(save_table(table, str(tmp_path)), "rb") as fh:
+                fh.readline()
+                digest = hashlib.sha256(fh.read()).hexdigest()
+            if digest != body_sha256[name]:
+                failures.append((name, "cache body digest", digest))
         entries += seen
     _emit(5, failures, f"{entries} polynomials over {len(types)} types")
 

@@ -230,6 +230,16 @@ def test_parabolic_bad_w_is_usage_error(capsys):
     assert code == 2
 
 
+def test_kl_word_out_of_range_is_usage_error(capsys):
+    code = main(["kl", "--type", "A2", "--x", "e", "--w", "1 3", "--no-cache"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: generator index 3 out of range; the system has 2 generators\n"
+    )
+
+
 def test_oracle_cli(capsys):
     code, rep = _run_json(
         capsys,

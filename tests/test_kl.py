@@ -27,7 +27,7 @@ from jantzen.kl import (
 )
 from jantzen.poly import Poly
 from jantzen.roots import LieType, Weight, build_root_system
-from jantzen.weyl import format_word, weyl_group
+from jantzen.weyl import CoxeterSystem, format_word, weyl_group
 
 
 def _system(name):
@@ -40,7 +40,7 @@ def _table(name):
 
 def _mul_by_gen(sys, vec, i):
     """Multiply sum_x vec[x] T_x by (T_e + T_s) in the Hecke algebra."""
-    q = Poly.x()
+    q = Poly((0, 1))
     qm1 = Poly((-1, 1))
     out = {}
 
@@ -81,7 +81,7 @@ def _hecke_oracle(sys):
             mu = pz.coeff((d - 1) // 2)
             if mu == 0:
                 continue
-            correction = Poly.x() ** ((lv + 1 - lz) // 2) * Poly.const(mu)
+            correction = Poly.const(mu).shift((lv + 1 - lz) // 2)
             for x, px in basis[z].items():
                 got = vec.get(x, Poly()) - px * correction
                 if got.is_zero():
@@ -263,6 +263,26 @@ def test_mu_values():
                 assert table.mu(x, w) == 1
 
 
+@pytest.mark.parametrize("name", ["B3", "A4", "D4"])
+def test_columns_reached_out_of_order(name):
+    # a fresh table asked first for the top of the group reaches its
+    # columns through the recursion, not in length order; every entry must
+    # still match a full build on a separate system
+    rs = build_root_system(LieType.parse(name))
+    ref = build_table(CoxeterSystem(rs, rs.simple_indices, range(len(rs.positive_roots))))
+    sys = _system(name)
+    lazy = KLTable(sys)
+    e, w0 = sys.identity, sys.longest_element()
+    assert lazy.polynomial(e, w0) == ref.polynomial(e, w0)
+    assert lazy.inverse_polynomial(e, w0) == ref.inverse_polynomial(e, w0)
+    for w in reversed(sys.elements()):
+        for x in sys.elements():
+            assert lazy.polynomial(x, w) == ref.polynomial(x, w), (name, x, w)
+    assert [(x, w, p.coeffs) for x, w, p in lazy.entries()] == [
+        (x, w, p.coeffs) for x, w, p in ref.entries()
+    ]
+
+
 def test_build_table_pair_count():
     sys = _system("B2")
     table = build_table(sys)
@@ -398,8 +418,6 @@ def test_cache_v1_file_is_rebuilt(tmp_path):
 
 
 def test_table_for_uses_interned_system():
-    from jantzen.weyl import CoxeterSystem
-
     sys = _system("B3")
     assert table_for(sys).system is sys
     # a system built directly is replaced by its interned twin
@@ -451,8 +469,42 @@ def _duplicate_pair(sys, lines):
     return lines + [lines[len(lines) // 2]]
 
 
+def _replace_first(lines, pred, coeffs):
+    hit = next(i for i, line in enumerate(lines) if pred(line))
+    x, w, _ = lines[hit].split(";")
+    return lines[:hit] + [f"{x};{w};{coeffs}"] + lines[hit + 1 :]
+
+
+def _zero_constant_term(sys, lines):
+    return _replace_first(lines, lambda line: line.endswith(";1,1"), "0,1")
+
+
+def _negative_coefficient(sys, lines):
+    return _replace_first(lines, lambda line: line.endswith(";1,1"), "1,-1")
+
+
+def _over_degree(sys, lines):
+    # degree 2 for e under s2 s1 s3 s2, a length difference of 4 where the
+    # bound 2 deg < 4 allows degree 1
+    return _replace_first(lines, lambda line: line.endswith(";1,1"), "1,0,1")
+
+
+def _nonconstant_diagonal(sys, lines):
+    # P(w, w) must be 1
+    return _replace_first(lines, lambda line: line == "1 2;1 2;1", "1,1")
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_swap_for_incomparable, _non_canonical_word, _duplicate_pair]
+    "corrupt",
+    [
+        _swap_for_incomparable,
+        _non_canonical_word,
+        _duplicate_pair,
+        _zero_constant_term,
+        _negative_coefficient,
+        _over_degree,
+        _nonconstant_diagonal,
+    ],
 )
 def test_cache_with_valid_digest_fails_closed(tmp_path, corrupt):
     sys = _system("A3")

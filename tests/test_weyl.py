@@ -175,6 +175,17 @@ def test_word_round_trip():
             assert _image(sys, inv) == _act(rs, tuple(reversed(word)), _rho(rs))
 
 
+def test_element_from_word_reports_index_one_based():
+    sys = _group("A2")
+    with pytest.raises(
+        ValueError,
+        match=r"^generator index 3 out of range; the system has 2 generators$",
+    ):
+        sys.element_from_word((0, 2))
+    with pytest.raises(ValueError, match=r"^generator index 0 out of range"):
+        sys.element_from_word((-1,))
+
+
 def test_parse_and_format_word():
     assert parse_word("1 2 1") == (0, 1, 0)
     assert parse_word(" 2 1 ") == (1, 0)
