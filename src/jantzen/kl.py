@@ -208,8 +208,9 @@ def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
 
     A file of another version, whose body does not match the digest in its
     header, whose lines are not exactly the Bruhat pairs of the group, each
-    once under canonical words, or with an entry that breaks a KL
-    invariant is treated as missing."""
+    once under canonical words, with coefficient text other than the one
+    save_table writes, or with an entry that breaks a KL invariant is
+    treated as missing."""
     path = cache_path(system, cache_dir)
     if not os.path.exists(path):
         return None
@@ -239,6 +240,10 @@ def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
             if got is None:
                 coeffs = coeff_text.split(",") if coeff_text else ()
                 poly = Poly(int(c) for c in coeffs)
+                # int() and Poly forgive signs, spaces, underscores and
+                # trailing zeros; the file must hold what save_table writes
+                if coeff_text != ",".join(map(str, poly.coeffs)):
+                    return None
                 if poly.coeff(0) != 1 or any(c < 0 for c in poly.coeffs):
                     return None
                 got = polys[coeff_text] = (poly, 2 * poly.degree)

@@ -18,6 +18,7 @@ functions a character check needs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -347,6 +348,10 @@ def is_antidominant(rs: RootSystem, w: Weight) -> bool:
 # (lie type, sorted root index set, depth) -> {box: count}: see partition_table.
 _partition_tables: dict = {}
 
+# Most boxes one partition table may hold; a table of rank n and depth d
+# has C(d + n, n) of them.
+MAX_BOXES = 100_000
+
 
 def _root_key(rs: RootSystem, root_indices) -> tuple[int, ...]:
     if root_indices is None:
@@ -362,12 +367,19 @@ def partition_table(rs: RootSystem, depth: int, root_indices=None) -> dict:
     b - root to the count at b; b - root has smaller height, so its count
     already includes this root, and each root may be used any number of
     times.  Tables are memoised per (type, root set, depth); callers read
-    them and must not change them.
+    them and must not change them.  A table of more than MAX_BOXES boxes
+    is refused with a ValueError before anything is allocated.
     """
     root_indices = _root_key(rs, root_indices)
     key = (rs.lie_type, root_indices, depth)
     table = _partition_tables.get(key)
     if table is None:
+        count = math.comb(depth + rs.rank, rs.rank) if depth >= 0 else 0
+        if count > MAX_BOXES:
+            raise ValueError(
+                f"depth {depth} on {rs.lie_type} needs {count} partition "
+                f"table boxes, over the limit of {MAX_BOXES}"
+            )
         table = dict.fromkeys(boxes(rs.rank, depth), 0)
         if table:
             table[(0,) * rs.rank] = 1

@@ -275,6 +275,20 @@ def test_negative_depth_is_usage_error(argv, capsys):
     assert "depth must be nonnegative" in captured.err
 
 
+def test_parabolic_depth_over_box_limit_is_usage_error(capsys):
+    # the character check's partition table would need C(100003, 3) boxes
+    code = main(
+        ["parabolic", "--type", "A3", "--weight", "-1,-1,-1", "--I", "1",
+         "--depth", "100000", "--no-cache"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "over the limit of 100000" in captured.err
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "A3", "G2"])
 def test_block_builds_no_kl_table(name, monkeypatch, capsys, tmp_path):
     # block reports the group order and the coset count; neither needs KL

@@ -494,6 +494,15 @@ def _nonconstant_diagonal(sys, lines):
     return _replace_first(lines, lambda line: line == "1 2;1 2;1", "1,1")
 
 
+def _non_canonical_coefficient(label, text):
+    # the constant 1 of one pair in a spelling that int() and Poly accept
+    def corrupt(sys, lines):
+        return _replace_first(lines, lambda line: line.endswith(";1"), text)
+
+    corrupt.__name__ = f"_coefficient_{label}"
+    return corrupt
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -504,6 +513,10 @@ def _nonconstant_diagonal(sys, lines):
         _negative_coefficient,
         _over_degree,
         _nonconstant_diagonal,
+        _non_canonical_coefficient("plus_sign", "+1"),
+        _non_canonical_coefficient("leading_space", " 1"),
+        _non_canonical_coefficient("trailing_zero", "1,0"),
+        _non_canonical_coefficient("underscore", "0_1"),
     ],
 )
 def test_cache_with_valid_digest_fails_closed(tmp_path, corrupt):

@@ -185,16 +185,32 @@ def test_character_check_values():
         res = parabolic_character_check(pb, w, 4)
         assert res.passed
         assert res.depth == 4
-        for beta, lhs, rhs in res.rows:
-            assert lhs == rhs
     # the finite-dimensional case: I = full set, trivial module
     pb = enumerate_IWJ(block, (0, 1))
     res = parabolic_character_check(pb, pb.reps[0], 4)
     assert res.passed
-    by_beta = {beta: lhs for beta, lhs, _ in res.rows}
+    by_beta = dict(res.rows)
     assert by_beta[(0, 0)] == 1
     # L(rho - rho) is trivial: no other weights at all
     assert all(v == 0 for beta, v in by_beta.items() if any(beta))
+
+
+def test_character_check_fails_on_a_flipped_sign():
+    # A2, I = {1, 2}, w = e: M_I is the trivial module.  With the sign of
+    # s1 s2 flipped the alternating sum is no character; it has negative
+    # multiplicities, and the check must fail on them
+    rs = _rs("A2")
+    block = integral_block(rs, Weight.of(-1, -1))
+    pb = enumerate_IWJ(block, (0, 1))
+    w = pb.reps[0]
+    assert parabolic_character_check(pb, w, 4).passed
+    s1s2 = block.system.element_from_word((0, 1))
+    pb.__dict__["signed_levi"] = tuple(
+        (u, -sign if u == s1s2 else sign) for u, sign in pb.signed_levi
+    )
+    res = parabolic_character_check(pb, w, 4)
+    assert not res.passed
+    assert min(dim for _, dim in res.rows) == -2
 
 
 def test_character_check_rejects_negative_depth():
@@ -213,7 +229,7 @@ def test_character_check_adjoint_levi():
     pb = enumerate_IWJ(block, (0,))
     res = parabolic_character_check(pb, pb.reps[0], 3)
     assert res.passed
-    by_beta = {beta: lhs for beta, lhs, _ in res.rows}
+    by_beta = dict(res.rows)
     # highest weight rho - rho = 0 on the Levi: M_I(0) has the weights of
     # U(span{f_alpha2, f_alpha12}) twisted by the alpha1 string structure
     assert by_beta[(0, 0)] == 1
@@ -335,8 +351,10 @@ def _block_simple_subsets(rs, block):
 
 
 def _char_rows_per_beta(pb, w, depth):
-    """The character check's rows by one partition_count call per (beta,
-    gamma) pair, gamma running over the box below beta."""
+    """ch M_I by both routes, one partition_count call per (beta, gamma)
+    pair: (beta, lhs, rhs) with lhs the Levi Weyl character convolved with
+    the nilradical partition function (gamma running over the box below
+    beta), and rhs the alternating sum over W_I of Verma characters."""
     rs = pb.block.rs
     sys = pb.block.system
     lam = pb.highest_weight(w)
@@ -390,7 +408,9 @@ def test_character_check_rows_match_per_beta_counts(name):
         for w in pb.reps:
             res = parabolic_character_check(pb, w, 4)
             assert res.passed
-            assert res.rows == _char_rows_per_beta(pb, w, 4), (name, I)
+            rows = _char_rows_per_beta(pb, w, 4)
+            assert all(lhs == rhs for _, lhs, rhs in rows), (name, I)
+            assert res.rows == tuple((beta, rhs) for beta, _, rhs in rows), (name, I)
             checked += 1
     assert checked == {"B3": 147, "C3": 147, "G2": 25}[name]
 

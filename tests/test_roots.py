@@ -24,6 +24,7 @@ from jantzen.roots import (
     shifted_sum,
     solve,
 )
+from jantzen.suite import ACCEPTANCE_TYPES
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4"]
 
@@ -305,6 +306,42 @@ def test_partition_table_matches_partition_count(name):
             assert count == partition_count(rs, beta, idx), (name, idx, beta)
         assert partition_table(rs, depth, idx) is table
         assert partition_table(rs, -1, idx) == {}
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_TYPES)
+def test_full_partition_table_is_levi_times_nilradical(name):
+    # For every subset I of the simple roots, counting partitions over all
+    # positive roots is convolving the counts over the Levi roots (those
+    # supported on I) with the counts over the rest
+    rs = build_root_system(LieType.parse(name))
+    full = partition_table(rs, 4)
+    for r in range(rs.rank + 1):
+        for I in itertools.combinations(range(rs.rank), r):
+            levi = [
+                k for k, vec in enumerate(rs.positive_roots)
+                if all(c == 0 for j, c in enumerate(vec) if j not in I)
+            ]
+            nil = [k for k in range(len(rs.positive_roots)) if k not in levi]
+            terms = [(m, g) for g, m in partition_table(rs, 4, levi).items() if m]
+            assert shifted_sum(partition_table(rs, 4, nil), terms) == full, (name, I)
+
+
+def test_partition_table_refuses_too_many_boxes(monkeypatch):
+    from jantzen import roots
+
+    rs = build_root_system(LieType.parse("A3"))
+    # C(100003, 3) boxes, about 1.7e14: refused before any is built
+    with pytest.raises(ValueError, match="over the limit of 100000"):
+        partition_table(rs, 100_000)
+    assert not any(key[2] == 100_000 for key in roots._partition_tables)
+    # the limit is on the box count: C(4 + 3, 3) = 35 and C(5 + 3, 3) = 56
+    roots.clear_partition_caches()
+    monkeypatch.setattr(roots, "MAX_BOXES", 35)
+    assert len(partition_table(rs, 4, [0])) == 35
+    with pytest.raises(ValueError, match="needs 56 partition table boxes"):
+        partition_table(rs, 5, [0])
+    with pytest.raises(ValueError, match="limit of 35"):
+        partition_count(rs, (2, 2, 1))
 
 
 def test_shifted_sum_matches_per_box_sum():
