@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
 from jantzen.roots import (
     RootSystem,
@@ -63,6 +64,34 @@ class Block:
     def apply(self, w: int) -> Weight:
         """The weight w(mu)."""
         return self.system.apply(w, self.mu)
+
+    def rise(self, w: int) -> tuple[int, ...]:
+        """Root coordinates of w(mu) - mu, a sum of positive roots since mu
+        is antidominant: one root_offset solve per (system, mu, w), kept
+        until clear_caches()."""
+        key = (self.system, self.mu, w)
+        off = _rises.get(key)
+        if off is None:
+            off = _rises[key] = root_offset(self.rs, self.apply(w) - self.mu)
+        return off
+
+    def offset(self, x: int, y: int) -> tuple[int, ...]:
+        """Root coordinates of x(mu) - y(mu), read as rise(x) - rise(y); it
+        must be a sum of positive roots, DefectError if not."""
+        off = tuple(map(sub, self.rise(x), self.rise(y)))
+        if any(c < 0 for c in off):
+            diff = self.apply(x) - self.apply(y)
+            raise DefectError(f"{diff.serialize()} is not a sum of positive roots")
+        return off
+
+
+# (system, mu, w) -> root coordinates of w(mu) - mu: see Block.rise.
+_rises: dict = {}
+
+
+def clear_offsets() -> None:
+    """Forget every memoised w(mu) - mu."""
+    _rises.clear()
 
 
 def _block(rs: RootSystem, mu: Weight, pos_idx) -> Block:

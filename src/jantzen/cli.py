@@ -32,7 +32,13 @@ from jantzen.parabolic import (
     parabolic_layers,
     parabolic_layers_dual_path,
 )
-from jantzen.roots import LieType, RootSystem, Weight, build_root_system
+from jantzen.roots import (
+    LieType,
+    RootSystem,
+    Weight,
+    build_root_system,
+    check_box_limit,
+)
 from jantzen.shapovalov import oracle_compare
 from jantzen.suite import suite_weights
 from jantzen.weyl import CoxeterSystem, format_word, parse_word, weyl_group
@@ -309,6 +315,7 @@ def cmd_parabolic(args) -> int:
     if args.depth < 0:
         raise UsageError(f"depth must be nonnegative, got {args.depth}")
     nu, block, _ = _normalized(args)
+    check_box_limit(block.rs, args.depth)  # even when no module asks for a table
     table = _prime_table(block.system, args)
     sys_ = block.system
     try:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from jantzen.blocks import Block, DefectError, normalize, root_offset
+from jantzen.blocks import Block, DefectError, normalize
 from jantzen.kl import KLTable, table_for
 from jantzen.roots import (
     RootSystem,
@@ -250,16 +250,25 @@ def domination_check(
     )
 
 
+# (system, mu, z, depth) -> {beta: dim}: see simple_weight_dims.
+_simple_dims: dict = {}
+
+
 def simple_weight_dims(block: Block, z: int, depth: int) -> dict:
     """Weight multiplicities of L(z mu) at offsets from its highest weight.
 
     Returns {beta: dim} for root-lattice offsets beta with height <= depth.
     ch L(z mu) is computed by inverting the unitriangular matrix
     [M(u mu) : L(v mu)] = Q(v, u)(1) over W^J below z, then expanding each
-    ch M(v mu) by the Kostant partition function.
+    ch M(v mu) by the Kostant partition function.  Results are memoised
+    per (system, mu, z, depth) until clear_caches(); callers read them and
+    must not change them.
     """
+    key = (block.system, block.mu, z, depth)
+    out = _simple_dims.get(key)
+    if out is not None:
+        return out
     sys = block.system
-    rs = block.rs
     if not block.is_rep(z):
         raise ValueError("z must be a minimal-length coset representative")
     table = table_for(sys)
@@ -280,11 +289,14 @@ def simple_weight_dims(block: Block, z: int, depth: int) -> dict:
             val -= mult[row][col] * coeffs[col]
         coeffs[row] = val  # diagonal entries are 1
 
-    zmu = block.apply(z)
-    terms = [
-        (coeffs[index[v]], root_offset(rs, zmu - block.apply(v))) for v in below
-    ]
-    out = shifted_sum(partition_table(rs, depth), terms)
+    terms = [(coeffs[index[v]], block.offset(z, v)) for v in below]
+    out = shifted_sum(partition_table(block.rs, depth), terms)
     if any(d < 0 for d in out.values()):
         raise DefectError("negative simple weight multiplicity")
+    _simple_dims[key] = out
     return out
+
+
+def clear_simple_dims() -> None:
+    """Forget every memoised simple character."""
+    _simple_dims.clear()

@@ -286,11 +286,18 @@ def table_for(
 
 
 def clear_caches() -> None:
-    """Forget every in-memory KL table, interned Coxeter system, partition
-    count memo and truncated partition table.
+    """Forget every in-memory KL table, interned Coxeter system, truncated
+    partition table, per-block offset w(mu) - mu, simple character and
+    weight space basis.
 
     Disk caches are untouched; later calls rebuild (or reload) what they
     need from scratch."""
+    # imported here because filtration and shapovalov import this module
+    from jantzen import blocks, filtration, shapovalov
+
     _registry.clear()
     weyl.clear_systems()
     roots.clear_partition_caches()
+    blocks.clear_offsets()
+    filtration.clear_simple_dims()
+    shapovalov.clear_bases()

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from jantzen.blocks import Block, DefectError, root_offset
+from jantzen.blocks import Block, DefectError
 from jantzen.filtration import LayerRows, graded_rows, layer_columns, layers
 from jantzen.kl import KLTable, table_for
 from jantzen.poly import Poly
@@ -238,8 +238,7 @@ def parabolic_character_check(
     rho - rho_I, so its shifts are these, and the full partition table is
     the convolution of the Levi and nilradical tables.
     """
-    rs = pblock.block.rs
-    sys = pblock.block.system
+    block = pblock.block
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     pblock.check_rep(w)
@@ -249,11 +248,13 @@ def parabolic_character_check(
             raise DefectError(
                 "highest weight is not dominant regular on the Levi simples"
             )
+    # lam - u lam = rise(w_I w) - rise(u w_I w), both measured from mu
+    wIw = block.system.mul(pblock.wI, w)
     shifts = [
-        (sign, root_offset(rs, lam - sys.apply(u, lam)))
+        (sign, block.offset(wIw, block.system.mul(u, wIw)))
         for u, sign in pblock.signed_levi
     ]
-    rows = tuple(shifted_sum(partition_table(rs, depth), shifts).items())
+    rows = tuple(shifted_sum(partition_table(block.rs, depth), shifts).items())
     passed = all(dim >= 0 for _, dim in rows)
     return CharCheckResult(
         pblock=pblock, w=w, depth=depth, passed=passed, rows=rows

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 
 
 class Poly:
@@ -53,8 +54,8 @@ class Poly:
 
     def __add__(self, other):
         other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(tuple(self.coeff(k) + other.coeff(k) for k in range(n)))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Poly([a + b for a, b in pairs])
 
     __radd__ = __add__
 

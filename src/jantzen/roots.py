@@ -359,6 +359,17 @@ def _root_key(rs: RootSystem, root_indices) -> tuple[int, ...]:
     return tuple(sorted(root_indices))
 
 
+def check_box_limit(rs: RootSystem, depth: int) -> None:
+    """ValueError if a partition table of this depth would hold more than
+    MAX_BOXES boxes."""
+    count = math.comb(depth + rs.rank, rs.rank) if depth >= 0 else 0
+    if count > MAX_BOXES:
+        raise ValueError(
+            f"depth {depth} on {rs.lie_type} needs {count} partition "
+            f"table boxes, over the limit of {MAX_BOXES}"
+        )
+
+
 def partition_table(rs: RootSystem, depth: int, root_indices=None) -> dict:
     """Partition counts over the given positive roots (all by default) on
     every box of height <= depth, keyed in boxes() order.
@@ -368,18 +379,13 @@ def partition_table(rs: RootSystem, depth: int, root_indices=None) -> dict:
     already includes this root, and each root may be used any number of
     times.  Tables are memoised per (type, root set, depth); callers read
     them and must not change them.  A table of more than MAX_BOXES boxes
-    is refused with a ValueError before anything is allocated.
+    is refused by check_box_limit before anything is allocated.
     """
     root_indices = _root_key(rs, root_indices)
     key = (rs.lie_type, root_indices, depth)
     table = _partition_tables.get(key)
     if table is None:
-        count = math.comb(depth + rs.rank, rs.rank) if depth >= 0 else 0
-        if count > MAX_BOXES:
-            raise ValueError(
-                f"depth {depth} on {rs.lie_type} needs {count} partition "
-                f"table boxes, over the limit of {MAX_BOXES}"
-            )
+        check_box_limit(rs, depth)
         table = dict.fromkeys(boxes(rs.rank, depth), 0)
         if table:
             table[(0,) * rs.rank] = 1

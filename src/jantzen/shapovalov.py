@@ -24,12 +24,13 @@ of the simple roots, which is the whole identity because they generate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
-from jantzen.blocks import DefectError, normalize, root_offset
+from jantzen.blocks import DefectError, normalize
 from jantzen.filtration import layers, simple_weight_dims
 from jantzen.poly import Poly
 from jantzen.roots import (
@@ -203,9 +204,17 @@ def chevalley_basis(lt: LieType) -> ChevalleyBasis:
     return cb
 
 
+# (lie type, beta) -> weight space basis: see weight_space_basis.
+_bases: dict = {}
+
+
 def weight_space_basis(rs: RootSystem, beta) -> tuple:
-    """Kostant partitions of beta as weakly increasing root-index words."""
+    """Kostant partitions of beta as weakly increasing root-index words,
+    memoised per (type, beta) until clear_caches()."""
     beta = tuple(beta)
+    key = (rs.lie_type, beta)
+    if key in _bases:
+        return _bases[key]
     if len(beta) != rs.rank or any(v < 0 for v in beta):
         raise ValueError(f"offset {beta} is not {rs.rank} nonnegative integers")
     out = []
@@ -224,7 +233,13 @@ def weight_space_basis(rs: RootSystem, beta) -> tuple:
                 )
 
     rec([], beta, 0)
-    return tuple(sorted(out))
+    basis = _bases[key] = tuple(sorted(out))
+    return basis
+
+
+def clear_bases() -> None:
+    """Forget every memoised weight space basis."""
+    _bases.clear()
 
 
 class VermaModule:
@@ -315,9 +330,11 @@ def smith_normal_form(mat) -> tuple:
     pivot_row, a multiplication by units of the local ring; its row then
     clears by column operations that leave the rest unchanged, so v is the
     next exponent.  The exponents are the t-valuations of the invariant
-    factors over Q[t].
+    factors over Q[t].  Each row is first scaled by the lcm of its
+    coefficient denominators, also a unit, so the elimination runs on
+    integer polynomials.
     """
-    rows = [list(row) for row in mat]
+    rows = [_integral_row(row) for row in mat]
     exps = []
     while rows:
         best = None
@@ -336,6 +353,13 @@ def smith_normal_form(mat) -> tuple:
             rows[r] = [u * x - q * y for x, y in zip(row, pivot)]
         exps.append(v)
     return tuple(exps)
+
+
+def _integral_row(row) -> list:
+    """The row times the lcm of its coefficient denominators, with int
+    coefficients."""
+    scale = math.lcm(*(c.denominator for p in row for c in p.coeffs))
+    return [Poly([int(c * scale) for c in p.coeffs]) for p in row]
 
 
 def jantzen_dims_from_gram(mat) -> tuple:
@@ -388,7 +412,7 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
     offsets = {}
     sdims = {}
     for z in tab.columns:
-        offsets[z] = root_offset(rs, nu - block.apply(z))
+        offsets[z] = block.offset(y, z)  # nu - z(mu), as nu = y(mu)
         sdims[z] = simple_weight_dims(block, z, depth)
 
     # the sum formula's determinant valuation: sum over the integral

@@ -78,3 +78,32 @@ def test_traced_build_reads_the_sentinels(capsys):
     assert metrics["weyl.element_from_word.calls"] == 1
     assert metrics["kl.tables_built"] == 1
     assert metrics["kl.pairs_computed"] == table.expected_pair_count()
+
+
+def test_traced_oracle_reads_the_memoised_layers(capsys):
+    # The memos of simple characters and weight space bases sit inside the
+    # functions the tracer patches, so a traced oracle pass over one block
+    # still counts every simple_weight_dims call and one gram_matrix call
+    # per weight space of every module.
+    from jantzen import clear_caches
+    from jantzen.blocks import integral_block
+    from jantzen.roots import LieType, Weight, build_root_system
+
+    rs = build_root_system(LieType.parse("A2"))
+    block = integral_block(rs, Weight.of(-1, -1))
+    clear_caches()
+    tracer = _layertrace().Tracer(_StubClock())
+    tracer.install()
+    try:
+        reports = [
+            shapovalov.oracle_compare(rs, block.apply(w)) for w in block.coset_reps()
+        ]
+    finally:
+        tracer.uninstall()
+        clear_caches()
+    assert "trace hook" not in capsys.readouterr().err
+    assert all(rep.passed for rep in reports)
+    assert tracer.calls["filtration.simple_weight_dims"] > 0
+    metrics = tracer.layer_metrics()
+    assert metrics["filtration.simple_weight_dims.self_s"] > 0
+    assert metrics["shapovalov.gram.calls"] == sum(rep.spaces for rep in reports)

@@ -276,17 +276,19 @@ def test_negative_depth_is_usage_error(argv, capsys):
 
 
 def test_parabolic_depth_over_box_limit_is_usage_error(capsys):
-    # the character check's partition table would need C(100003, 3) boxes
-    code = main(
-        ["parabolic", "--type", "A3", "--weight", "-1,-1,-1", "--I", "1",
-         "--depth", "100000", "--no-cache"]
-    )
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
-    assert captured.err.count("\n") == 1
-    assert "over the limit of 100000" in captured.err
+    # the character check's partition table would need C(100003, 3) boxes;
+    # on the A2 wall {}^I W^J is empty, so no character check asks for one
+    for name, coords in (("A3", "-1,-1,-1"), ("A2", "0,0")):
+        code = main(
+            ["parabolic", "--type", name, "--weight", coords, "--I", "1",
+             "--depth", "100000", "--no-cache"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2, name
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "over the limit of 100000" in captured.err
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "A3", "G2"])

@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from jantzen.blocks import DefectError, integral_block, normalize, phi_plus_count
+from jantzen import blocks, clear_caches, filtration
+from jantzen.blocks import (
+    DefectError,
+    integral_block,
+    normalize,
+    phi_plus_count,
+    root_offset,
+)
 from jantzen.filtration import (
     LayerTable,
     domination_check,
@@ -342,6 +349,62 @@ def test_simple_weight_dims_depth_zero():
         # not a minimal coset representative on the wall
         sing = integral_block(rs, Weight.of(0))
         simple_weight_dims(sing, sing.system.gens[0], 2)
+
+
+def test_simple_weight_dims_memo_keys_on_mu():
+    # both blocks are regular and integral, so they share the interned
+    # full Weyl group; L(s1 mu) sits 1 and 2 alpha_1 above mu respectively
+    rs = _rs("A2")
+    clear_caches()
+    a = integral_block(rs, Weight.of(-1, -1))
+    b = integral_block(rs, Weight.of(-2, -1))
+    assert a.system is b.system
+    s1 = a.system.gens[0]
+    dims_a = simple_weight_dims(a, s1, 3)
+    dims_b = simple_weight_dims(b, s1, 3)
+    assert dims_a != dims_b
+    assert dims_a[(1, 0)] == 0 and dims_b[(1, 0)] == 1
+    # a warm call returns the memo; a cold one recomputes the same numbers
+    assert simple_weight_dims(a, s1, 3) is dims_a
+    clear_caches()
+    assert simple_weight_dims(b, s1, 3) == dims_b
+    assert simple_weight_dims(a, s1, 3) == dims_a
+
+
+def test_clear_caches_empties_block_memos():
+    rs = _rs("B2")
+    block = integral_block(rs, Weight.of(-1, -1))
+    simple_weight_dims(block, block.system.longest_element(), 2)
+    assert filtration._simple_dims and blocks._rises
+    clear_caches()
+    assert not filtration._simple_dims
+    assert not blocks._rises
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_block_offsets_match_root_offset(name):
+    rs = _rs(name)
+    for label, mu in suite_weights(rs):
+        block = integral_block(rs, mu)
+        sys = block.system
+        for x in sys.elements():
+            for y in sys.elements():
+                diff = block.apply(x) - block.apply(y)
+                if sys.bruhat_leq(y, x):
+                    assert block.offset(x, y) == root_offset(rs, diff), (label, x, y)
+                elif any(c < 0 for c in rs.weight_to_root_coords(diff.coords)):
+                    with pytest.raises(DefectError, match="not a sum of positive"):
+                        block.offset(x, y)
+
+
+def test_block_offset_rejects_a_negative_difference():
+    rs = _rs("A2")
+    block = integral_block(rs, Weight.of(-1, -1))
+    s1 = block.system.gens[0]
+    assert block.offset(s1, block.system.identity) == (1, 0)
+    # mu - s1(mu) = -alpha_1
+    with pytest.raises(DefectError, match="-2,1 is not a sum of positive roots"):
+        block.offset(block.system.identity, s1)
 
 
 def test_filtration_report_loewy_length():

@@ -19,10 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jantzen import shapovalov
-from jantzen.blocks import DefectError
+from jantzen import clear_caches, shapovalov
+from jantzen.blocks import DefectError, integral_block
 from jantzen.poly import Poly
-from jantzen.roots import LieType, Weight, build_root_system, partition_table
+from jantzen.roots import LieType, Weight, boxes, build_root_system, partition_table
 from jantzen.shapovalov import (
     DegenerateFormError,
     DepthCapError,
@@ -35,7 +35,7 @@ from jantzen.shapovalov import (
     smith_normal_form,
     weight_space_basis,
 )
-from jantzen.suite import ACCEPTANCE_TYPES
+from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
 
 T = Poly((0, 1))
 ONE = Poly.const(1)
@@ -308,6 +308,17 @@ def test_weight_space_basis_matches_kostant_partitions():
     assert weight_space_basis(rs, (0, 0)) == ((),)
 
 
+def test_weight_space_basis_memo():
+    rs = _rs("B2")
+    clear_caches()
+    basis = weight_space_basis(rs, (2, 1))
+    assert weight_space_basis(rs, [2, 1]) is basis
+    assert shapovalov._bases
+    clear_caches()
+    assert not shapovalov._bases
+    assert weight_space_basis(rs, (2, 1)) == basis
+
+
 def test_sl2_gram_closed_forms():
     cb = chevalley_basis(LieType.parse("A1"))
     basis, mat = gram_matrix(cb, Weight.of(1), (1,))
@@ -375,6 +386,69 @@ def test_smith_normal_form_divisibility_chain():
     exps = smith_normal_form(m)
     assert None not in exps
     assert list(exps) == sorted(exps)
+
+
+def _unscaled_smith(mat) -> tuple:
+    """smith_normal_form's elimination by least valuation, run on the
+    entries as given, without clearing denominators first."""
+    rows = [list(row) for row in mat]
+    exps = []
+    while rows:
+        best = None
+        for i, row in enumerate(rows):
+            for j, p in enumerate(row):
+                v = p.valuation
+                if v >= 0 and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            return tuple(exps) + (None,) * len(rows)
+        v, i, j = best
+        pivot = rows.pop(i)
+        u = Poly(pivot.pop(j).coeffs[v:])
+        for r, row in enumerate(rows):
+            q = Poly(row.pop(j).coeffs[v:])
+            rows[r] = [u * x - q * y for x, y in zip(row, pivot)]
+        exps.append(v)
+    return tuple(exps)
+
+
+def test_smith_scaling_keeps_exponents_on_nonintegral_grams():
+    # the 56 weight spaces of height <= 5 of A3 at nu = (1/2, 1/2, 0): Gram
+    # entries with Fraction coefficients, up to 7 x 7
+    cb = chevalley_basis(LieType.parse("A3"))
+    nu = Weight.of(Fraction(1, 2), Fraction(1, 2), 0)
+    mod = VermaModule(cb, nu)
+    mats = [gram_matrix(cb, nu, beta, mod)[1] for beta in boxes(3, 5)]
+    assert len(mats) == 56
+    assert any(
+        isinstance(c, Fraction) for m in mats for row in m for p in row for c in p.coeffs
+    )
+    for beta, m in zip(boxes(3, 5), mats):
+        assert smith_normal_form(m) == _unscaled_smith(m), beta
+
+
+_fraction_entries = st.builds(
+    lambda shift, coeffs: Poly(coeffs).shift(shift),
+    st.integers(0, 2),
+    st.lists(st.fractions(-3, 3, max_denominator=6), max_size=3),
+)
+
+
+@st.composite
+def _fraction_matrices(draw):
+    n = draw(st.integers(1, 4))
+    return [[draw(_fraction_entries) for _ in range(n)] for _ in range(n)]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_fraction_matrices())
+def test_smith_scaling_keeps_exponents_on_fraction_matrices(m):
+    assert smith_normal_form(m) == _unscaled_smith(m)
+    for row in m:
+        scaled = shapovalov._integral_row(row)
+        assert all(type(c) is int for p in scaled for c in p.coeffs)
+        # a nonzero rational multiple of the row: same valuations
+        assert [p.valuation for p in scaled] == [p.valuation for p in row]
 
 
 def _det(m) -> Poly:
@@ -489,6 +563,24 @@ def test_oracle_counts_repeated_simples(name, weight):
     # a simple that occurs twice in one level must count twice
     rep = oracle_compare(_rs(name), Weight.parse(weight))
     assert rep.passed, rep.failures
+
+
+@pytest.mark.parametrize("name", ["A2", "B2"])
+def test_oracle_cold_and_warm_reports_agree(name):
+    # cold: every per-block memo emptied before the call; warm: the same
+    # modules again, reading what the whole suite left in the memos
+    rs = _rs(name)
+    modules = []
+    for _, mu in suite_weights(rs, 0):
+        block = integral_block(rs, mu)
+        modules += [block.apply(w) for w in block.coset_reps()]
+    cold = []
+    for nu in modules:
+        clear_caches()
+        cold.append(oracle_compare(rs, nu))
+    warm = [oracle_compare(rs, nu) for nu in modules]
+    assert warm == cold
+    assert all(rep.passed for rep in cold)
 
 
 def test_oracle_depth_cap_enforced():
