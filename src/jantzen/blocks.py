@@ -12,7 +12,6 @@ representative modulo W_J.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import sub
 
 from jantzen.roots import (
@@ -20,6 +19,7 @@ from jantzen.roots import (
     Weight,
     coroot_pairing,
     is_antidominant,
+    pairing_numerator,
     positive_integral_pairings,
     reflect,
 )
@@ -27,14 +27,14 @@ from jantzen.weyl import CoxeterSystem, DefectError, subsystem
 
 
 def _integral_positive_indices(rs: RootSystem, w: Weight) -> tuple[int, ...]:
-    if len(w.coords) != rs.rank:
+    if len(w.num) != rs.rank:
         raise ValueError(
-            f"weight has {len(w.coords)} coordinates, expected {rs.rank}"
+            f"weight has {len(w.num)} coordinates, expected {rs.rank}"
         )
     return tuple(
         i
         for i, coroot in enumerate(rs.coroots)
-        if Fraction(coroot_pairing(w, coroot)).denominator == 1
+        if pairing_numerator(w, coroot) % w.den == 0
     )
 
 
@@ -57,9 +57,17 @@ class Block:
     def is_rep(self, w: int) -> bool:
         return self.system.is_min_coset_rep(w, self.J)
 
-    def reps_below(self, w: int) -> list[int]:
-        """The z in W^J with z <= w, sorted by (length, word)."""
-        return [z for z in self.system.bruhat_interval_below(w) if self.is_rep(z)]
+    def reps_below(self, w: int) -> tuple[int, ...]:
+        """The z in W^J with z <= w, sorted by (length, word); one filter
+        of the Bruhat interval per (system, J, w), kept until
+        clear_caches()."""
+        key = (self.system, self.J, w)
+        reps = _reps_below.get(key)
+        if reps is None:
+            reps = _reps_below[key] = tuple(
+                z for z in self.system.bruhat_interval_below(w) if self.is_rep(z)
+            )
+        return reps
 
     def apply(self, w: int) -> Weight:
         """The weight w(mu)."""
@@ -88,10 +96,14 @@ class Block:
 # (system, mu, w) -> root coordinates of w(mu) - mu: see Block.rise.
 _rises: dict = {}
 
+# (system, J, w) -> the z in W^J below w: see Block.reps_below.
+_reps_below: dict = {}
 
-def clear_offsets() -> None:
-    """Forget every memoised w(mu) - mu."""
+
+def clear_block_memos() -> None:
+    """Forget every memoised w(mu) - mu and W^J interval."""
     _rises.clear()
+    _reps_below.clear()
 
 
 def _block(rs: RootSystem, mu: Weight, pos_idx) -> Block:

@@ -287,8 +287,9 @@ def table_for(
 
 def clear_caches() -> None:
     """Forget every in-memory KL table, interned Coxeter system, truncated
-    partition table, per-block offset w(mu) - mu, simple character and
-    weight space basis.
+    partition table, per-block offset w(mu) - mu, per-block W^J interval
+    below w (``Block.reps_below``), simple character and weight space
+    basis.
 
     Disk caches are untouched; later calls rebuild (or reload) what they
     need from scratch."""
@@ -298,6 +299,6 @@ def clear_caches() -> None:
     _registry.clear()
     weyl.clear_systems()
     roots.clear_partition_caches()
-    blocks.clear_offsets()
+    blocks.clear_block_memos()
     filtration.clear_simple_dims()
     shapovalov.clear_bases()

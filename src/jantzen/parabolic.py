@@ -244,7 +244,8 @@ def parabolic_character_check(
     pblock.check_rep(w)
     lam = pblock.highest_weight(w)
     for i in pblock.ambient_I:
-        if int(lam.coords[i]) != lam.coords[i] or lam.coords[i] < 1:
+        # lam_i = num[i] / den must be an integer >= 1
+        if lam.num[i] % lam.den or lam.num[i] < lam.den:
             raise DefectError(
                 "highest weight is not dominant regular on the Levi simples"
             )

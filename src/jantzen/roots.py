@@ -2,15 +2,23 @@
 
 All arithmetic is exact.  Roots and coroots are integer vectors in the
 simple-root and simple-coroot bases; a weight is a vector of rationals in
-the pairing basis, ``coords[i] = <lambda, alpha_i^vee>``.  Bourbaki
-numbering fixes the Cartan matrices, with the convention
+the pairing basis, ``coords[i] = <lambda, alpha_i^vee>``, held in one
+integer form: ``den``, the least common denominator of the coordinates,
+and the integer numerators ``num = den * coords``.  Pairings, reflections
+and the Weyl group action are integer arithmetic on ``num`` over the same
+``den`` (the Weyl group acts by integer matrices with integer inverses, so
+it keeps ``den``).  ``Fraction``s appear only at the edges: parsing,
+``coords`` and ``serialize``, a pairing that is not an integer, and the
+exact solves (``solve``, ``weight_to_root_coords``).
+Bourbaki numbering fixes the Cartan matrices, with the convention
 ``cartan[i][j] = <alpha_j, alpha_i^vee>``, so ``rho`` is the all-ones
 weight and the reflection in ``alpha_i`` subtracts ``coords[i]`` times the
 i-th Cartan column.
 
 The package's one exact linear solver (``solve``, Gauss-Jordan over the
 rationals), its one matrix product (``matmul``) and its one coroot pairing
-(``coroot_pairing``) live here too, as does its one form of the partition
+(``pairing_numerator`` over a weight's denominator, ``coroot_pairing`` as
+a number) live here too, as does its one form of the partition
 function: a table truncated at a height (``partition_table``), read at
 shifted boxes by ``shifted_sum`` for every signed sum of shifted partition
 functions a character check needs.
@@ -157,6 +165,10 @@ class RootSystem:
                 f"expected {expected}"
             )
         self._index = {r: i for i, r in enumerate(self.positive_roots)}
+        # the Cartan image of each positive root: its weight coordinates
+        self.root_weights = tuple(
+            self.root_to_weight_coords(r) for r in self.positive_roots
+        )
         self.simple_indices = tuple(
             self._index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
@@ -185,10 +197,18 @@ class RootSystem:
         vec = tuple(vec)
         if vec in self._index:
             return self.coroots[self._index[vec]]
-        neg = tuple(-c for c in vec)
-        if neg in self._index:
-            return tuple(-c for c in self.coroots[self._index[neg]])
-        raise ValueError(f"{vec} is not a root of {self.lie_type}")
+        return tuple(-c for c in self.coroots[self.reflection_index(vec)])
+
+    def reflection_index(self, vec) -> int:
+        """Index of the positive root among vec and -vec, which share a
+        reflection; ValueError if vec is not a root."""
+        vec = tuple(vec)
+        i = self._index.get(vec)
+        if i is None:
+            i = self._index.get(tuple(-c for c in vec))
+            if i is None:
+                raise ValueError(f"{vec} is not a root of {self.lie_type}")
+        return i
 
     def root_to_weight_coords(self, vec) -> tuple[int, ...]:
         """Pairings of a root-lattice vector against all simple coroots."""
@@ -275,40 +295,115 @@ def build_root_system(lie_type: LieType) -> RootSystem:
     return RootSystem(lie_type)
 
 
-@dataclass(frozen=True)
-class Weight:
-    """A weight in the pairing basis: coords[i] = <lambda, alpha_i^vee>."""
+# Weight refuses attribute assignment; its constructors write through this.
+_assign = object.__setattr__
 
-    coords: tuple[Fraction, ...]
+
+class Weight:
+    """A weight in the pairing basis: coords[i] = <lambda, alpha_i^vee>.
+
+    Held as ``den``, the least common denominator of the coordinates, and
+    the integer numerators ``num = den * coords``; this form is unique, so
+    two weights are equal iff their forms are.  ``coords`` is built from
+    it on first use.  Weights are immutable; equality and hash are those
+    of the ``coords`` tuple.
+    """
+
+    __slots__ = ("den", "num", "_coords", "_hash")
+
+    def __init__(self, coords):
+        coords = tuple(Fraction(c) for c in coords)
+        den = math.lcm(*(c.denominator for c in coords))
+        _assign(self, "den", den)
+        _assign(self, "num", tuple(c.numerator * (den // c.denominator) for c in coords))
+        _assign(self, "_coords", coords)
+
+    @classmethod
+    def scaled(cls, den: int, num: tuple) -> "Weight":
+        """The weight num / den for a positive int den and a tuple of ints."""
+        g = math.gcd(den, *num)
+        if g != 1:
+            den, num = den // g, tuple(n // g for n in num)
+        w = object.__new__(cls)
+        _assign(w, "den", den)
+        _assign(w, "num", num)
+        return w
 
     @classmethod
     def of(cls, *values) -> "Weight":
-        return cls(tuple(Fraction(v) for v in values))
+        return cls(values)
 
     @classmethod
     def parse(cls, text: str) -> "Weight":
         try:
-            return cls(tuple(Fraction(p.strip()) for p in text.split(",")))
+            return cls(Fraction(p.strip()) for p in text.split(","))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse weight {text!r}") from exc
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        try:
+            return self._coords
+        except AttributeError:
+            d = self.den
+            coords = tuple(Fraction(n, d) for n in self.num)
+            _assign(self, "_coords", coords)
+            return coords
 
     def serialize(self) -> str:
         return ",".join(str(c) for c in self.coords)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.coords,))
+            _assign(self, "_hash", h)
+            return h
+
+    def __repr__(self):
+        return f"Weight(coords={self.coords!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Weight is immutable")
+
+    def __reduce__(self):
+        return Weight.scaled, (self.den, self.num)
+
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, -1)
+
+    def _combine(self, other: "Weight", sign: int) -> "Weight":
+        """self + sign * other over the least common multiple of the two
+        denominators."""
+        d = math.lcm(self.den, other.den)
+        a, b = d // self.den, sign * (d // other.den)
+        return Weight.scaled(d, tuple(a * x + b * y for x, y in zip(self.num, other.num)))
 
 
 def rho(rs: RootSystem) -> Weight:
-    return Weight(tuple(Fraction(1) for _ in range(rs.rank)))
+    return Weight.scaled(1, (1,) * rs.rank)
+
+
+def pairing_numerator(w: Weight, coroot) -> int:
+    """den * <w, alpha^vee>, an integer, for a coroot given in
+    simple-coroot coordinates."""
+    return sum(map(mul, coroot, w.num))
 
 
 def coroot_pairing(w: Weight, coroot):
-    """<w, alpha^vee> for a coroot given in simple-coroot coordinates."""
-    return sum(map(mul, coroot, w.coords))
+    """<w, alpha^vee> for a coroot given in simple-coroot coordinates: an
+    int when it is an integer, else a Fraction."""
+    p = pairing_numerator(w, coroot)
+    return p // w.den if p % w.den == 0 else Fraction(p, w.den)
 
 
 def pairing(rs: RootSystem, w: Weight, root) -> Fraction:
@@ -317,10 +412,15 @@ def pairing(rs: RootSystem, w: Weight, root) -> Fraction:
 
 
 def reflect(rs: RootSystem, w: Weight, root) -> Weight:
-    """s_root(w) = w - <w, root^vee> root."""
-    p = pairing(rs, w, root)
-    wc = rs.root_to_weight_coords(tuple(root))
-    return Weight(tuple(c - p * x for c, x in zip(w.coords, wc)))
+    """s_root(w) = w - <w, root^vee> root.
+
+    Over the common denominator d of w, the numerators lose P times the
+    Cartan image of the root, with P = d <w, root^vee> an integer."""
+    k = rs.reflection_index(root)
+    p = pairing_numerator(w, rs.coroots[k])
+    return Weight.scaled(
+        w.den, tuple(n - p * x for n, x in zip(w.num, rs.root_weights[k]))
+    )
 
 
 def positive_integral_pairings(rs: RootSystem, w: Weight):
@@ -330,10 +430,11 @@ def positive_integral_pairings(rs: RootSystem, w: Weight):
     The generator is lazy: a caller that stops early pairs only the
     coroots it has reached.
     """
+    d = w.den
     for i, coroot in enumerate(rs.coroots):
-        p = coroot_pairing(w, coroot)
-        if p > 0 and Fraction(p).denominator == 1:
-            yield i, p
+        p = pairing_numerator(w, coroot)
+        if p > 0 and p % d == 0:
+            yield i, p // d
 
 
 def is_antidominant(rs: RootSystem, w: Weight) -> bool:

@@ -34,6 +34,7 @@ from jantzen.roots import (
     coroot_pairing,
     identity_matrix,
     matmul,
+    pairing_numerator,
     solve,
 )
 
@@ -173,9 +174,11 @@ class CoxeterSystem:
         """The image w(lambda) of a weight in the pairing basis.
 
         Row i of the matrix of w is the coroot w^-1(alpha_i^vee), since
-        <w lambda, alpha_i^vee> = <lambda, w^-1 alpha_i^vee>."""
-        return Weight(
-            tuple(coroot_pairing(weight, row) for row in self._tables().matrix[w])
+        <w lambda, alpha_i^vee> = <lambda, w^-1 alpha_i^vee>; the integer
+        matrix acts on the numerators over the weight's denominator."""
+        return Weight.scaled(
+            weight.den,
+            tuple(pairing_numerator(weight, row) for row in self._tables().matrix[w]),
         )
 
     def coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:

@@ -3,8 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jantzen.blocks import DefectError, integral_block, normalize, phi_plus_count
+from jantzen.filtration import sum_formula_check
 from jantzen.kl import table_for
 from jantzen.roots import LieType, Weight, build_root_system
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
@@ -137,6 +140,69 @@ def test_normalize_nonintegral():
     assert w != block.system.identity
     assert block.apply(w) == nu
     assert block.delta_roots == ((1, 1),)
+
+
+# Types of the property test; every example draws one weight per type.
+_PROPERTY_TYPES = ("A2", "B2", "G2", "A3", "B3")
+
+
+@st.composite
+def _weights(draw):
+    """{type: weight} with signed rational coordinates of denominator <= 6."""
+    out = {}
+    for name in _PROPERTY_TYPES:
+        rank = int(name[1:])
+        out[name] = Weight(
+            Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 6)))
+            for _ in range(rank)
+        )
+    return out
+
+
+def _ref_pairing(coords, coroot) -> Fraction:
+    """<lambda, alpha^vee> by Fraction arithmetic on the coordinates."""
+    return sum((Fraction(c) * x for c, x in zip(coords, coroot)), Fraction(0))
+
+
+def _ref_positive_integral(rs, coords) -> int:
+    """Number of positive roots whose pairing is a positive integer."""
+    pairings = [_ref_pairing(coords, coroot) for coroot in rs.coroots]
+    return sum(1 for p in pairings if p > 0 and p.denominator == 1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_weights())
+def test_normalize_and_sum_formula_on_drawn_weights(weights):
+    for name, nu in weights.items():
+        rs = _rs(name)
+        block, y = normalize(rs, nu)
+        assert _ref_positive_integral(rs, block.mu.coords) == 0
+        assert block.is_rep(y)
+        # nu = y(mu), walking the reduced word of y by Fraction reflections
+        got = block.mu.coords
+        for i in reversed(block.system.word(y)):
+            alpha = block.system.simple_roots[i]
+            p = _ref_pairing(got, rs.coroot_of(alpha))
+            image = rs.root_to_weight_coords(alpha)
+            got = tuple(c - p * x for c, x in zip(got, image))
+        assert got == nu.coords
+        res = sum_formula_check(rs, nu)
+        assert res.passed, (name, nu.serialize())
+        assert len(res.reflected) == _ref_positive_integral(rs, nu.coords)
+
+
+def test_reps_below_is_memoised_per_block_shape():
+    rs = _rs("B2")
+    block = integral_block(rs, Weight.of(0, -1))
+    sys = block.system
+    for w in block.coset_reps():
+        reps = block.reps_below(w)
+        want = tuple(z for z in sys.bruhat_interval_below(w) if block.is_rep(z))
+        assert reps == want
+        # a block with the same system and J reads the same entry
+        other = integral_block(rs, Weight.of(0, -2))
+        assert other.system is sys and other.J == block.J
+        assert other.reps_below(w) is reps
 
 
 def test_block_apply():

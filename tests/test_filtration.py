@@ -375,10 +375,11 @@ def test_clear_caches_empties_block_memos():
     rs = _rs("B2")
     block = integral_block(rs, Weight.of(-1, -1))
     simple_weight_dims(block, block.system.longest_element(), 2)
-    assert filtration._simple_dims and blocks._rises
+    assert filtration._simple_dims and blocks._rises and blocks._reps_below
     clear_caches()
     assert not filtration._simple_dims
     assert not blocks._rises
+    assert not blocks._reps_below
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

@@ -1,9 +1,12 @@
 """Root system data: closure, pairings, and Kostant partition counts."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jantzen.roots import (
     LieType,
@@ -11,6 +14,7 @@ from jantzen.roots import (
     Weight,
     boxes,
     build_root_system,
+    coroot_pairing,
     identity_matrix,
     invert,
     is_antidominant,
@@ -25,6 +29,7 @@ from jantzen.roots import (
     solve,
 )
 from jantzen.suite import ACCEPTANCE_TYPES
+from jantzen.weyl import weyl_group
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4"]
 
@@ -459,3 +464,88 @@ def test_positive_integral_pairings_match_pairing():
             ]
             assert list(positive_integral_pairings(rs, w)) == want
             assert is_antidominant(rs, w) == (not want)
+
+
+def test_coroot_pairing_is_int_when_integral():
+    rs = build_root_system(LieType.parse("B2"))
+    for coroot in rs.coroots:
+        p = coroot_pairing(Weight.of(3, -2), coroot)
+        assert type(p) is int
+    # <(1/2, 1/3), alpha_1^vee> = 1/2 and <., (2, 1)> = 4/3, both reduced
+    half = coroot_pairing(Weight.of(Fraction(1, 2), Fraction(1, 3)), (1, 0))
+    assert type(half) is Fraction and (half.numerator, half.denominator) == (1, 2)
+    four_thirds = coroot_pairing(Weight.of(Fraction(1, 2), Fraction(1, 3)), (2, 1))
+    assert four_thirds == Fraction(4, 3) and four_thirds.denominator == 3
+    # a pairing that is an integer is an int even when the weight is not
+    assert type(coroot_pairing(Weight.of(Fraction(1, 2), Fraction(1, 2)), (2, 2))) is int
+
+
+def test_weight_integer_form_and_identity():
+    assert Weight.of(1, 0) == Weight((Fraction(1), Fraction(0)))
+    assert hash(Weight.of(1, 0)) == hash(Weight((Fraction(1), Fraction(0))))
+    assert hash(Weight.of(1, 0)) == hash(((Fraction(1), Fraction(0)),))
+    w = Weight.of(Fraction(-1, 2), Fraction(2, 3), 1)
+    assert (w.den, w.num) == (6, (-3, 4, 6))
+    # the same weight from unreduced numerators over any denominator
+    same = Weight.scaled(12, (-6, 8, 12))
+    assert same == w and hash(same) == hash(w) and same.coords == w.coords
+    assert (same.den, same.num) == (6, (-3, 4, 6))
+    assert same.serialize() == "-1/2,2/3,1"
+    assert repr(same) == repr(w)
+    assert (w - w) == Weight.of(0, 0, 0) and (w - w).den == 1
+    with pytest.raises(AttributeError):
+        w.den = 1
+
+
+# Types of the property tests; every example draws one weight per type.
+_PROPERTY_TYPES = ("A2", "B2", "G2", "A3", "B3")
+
+
+@st.composite
+def _weights(draw):
+    """{type: weight} with signed rational coordinates of denominator <= 6."""
+    out = {}
+    for name in _PROPERTY_TYPES:
+        rank = int(name[1:])
+        out[name] = Weight(
+            Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 6)))
+            for _ in range(rank)
+        )
+    return out
+
+
+def _ref_pairing(coords, coroot) -> Fraction:
+    """<lambda, alpha^vee> by Fraction arithmetic on the coordinates."""
+    return sum((Fraction(c) * x for c, x in zip(coords, coroot)), Fraction(0))
+
+
+def _ref_reflect(rs, coords, root) -> tuple:
+    """s_root(lambda) by Fraction arithmetic on the coordinates."""
+    p = _ref_pairing(coords, rs.coroot_of(root))
+    n = rs.rank
+    image = [sum(rs.cartan[i][k] * root[k] for k in range(n)) for i in range(n)]
+    return tuple(c - p * x for c, x in zip(coords, image))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_weights())
+def test_integer_arithmetic_matches_fraction_reference(weights):
+    for name, w in weights.items():
+        rs = build_root_system(LieType.parse(name))
+        coords = w.coords
+        assert w.den == math.lcm(*(c.denominator for c in coords))
+        assert w.num == tuple(c * w.den for c in coords)
+        for root, coroot in zip(rs.positive_roots, rs.coroots):
+            assert coroot_pairing(w, coroot) == _ref_pairing(coords, coroot)
+            for r in (root, tuple(-x for x in root)):
+                image = reflect(rs, w, r)
+                assert image.coords == _ref_reflect(rs, coords, r)
+                assert image == Weight(image.coords)
+        sys = weyl_group(rs)
+        for u in sys.elements():
+            want = coords
+            for i in reversed(sys.word(u)):
+                want = _ref_reflect(rs, want, sys.simple_roots[i])
+            got = sys.apply(u, w)
+            assert got.coords == want
+            assert got == Weight(want) and hash(got) == hash(Weight(want))
