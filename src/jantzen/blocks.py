@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import sub
 
+from jantzen.kl import KLTable
 from jantzen.roots import (
     RootSystem,
     Weight,
@@ -57,17 +58,20 @@ class Block:
     def is_rep(self, w: int) -> bool:
         return self.system.is_min_coset_rep(w, self.J)
 
-    def reps_below(self, w: int) -> tuple[int, ...]:
-        """The z in W^J with z <= w, sorted by (length, word); one filter
-        of the Bruhat interval per (system, J, w), kept until
-        clear_caches()."""
+    def column(self, w: int, table: KLTable) -> dict:
+        """{z: Q(z, w)} over the z in W^J with z <= w, in (length, word)
+        order: the graded multiplicities of the simples L(z mu) in M(w mu).
+        One read of ``table`` per (system, J, w), kept until
+        clear_caches(); callers read it and must not change it."""
         key = (self.system, self.J, w)
-        reps = _reps_below.get(key)
-        if reps is None:
-            reps = _reps_below[key] = tuple(
-                z for z in self.system.bruhat_interval_below(w) if self.is_rep(z)
-            )
-        return reps
+        col = _columns.get(key)
+        if col is None:
+            col = _columns[key] = {
+                z: table.inverse_polynomial(z, w)
+                for z in self.system.bruhat_interval_below(w)
+                if self.is_rep(z)
+            }
+        return col
 
     def apply(self, w: int) -> Weight:
         """The weight w(mu)."""
@@ -96,14 +100,14 @@ class Block:
 # (system, mu, w) -> root coordinates of w(mu) - mu: see Block.rise.
 _rises: dict = {}
 
-# (system, J, w) -> the z in W^J below w: see Block.reps_below.
-_reps_below: dict = {}
+# (system, J, w) -> {z: Q(z, w)} over W^J below w: see Block.column.
+_columns: dict = {}
 
 
 def clear_block_memos() -> None:
-    """Forget every memoised w(mu) - mu and W^J interval."""
+    """Forget every memoised w(mu) - mu and multiplicity column."""
     _rises.clear()
-    _reps_below.clear()
+    _columns.clear()
 
 
 def _block(rs: RootSystem, mu: Weight, pos_idx) -> Block:

@@ -44,6 +44,11 @@ class LayerRows:
     """What ordinary and parabolic layer tables share: ``rows[j]`` maps a
     column to its multiplicity in layer j of the module at ``w``."""
 
+    @property
+    def columns(self) -> tuple[int, ...]:
+        """Every column with a nonzero entry in some row, by (length, word)."""
+        return tuple(sorted({z for row in self.rows for z in row}))
+
     def mult(self, j: int, z: int) -> int:
         if 0 <= j < len(self.rows):
             return self.rows[j].get(z, 0)
@@ -68,16 +73,11 @@ class LayerTable(LayerRows):
 
     block: Block
     w: int
-    columns: tuple[int, ...]
     rows: tuple[dict, ...]
 
     @property
     def loewy_length(self) -> int:
         return len(self.rows)
-
-    def weighted_total(self, z: int) -> int:
-        """sum_j j * [Rad_j : L(z mu)] = sum_{i>=1} [M^i : L(z mu)]."""
-        return sum(j * row.get(z, 0) for j, row in enumerate(self.rows))
 
     def level_multiplicities(self) -> tuple[dict, ...]:
         """M^i as multiplicity vectors, i = 0..loewy_length (suffix sums)."""
@@ -108,10 +108,8 @@ def layers(block: Block, w: int, table: KLTable | None = None) -> LayerTable:
         )
     if table is None:
         table = table_for(sys)
-    rows = graded_rows(
-        sys, w, ((z, table.inverse_polynomial(z, w)) for z in block.reps_below(w))
-    )
-    return LayerTable(block=block, w=w, columns=layer_columns(rows), rows=rows)
+    rows = graded_rows(sys, w, block.column(w, table).items())
+    return LayerTable(block=block, w=w, rows=rows)
 
 
 def graded_rows(sys, w: int, polys, defect=DefectError) -> tuple[dict, ...]:
@@ -138,11 +136,6 @@ def graded_rows(sys, w: int, polys, defect=DefectError) -> tuple[dict, ...]:
                 raise defect("layer index underflow; degree bound broken")
             rows[j][z] = c
     return tuple(rows)
-
-
-def layer_columns(rows) -> tuple[int, ...]:
-    """Every column with a nonzero entry in some row, by (length, word)."""
-    return tuple(sorted({z for row in rows for z in row}))
 
 
 @dataclass
@@ -179,14 +172,19 @@ def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
         if block.apply(v) != reflect(rs, nu, alpha):
             raise DefectError("reflected parameter does not reproduce s_alpha nu")
         reflected.append((alpha, v))
-        for z in block.reps_below(v):
-            rhs[z] = rhs.get(z, 0) + table.inverse_polynomial(z, v)(1)
+        for z, q in block.column(v, table).items():
+            rhs[z] = rhs.get(z, 0) + q(1)
+
+    # sum_{i>0} [M^i : L(z mu)] = sum_j j [Rad_j : L(z mu)]
+    lhs: dict[int, int] = {}
+    for j, row in enumerate(lt.rows):
+        for z, m in row.items():
+            lhs[z] = lhs.get(z, 0) + j * m
 
     per_column = []
     passed = True
-    cols = sorted(set(lt.columns) | set(rhs))
-    for z in cols:
-        lhs_z = lt.weighted_total(z)
+    for z in sorted(set(lhs) | set(rhs)):
+        lhs_z = lhs.get(z, 0)
         rhs_z = rhs.get(z, 0)
         if lhs_z != rhs_z:
             passed = False
@@ -272,13 +270,13 @@ def simple_weight_dims(block: Block, z: int, depth: int) -> dict:
     if not block.is_rep(z):
         raise ValueError("z must be a minimal-length coset representative")
     table = table_for(sys)
-    below = block.reps_below(z)
+    below = tuple(block.column(z, table))
     index = {v: i for i, v in enumerate(below)}
     size = len(below)
     mult = [[0] * size for _ in range(size)]
     for col, u in enumerate(below):
-        for v in block.reps_below(u):
-            mult[index[v]][col] = table.inverse_polynomial(v, u)(1)
+        for v, q in block.column(u, table).items():
+            mult[index[v]][col] = q(1)
     # back-substitute the z-column of the inverse: coeffs[v] with
     # ch L(z mu) = sum_v coeffs[v] ch M(v mu)
     coeffs = [0] * size

@@ -118,13 +118,6 @@ class KLTable:
         self._cols[w] = col
         return col
 
-    def mu(self, z: int, v: int) -> int:
-        sys = self.system
-        d = sys.length(v) - sys.length(z)
-        if d <= 0 or d % 2 == 0:
-            return 0
-        return self.polynomial(z, v).coeff((d - 1) // 2)
-
     def build(self) -> "KLTable":
         for w in self.system.elements():
             self._column(w)
@@ -287,9 +280,9 @@ def table_for(
 
 def clear_caches() -> None:
     """Forget every in-memory KL table, interned Coxeter system, truncated
-    partition table, per-block offset w(mu) - mu, per-block W^J interval
-    below w (``Block.reps_below``), simple character and weight space
-    basis.
+    partition table, per-block offset w(mu) - mu, per-block multiplicity
+    column {z: Q(z, w)} (``Block.column``), simple character and weight
+    space basis: every module-level memo of the package.
 
     Disk caches are untouched; later calls rebuild (or reload) what they
     need from scratch."""

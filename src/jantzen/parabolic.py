@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from jantzen.blocks import Block, DefectError
-from jantzen.filtration import LayerRows, graded_rows, layer_columns, layers
+from jantzen.filtration import LayerRows, graded_rows, layers
 from jantzen.kl import KLTable, table_for
 from jantzen.poly import Poly
 from jantzen.roots import Weight, partition_table, shifted_sum
@@ -92,6 +92,9 @@ def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
     reps = tuple(
         w for w in block.coset_reps() if sys.upper_coset_membership(w, I, block.J)
     )
+    # parabolic_layers looks w_I z up in columns over W^J
+    if not all(sys.is_min_coset_rep(sys.mul(wI, z), block.J) for z in reps):
+        raise DefectError("w_I z is not minimal in its coset modulo W_J")
     return ParabolicBlock(block=block, ambient_I=ambient_I, I=I, wI=wI, reps=reps)
 
 
@@ -105,7 +108,6 @@ class ParabolicLayerTable(LayerRows):
 
     pblock: ParabolicBlock
     w: int
-    columns: tuple[int, ...]
     rows: tuple[dict, ...]
 
     @property
@@ -128,28 +130,28 @@ def parabolic_layers(
         table = table_for(sys)
     wI = pblock.wI
     wIw = sys.mul(wI, w)
-    targets = [(sys.mul(u, wIw), sign) for u, sign in pblock.signed_levi]
+    targets = [
+        (block.column(sys.mul(u, wIw), table), sign) for u, sign in pblock.signed_levi
+    ]
     lw = sys.length(w)
     n_polys = {}
     # only columns in {}^I W^J survive translation onto the singular weight;
-    # reps are in (length, word) order, so the rows keep that order
+    # reps are in (length, word) order, so the rows keep that order.  Each
+    # w_I z lies in W^J (enumerate_IWJ checks it), so Q(w_I z, target) is
+    # its entry in the target's column, absent when w_I z is not below
     for z in pblock.reps:
         if sys.length(z) > lw:
             break
         wIz = sys.mul(wI, z)
         n = Poly()
-        for target, sign in targets:
-            if sys.bruhat_leq(wIz, target):
-                n = n + sign * table.inverse_polynomial(wIz, target)
+        for col, sign in targets:
+            q = col.get(wIz)
+            if q is not None:
+                n = n + sign * q
         if not n.is_zero():
             n_polys[z] = n
     rows = graded_rows(sys, w, n_polys.items(), ConventionDefectError)
-    return ParabolicLayerTable(
-        pblock=pblock,
-        w=w,
-        columns=layer_columns(rows),
-        rows=rows,
-    )
+    return ParabolicLayerTable(pblock=pblock, w=w, rows=rows)
 
 
 def parabolic_layers_dual_path(
@@ -202,12 +204,7 @@ def parabolic_layers_dual_path(
                     "negative multiplicity in the signed superposition"
                 )
             rows[j][z] = c
-    return ParabolicLayerTable(
-        pblock=pblock,
-        w=w,
-        columns=layer_columns(rows),
-        rows=tuple(rows),
-    )
+    return ParabolicLayerTable(pblock=pblock, w=w, rows=tuple(rows))
 
 
 @dataclass

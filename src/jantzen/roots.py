@@ -406,11 +406,6 @@ def coroot_pairing(w: Weight, coroot):
     return p // w.den if p % w.den == 0 else Fraction(p, w.den)
 
 
-def pairing(rs: RootSystem, w: Weight, root) -> Fraction:
-    """<w, root^vee> for any root of the system."""
-    return Fraction(coroot_pairing(w, rs.coroot_of(root)))
-
-
 def reflect(rs: RootSystem, w: Weight, root) -> Weight:
     """s_root(w) = w - <w, root^vee> root.
 

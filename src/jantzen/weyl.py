@@ -28,10 +28,11 @@ entry for the full root set.
 
 from __future__ import annotations
 
+from operator import mul
+
 from jantzen.roots import (
     RootSystem,
     Weight,
-    coroot_pairing,
     identity_matrix,
     matmul,
     pairing_numerator,
@@ -56,7 +57,7 @@ class DefectError(RuntimeError):
 
 def _root_pairing(rs: RootSystem, root, alpha) -> int:
     """<root, alpha^vee> for roots in simple-root coordinates."""
-    return coroot_pairing(Weight(rs.root_to_weight_coords(root)), rs.coroot_of(alpha))
+    return sum(map(mul, rs.coroot_of(alpha), rs.root_to_weight_coords(root)))
 
 
 def _reflection_matrix(rs: RootSystem, alpha):

@@ -191,18 +191,36 @@ def test_normalize_and_sum_formula_on_drawn_weights(weights):
         assert len(res.reflected) == _ref_positive_integral(rs, nu.coords)
 
 
-def test_reps_below_is_memoised_per_block_shape():
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ACCEPTANCE_TYPES)
+def test_column_matches_direct_reads(name, seed):
+    # column(w) is Q(z, w) read pair by pair over the W^J part of [e, w],
+    # in (length, word) order, which is index order
+    rs = _rs(name)
+    for label, mu in suite_weights(rs, seed):
+        block = integral_block(rs, mu)
+        sys = block.system
+        table = table_for(sys)
+        for w in sys.elements():
+            col = block.column(w, table)
+            want = {
+                z: table.inverse_polynomial(z, w)
+                for z in sys.bruhat_interval_below(w)
+                if block.is_rep(z)
+            }
+            assert col == want, (name, label, w)
+            assert list(col) == sorted(col)
+
+
+def test_column_is_memoised_per_block_shape():
     rs = _rs("B2")
     block = integral_block(rs, Weight.of(0, -1))
-    sys = block.system
+    other = integral_block(rs, Weight.of(0, -2))
+    assert other.system is block.system and other.J == block.J
+    table = table_for(block.system)
     for w in block.coset_reps():
-        reps = block.reps_below(w)
-        want = tuple(z for z in sys.bruhat_interval_below(w) if block.is_rep(z))
-        assert reps == want
-        # a block with the same system and J reads the same entry
-        other = integral_block(rs, Weight.of(0, -2))
-        assert other.system is sys and other.J == block.J
-        assert other.reps_below(w) is reps
+        # a block with the same system and J reads the same column object
+        assert other.column(w, table) is block.column(w, table)
 
 
 def test_block_apply():

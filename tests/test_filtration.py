@@ -1,10 +1,13 @@
 """Radical filtrations of Verma modules and the sum-formula oracle."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from jantzen import blocks, clear_caches, filtration
+import jantzen
+from jantzen import clear_caches
 from jantzen.blocks import (
     DefectError,
     integral_block,
@@ -20,7 +23,9 @@ from jantzen.filtration import (
     sum_formula_check,
 )
 from jantzen.kl import table_for
+from jantzen.parabolic import enumerate_IWJ, parabolic_layers
 from jantzen.roots import LieType, Weight, build_root_system, partition_count, reflect
+from jantzen.shapovalov import oracle_compare
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
 
 
@@ -178,17 +183,13 @@ def test_layer_table_validate_errors():
     w = sys.gens[0]
     good = layers(block, w)
     e = sys.identity
-    bad = LayerTable(block=block, w=w, columns=good.columns, rows=(good.rows[0],))
+    bad = LayerTable(block=block, w=w, rows=(good.rows[0],))
     with pytest.raises(DefectError):
         bad.validate()
-    bad = LayerTable(
-        block=block, w=w, columns=good.columns, rows=({e: 1}, {w: 1})
-    )
+    bad = LayerTable(block=block, w=w, rows=({e: 1}, {w: 1}))
     with pytest.raises(DefectError):
         bad.validate()
-    bad = LayerTable(
-        block=block, w=w, columns=good.columns, rows=({w: 1}, {})
-    )
+    bad = LayerTable(block=block, w=w, rows=({w: 1}, {}))
     with pytest.raises(DefectError):
         bad.validate()
 
@@ -210,9 +211,21 @@ def test_level_multiplicities_are_suffix_sums():
     # totals agree with column sums
     for z in table.columns:
         assert sum(row.get(z, 0) for row in table.rows) == levels[0].get(z, 0)
-        assert table.weighted_total(z) == sum(
-            levels[i].get(z, 0) for i in range(1, len(levels))
-        )
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "A3"])
+def test_sum_formula_lhs_is_weighted_layer_count(name):
+    # the left side sum_{i>0} [M^i : L(z mu)] is sum_j j [Rad_j : L(z mu)],
+    # and every column of the layer table appears in per_column
+    rs = _rs(name)
+    for label, mu in suite_weights(rs):
+        block = integral_block(rs, mu)
+        for w in block.coset_reps():
+            res = sum_formula_check(rs, block.apply(w))
+            lhs = {z: got for z, got, _ in res.per_column}
+            assert set(res.table.columns) <= set(lhs)
+            for z, got in lhs.items():
+                assert got == sum(j * row.get(z, 0) for j, row in enumerate(res.table.rows))
 
 
 def test_sum_formula_a2_values():
@@ -371,15 +384,37 @@ def test_simple_weight_dims_memo_keys_on_mu():
     assert simple_weight_dims(a, s1, 3) == dims_a
 
 
-def test_clear_caches_empties_block_memos():
+def _memos():
+    # every module-level dict of the package named _lowercase; the
+    # _UPPER_CASE constant tables are not memos
+    out = {}
+    for info in pkgutil.iter_modules(jantzen.__path__):
+        mod = importlib.import_module(f"jantzen.{info.name}")
+        for attr, value in vars(mod).items():
+            if isinstance(value, dict) and attr[:1] == "_" and attr[1:2].islower():
+                out[f"{info.name}.{attr}"] = value
+    return out
+
+
+def test_clear_caches_empties_every_memo():
     rs = _rs("B2")
-    block = integral_block(rs, Weight.of(-1, -1))
-    simple_weight_dims(block, block.system.longest_element(), 2)
-    assert filtration._simple_dims and blocks._rises and blocks._reps_below
+    sum_formula_check(rs, Weight.of(1, 1))
+    oracle_compare(rs, Weight.of(1, 0), 2)
+    pb = enumerate_IWJ(integral_block(rs, Weight.of(-1, -1)), (0,))
+    parabolic_layers(pb, pb.reps[-1])
+    memos = _memos()
+    for name in (
+        "blocks._columns",
+        "blocks._rises",
+        "filtration._simple_dims",
+        "kl._registry",
+        "roots._partition_tables",
+        "shapovalov._bases",
+        "weyl._systems",
+    ):
+        assert memos[name], name
     clear_caches()
-    assert not filtration._simple_dims
-    assert not blocks._rises
-    assert not blocks._reps_below
+    assert {name for name, memo in memos.items() if memo} == set()
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

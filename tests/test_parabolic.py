@@ -269,6 +269,21 @@ def test_enumerate_rejects_bad_indices():
         enumerate_IWJ(block, (-1,))
 
 
+def test_enumerate_rejects_wI_z_outside_WJ(monkeypatch):
+    # parabolic_layers reads Q(w_I z, -) from columns over W^J, so
+    # enumerate_IWJ must refuse a z in {}^I W^J with w_I z outside W^J.
+    # With membership forced true, z = e gives w_I = s1, which lies in
+    # the coset s1 W_J of the wall J = {s1}.
+    rs = _rs("A2")
+    block = integral_block(rs, Weight.of(0, -1))
+    assert block.J == (0,)
+    monkeypatch.setattr(
+        weyl.CoxeterSystem, "upper_coset_membership", lambda self, w, I, J: True
+    )
+    with pytest.raises(DefectError, match="w_I z"):
+        enumerate_IWJ(block, (0,))
+
+
 def test_parabolic_layers_rejects_non_rep():
     rs = _rs("A2")
     block = integral_block(rs, Weight.of(-1, -1))
@@ -285,14 +300,11 @@ def test_validate_errors():
     pb = enumerate_IWJ(block, (0,))
     w = pb.reps[1]
     good = parabolic_layers(pb, w)
-    bad = ParabolicLayerTable(pblock=pb, w=w, columns=good.columns, rows=good.rows[:-1])
+    bad = ParabolicLayerTable(pblock=pb, w=w, rows=good.rows[:-1])
     with pytest.raises(DefectError):
         bad.validate()
     bad = ParabolicLayerTable(
-        pblock=pb,
-        w=w,
-        columns=good.columns,
-        rows=({pb.reps[0]: 1},) + good.rows[1:],
+        pblock=pb, w=w, rows=({pb.reps[0]: 1},) + good.rows[1:]
     )
     with pytest.raises(DefectError):
         bad.validate()

@@ -19,7 +19,6 @@ from jantzen.roots import (
     invert,
     is_antidominant,
     matmul,
-    pairing,
     partition_count,
     partition_table,
     positive_integral_pairings,
@@ -162,8 +161,9 @@ def test_rho_pairs_to_coroot_height():
     # <rho, alpha^vee> equals the height of alpha^vee.
     for name, rs in _systems():
         r = rho(rs)
-        for alpha, coroot in zip(rs.positive_roots, rs.coroots):
-            assert pairing(rs, r, alpha) == sum(coroot)
+        for alpha in rs.positive_roots:
+            coroot = rs.coroot_of(alpha)
+            assert coroot_pairing(r, coroot) == sum(coroot)
 
 
 def test_reflect_negates_pairing_and_is_involutive():
@@ -171,20 +171,23 @@ def test_reflect_negates_pairing_and_is_involutive():
     w = Weight.of(Fraction(3, 2), -2)
     for alpha in rs.positive_roots:
         image = reflect(rs, w, alpha)
-        assert pairing(rs, image, alpha) == -pairing(rs, w, alpha)
+        coroot = rs.coroot_of(alpha)
+        assert coroot_pairing(image, coroot) == -coroot_pairing(w, coroot)
         assert reflect(rs, image, alpha) == w
 
 
 def test_pairing_examples():
     rs = build_root_system(LieType.parse("A2"))
     w = Weight.of(1, -1)
-    assert pairing(rs, w, (1, 0)) == 1
-    assert pairing(rs, w, (0, 1)) == -1
-    assert pairing(rs, w, (1, 1)) == 0
+    assert coroot_pairing(w, rs.coroot_of((1, 0))) == 1
+    assert coroot_pairing(w, rs.coroot_of((0, 1))) == -1
+    assert coroot_pairing(w, rs.coroot_of((1, 1))) == 0
     g2 = build_root_system(LieType.parse("G2"))
     # alpha1 short: <alpha1, alpha2^vee> = -1, <alpha2, alpha1^vee> = -3.
-    assert pairing(g2, Weight.of(*g2.root_to_weight_coords((1, 0))), (0, 1)) == -1
-    assert pairing(g2, Weight.of(*g2.root_to_weight_coords((0, 1))), (1, 0)) == -3
+    a1 = Weight.of(*g2.root_to_weight_coords((1, 0)))
+    a2 = Weight.of(*g2.root_to_weight_coords((0, 1)))
+    assert coroot_pairing(a1, g2.coroot_of((0, 1))) == -1
+    assert coroot_pairing(a2, g2.coroot_of((1, 0))) == -3
 
 
 def test_antidominance():
@@ -457,10 +460,13 @@ def test_positive_integral_pairings_match_pairing():
         half = Fraction(1, 2)
         for coords in [(1, 1), (1, 0), (-1, 2), (half, 1), (3 * half, 2)]:
             w = Weight.of(*coords)
+            pairings = [
+                coroot_pairing(w, rs.coroot_of(root)) for root in rs.positive_roots
+            ]
             want = [
-                (i, pairing(rs, w, root))
-                for i, root in enumerate(rs.positive_roots)
-                if pairing(rs, w, root) > 0 and pairing(rs, w, root).denominator == 1
+                (i, p)
+                for i, p in enumerate(pairings)
+                if p > 0 and Fraction(p).denominator == 1
             ]
             assert list(positive_integral_pairings(rs, w)) == want
             assert is_antidominant(rs, w) == (not want)

@@ -12,7 +12,14 @@ from fractions import Fraction
 import pytest
 
 from jantzen.blocks import integral_block, normalize
-from jantzen.roots import LieType, Weight, build_root_system, pairing, reflect, rho
+from jantzen.roots import (
+    LieType,
+    Weight,
+    build_root_system,
+    coroot_pairing,
+    reflect,
+    rho,
+)
 from jantzen.suite import ACCEPTANCE_TYPES
 from jantzen.weyl import CapExceededError, format_word, parse_word, weyl_group
 
@@ -412,7 +419,9 @@ def test_apply_weight_action():
             if all(c <= 0 for c in moved):
                 moved = tuple(-c for c in moved)
                 sign = -1
-            assert pairing(rs, image, moved) == sign * pairing(rs, r, alpha)
+            assert coroot_pairing(image, rs.coroot_of(moved)) == sign * coroot_pairing(
+                r, rs.coroot_of(alpha)
+            )
 
 
 def test_sort_key_orders_by_length():
