@@ -7,8 +7,30 @@ computations: the Jantzen sum formula and a from-scratch contravariant
 form, deformed over Q[t] and reduced over the local ring Q[t]_(t).
 """
 
-from jantzen.kl import clear_caches
+import sys
+
+from jantzen import kl
 
 __version__ = "0.1.0"
 
 __all__ = ["clear_caches"]
+
+# caches that hold constants of a type, built once and never cleared
+_CONSTANTS = ("build_root_system", "chevalley_basis")
+
+
+def clear_caches() -> None:
+    """Forget every in-memory KL table, interned Coxeter system, truncated
+    partition table, per-block offset w(mu) - mu, per-block multiplicity
+    column {z: Q(z, w)} (``Block.column``), simple character and weight
+    space basis: every memo of the package but the per-type constants
+    ``build_root_system`` and ``chevalley_basis``.
+
+    The memos are the functools caches of the submodules loaded so far;
+    one not yet imported has filled none.  Disk caches are untouched."""
+    kl._registry.clear()
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("jantzen."):
+            for attr, value in vars(mod).items():
+                if hasattr(value, "cache_clear") and attr not in _CONSTANTS:
+                    value.cache_clear()

@@ -12,6 +12,7 @@ representative modulo W_J.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import sub
 
 from jantzen.kl import KLTable
@@ -61,17 +62,9 @@ class Block:
     def column(self, w: int, table: KLTable) -> dict:
         """{z: Q(z, w)} over the z in W^J with z <= w, in (length, word)
         order: the graded multiplicities of the simples L(z mu) in M(w mu).
-        One read of ``table`` per (system, J, w), kept until
+        One read of ``table`` per (system, J, w, table), kept until
         clear_caches(); callers read it and must not change it."""
-        key = (self.system, self.J, w)
-        col = _columns.get(key)
-        if col is None:
-            col = _columns[key] = {
-                z: table.inverse_polynomial(z, w)
-                for z in self.system.bruhat_interval_below(w)
-                if self.is_rep(z)
-            }
-        return col
+        return _column(self.system, self.J, w, table)
 
     def apply(self, w: int) -> Weight:
         """The weight w(mu)."""
@@ -81,11 +74,7 @@ class Block:
         """Root coordinates of w(mu) - mu, a sum of positive roots since mu
         is antidominant: one root_offset solve per (system, mu, w), kept
         until clear_caches()."""
-        key = (self.system, self.mu, w)
-        off = _rises.get(key)
-        if off is None:
-            off = _rises[key] = root_offset(self.rs, self.apply(w) - self.mu)
-        return off
+        return _rise(self.system, self.mu, w)
 
     def offset(self, x: int, y: int) -> tuple[int, ...]:
         """Root coordinates of x(mu) - y(mu), read as rise(x) - rise(y); it
@@ -97,17 +86,18 @@ class Block:
         return off
 
 
-# (system, mu, w) -> root coordinates of w(mu) - mu: see Block.rise.
-_rises: dict = {}
+@cache
+def _column(system: CoxeterSystem, J: tuple[int, ...], w: int, table: KLTable) -> dict:
+    return {
+        z: table.inverse_polynomial(z, w)
+        for z in system.bruhat_interval_below(w)
+        if system.is_min_coset_rep(z, J)
+    }
 
-# (system, J, w) -> {z: Q(z, w)} over W^J below w: see Block.column.
-_columns: dict = {}
 
-
-def clear_block_memos() -> None:
-    """Forget every memoised w(mu) - mu and multiplicity column."""
-    _rises.clear()
-    _columns.clear()
+@cache
+def _rise(system: CoxeterSystem, mu: Weight, w: int) -> tuple[int, ...]:
+    return root_offset(system.rs, system.apply(w, mu) - mu)
 
 
 def _block(rs: RootSystem, mu: Weight, pos_idx) -> Block:

@@ -18,14 +18,15 @@ Independent cross-checks implemented here:
     sum formula   sum_{i>0} ch M(nu)^i = sum_alpha ch M(s_alpha nu).
   * domination_check verifies the layer inequalities implied by the
     filtration-compatibility of nested Verma embeddings.
-  * simple_weight_dims inverts the unitriangular multiplicity matrix to
-    get exact weight-space dimensions of simples (consumed by the
-    contravariant-form oracle).
+  * simple_weight_dims gets exact weight-space dimensions of simples
+    from the plain P(x, z) by Kazhdan-Lusztig inversion (consumed by the
+    contravariant-form oracle, whose layers read Q).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from jantzen.blocks import Block, DefectError, normalize
 from jantzen.kl import KLTable, table_for
@@ -248,53 +249,30 @@ def domination_check(
     )
 
 
-# (system, mu, z, depth) -> {beta: dim}: see simple_weight_dims.
-_simple_dims: dict = {}
-
-
+@cache
 def simple_weight_dims(block: Block, z: int, depth: int) -> dict:
     """Weight multiplicities of L(z mu) at offsets from its highest weight.
 
     Returns {beta: dim} for root-lattice offsets beta with height <= depth.
-    ch L(z mu) is computed by inverting the unitriangular matrix
-    [M(u mu) : L(v mu)] = Q(v, u)(1) over W^J below z, then expanding each
-    ch M(v mu) by the Kostant partition function.  Results are memoised
-    per (system, mu, z, depth) until clear_caches(); callers read them and
-    must not change them.
+    By Kazhdan-Lusztig inversion, translated onto the walls,
+    ch L(z mu) = sum_{x <= z} (-1)^(l(z)-l(x)) P(x, z)(1) ch M(x mu) over
+    the whole integral Weyl group; x mu = v mu for v the W^J part of x, and
+    each ch M(v mu) is expanded by the Kostant partition function.  Results
+    are memoised per (block, z, depth) until clear_caches(); callers read
+    them and must not change them.
     """
-    key = (block.system, block.mu, z, depth)
-    out = _simple_dims.get(key)
-    if out is not None:
-        return out
     sys = block.system
     if not block.is_rep(z):
         raise ValueError("z must be a minimal-length coset representative")
     table = table_for(sys)
-    below = tuple(block.column(z, table))
-    index = {v: i for i, v in enumerate(below)}
-    size = len(below)
-    mult = [[0] * size for _ in range(size)]
-    for col, u in enumerate(below):
-        for v, q in block.column(u, table).items():
-            mult[index[v]][col] = q(1)
-    # back-substitute the z-column of the inverse: coeffs[v] with
-    # ch L(z mu) = sum_v coeffs[v] ch M(v mu)
-    coeffs = [0] * size
-    zi = index[z]
-    for row in range(size - 1, -1, -1):
-        val = 1 if row == zi else 0
-        for col in range(row + 1, size):
-            val -= mult[row][col] * coeffs[col]
-        coeffs[row] = val  # diagonal entries are 1
-
-    terms = [(coeffs[index[v]], block.offset(z, v)) for v in below]
+    lz = sys.length(z)
+    coeffs: dict[int, int] = {}
+    for x in sys.bruhat_interval_below(z):
+        v, _ = sys.decompose_yx(x, block.J)
+        sign = -1 if (lz - sys.length(x)) % 2 else 1
+        coeffs[v] = coeffs.get(v, 0) + sign * table.polynomial(x, z)(1)
+    terms = [(c, block.offset(z, v)) for v, c in coeffs.items()]
     out = shifted_sum(partition_table(block.rs, depth), terms)
     if any(d < 0 for d in out.values()):
         raise DefectError("negative simple weight multiplicity")
-    _simple_dims[key] = out
     return out
-
-
-def clear_simple_dims() -> None:
-    """Forget every memoised simple character."""
-    _simple_dims.clear()

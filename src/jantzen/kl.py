@@ -37,7 +37,7 @@ import hashlib
 import os
 import tempfile
 
-from jantzen import roots, weyl
+from jantzen import weyl
 from jantzen.poly import Poly
 from jantzen.weyl import CoxeterSystem, DefectError, format_word
 
@@ -277,21 +277,3 @@ def table_for(
     _registry[system] = table
     return table
 
-
-def clear_caches() -> None:
-    """Forget every in-memory KL table, interned Coxeter system, truncated
-    partition table, per-block offset w(mu) - mu, per-block multiplicity
-    column {z: Q(z, w)} (``Block.column``), simple character and weight
-    space basis: every module-level memo of the package.
-
-    Disk caches are untouched; later calls rebuild (or reload) what they
-    need from scratch."""
-    # imported here because filtration and shapovalov import this module
-    from jantzen import blocks, filtration, shapovalov
-
-    _registry.clear()
-    weyl.clear_systems()
-    roots.clear_partition_caches()
-    blocks.clear_block_memos()
-    filtration.clear_simple_dims()
-    shapovalov.clear_bases()

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from operator import mul, sub
 
 _VALID_RANK = {
@@ -173,7 +173,7 @@ class RootSystem:
             self._index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
         )
-        self._inv_cartan = None
+        self._inv_cartan = invert(self.cartan)
 
     @property
     def rank(self) -> int:
@@ -219,8 +219,6 @@ class RootSystem:
 
     def weight_to_root_coords(self, coords) -> tuple[Fraction, ...]:
         """Solve cartan @ x = coords exactly (valid for root-lattice vectors)."""
-        if self._inv_cartan is None:
-            self._inv_cartan = invert(self.cartan)
         n = self.rank
         return tuple(
             sum(self._inv_cartan[i][k] * Fraction(coords[k]) for k in range(n))
@@ -290,7 +288,7 @@ def matmul(a, b):
     )
 
 
-@lru_cache(maxsize=None)
+@cache
 def build_root_system(lie_type: LieType) -> RootSystem:
     return RootSystem(lie_type)
 
@@ -441,9 +439,6 @@ def is_antidominant(rs: RootSystem, w: Weight) -> bool:
     return next(positive_integral_pairings(rs, w), None) is None
 
 
-# (lie type, sorted root index set, depth) -> {box: count}: see partition_table.
-_partition_tables: dict = {}
-
 # Most boxes one partition table may hold; a table of rank n and depth d
 # has C(d + n, n) of them.
 MAX_BOXES = 100_000
@@ -477,21 +472,21 @@ def partition_table(rs: RootSystem, depth: int, root_indices=None) -> dict:
     them and must not change them.  A table of more than MAX_BOXES boxes
     is refused by check_box_limit before anything is allocated.
     """
-    root_indices = _root_key(rs, root_indices)
-    key = (rs.lie_type, root_indices, depth)
-    table = _partition_tables.get(key)
-    if table is None:
-        check_box_limit(rs, depth)
-        table = dict.fromkeys(boxes(rs.rank, depth), 0)
-        if table:
-            table[(0,) * rs.rank] = 1
-        for i in root_indices:
-            root = rs.positive_roots[i]
-            for b in table:
-                prev = table.get(tuple(map(sub, b, root)))
-                if prev:
-                    table[b] += prev
-        _partition_tables[key] = table
+    return _partition_table(rs, depth, _root_key(rs, root_indices))
+
+
+@cache
+def _partition_table(rs: RootSystem, depth: int, root_indices: tuple[int, ...]) -> dict:
+    check_box_limit(rs, depth)
+    table = dict.fromkeys(boxes(rs.rank, depth), 0)
+    if table:
+        table[(0,) * rs.rank] = 1
+    for i in root_indices:
+        root = rs.positive_roots[i]
+        for b in table:
+            prev = table.get(tuple(map(sub, b, root)))
+            if prev:
+                table[b] += prev
     return table
 
 
@@ -519,11 +514,6 @@ def shifted_sum(table: dict, terms) -> dict:
             total += c * table.get(tuple(map(sub, b, d)), 0)
         out[b] = total
     return out
-
-
-def clear_partition_caches() -> None:
-    """Forget every truncated partition table."""
-    _partition_tables.clear()
 
 
 def boxes(rank: int, depth: int) -> list[tuple[int, ...]]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from operator import add, sub
 
 from jantzen.blocks import DefectError, normalize
@@ -153,7 +153,7 @@ def _structure_constants(rs: RootSystem) -> dict:
     return consts
 
 
-@lru_cache(maxsize=None)
+@cache
 def chevalley_basis(lt: LieType) -> ChevalleyBasis:
     """Build the structure-constant table and certify it a Lie algebra."""
     rs = build_root_system(lt)
@@ -204,17 +204,14 @@ def chevalley_basis(lt: LieType) -> ChevalleyBasis:
     return cb
 
 
-# (lie type, beta) -> weight space basis: see weight_space_basis.
-_bases: dict = {}
-
-
 def weight_space_basis(rs: RootSystem, beta) -> tuple:
     """Kostant partitions of beta as weakly increasing root-index words,
     memoised per (type, beta) until clear_caches()."""
-    beta = tuple(beta)
-    key = (rs.lie_type, beta)
-    if key in _bases:
-        return _bases[key]
+    return _weight_space_basis(rs, tuple(beta))
+
+
+@cache
+def _weight_space_basis(rs: RootSystem, beta: tuple) -> tuple:
     if len(beta) != rs.rank or any(v < 0 for v in beta):
         raise ValueError(f"offset {beta} is not {rs.rank} nonnegative integers")
     out = []
@@ -233,13 +230,7 @@ def weight_space_basis(rs: RootSystem, beta) -> tuple:
                 )
 
     rec([], beta, 0)
-    basis = _bases[key] = tuple(sorted(out))
-    return basis
-
-
-def clear_bases() -> None:
-    """Forget every memoised weight space basis."""
-    _bases.clear()
+    return tuple(sorted(out))
 
 
 class VermaModule:

@@ -21,13 +21,14 @@ other query is a lookup or a walk through these lists.  A group larger than
 ``CapExceededError``, and every later query raises it again at once.
 
 Systems are interned: ``subsystem`` keeps one per (type, positive-root
-index set) for the life of the process, and checks the root-system axioms
-of the subsystem once, when it first builds it.  ``weyl_group`` is the
-entry for the full root set.
+index set) until ``jantzen.clear_caches()``, and checks the root-system
+axioms of the subsystem once, when it first builds it.  ``weyl_group`` is
+the entry for the full root set.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import mul
 
 from jantzen.roots import (
@@ -413,33 +414,23 @@ def _validate_subsystem(rs: RootSystem, simple_idx, pos_idx) -> None:
                 )
 
 
-# (lie type, sorted positive-root index set) -> CoxeterSystem.  Finite: one
-# entry per reflection subsystem that the process has asked for.
-_systems: dict = {}
-
-
 def subsystem(rs: RootSystem, pos_idx) -> CoxeterSystem:
     """The interned CoxeterSystem of a reflection subsystem.
 
     ``pos_idx`` lists the ambient positive roots of the subsystem (for a
     block, its integral positive roots).  Its simple roots are the
-    indecomposable ones; on the first request for a key the subsystem's
-    root-system axioms are checked, and a failure raises DefectError.
+    indecomposable ones; on the first request for a root set the
+    subsystem's root-system axioms are checked, and a failure raises
+    DefectError.
     """
-    pos_idx = tuple(sorted(pos_idx))
-    key = (rs.lie_type, pos_idx)
-    got = _systems.get(key)
-    if got is None:
-        simple_idx = _indecomposables(rs, pos_idx)
-        _validate_subsystem(rs, simple_idx, pos_idx)
-        got = CoxeterSystem(rs, simple_idx, pos_idx)
-        _systems[key] = got
-    return got
+    return _subsystem(rs, tuple(sorted(pos_idx)))
 
 
-def clear_systems() -> None:
-    """Forget every interned system; later requests build them afresh."""
-    _systems.clear()
+@cache
+def _subsystem(rs: RootSystem, pos_idx: tuple[int, ...]) -> CoxeterSystem:
+    simple_idx = _indecomposables(rs, pos_idx)
+    _validate_subsystem(rs, simple_idx, pos_idx)
+    return CoxeterSystem(rs, simple_idx, pos_idx)
 
 
 def weyl_group(rs: RootSystem) -> CoxeterSystem:

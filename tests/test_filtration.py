@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import jantzen
-from jantzen import clear_caches
+from jantzen import clear_caches, kl
 from jantzen.blocks import (
     DefectError,
     integral_block,
@@ -22,10 +22,19 @@ from jantzen.filtration import (
     simple_weight_dims,
     sum_formula_check,
 )
-from jantzen.kl import table_for
+from jantzen.kl import build_table, table_for
 from jantzen.parabolic import enumerate_IWJ, parabolic_layers
-from jantzen.roots import LieType, Weight, build_root_system, partition_count, reflect
-from jantzen.shapovalov import oracle_compare
+from jantzen.poly import Poly
+from jantzen.roots import (
+    LieType,
+    Weight,
+    build_root_system,
+    partition_count,
+    partition_table,
+    reflect,
+    shifted_sum,
+)
+from jantzen.shapovalov import chevalley_basis, oracle_compare
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
 
 
@@ -384,16 +393,50 @@ def test_simple_weight_dims_memo_keys_on_mu():
     assert simple_weight_dims(a, s1, 3) == dims_a
 
 
-def _memos():
-    # every module-level dict of the package named _lowercase; the
-    # _UPPER_CASE constant tables are not memos
-    out = {}
+def _simple_dims_by_back_substitution(block, z, depth):
+    """ch L(z mu) the long way: invert the unitriangular matrix
+    [M(u mu) : L(v mu)] = Q(v, u)(1) over W^J below z by back-substitution,
+    then expand each ch M(v mu) by the Kostant partition function."""
+    table = table_for(block.system)
+    below = tuple(block.column(z, table))
+    index = {v: i for i, v in enumerate(below)}
+    size = len(below)
+    mult = [[0] * size for _ in range(size)]
+    for col, u in enumerate(below):
+        for v, q in block.column(u, table).items():
+            mult[index[v]][col] = q(1)
+    # the z-column of the inverse: ch L(z mu) = sum_v coeffs[v] ch M(v mu)
+    coeffs = [0] * size
+    zi = index[z]
+    for row in range(size - 1, -1, -1):
+        val = 1 if row == zi else 0
+        for col in range(row + 1, size):
+            val -= mult[row][col] * coeffs[col]
+        coeffs[row] = val  # diagonal entries are 1
+    terms = [(coeffs[index[v]], block.offset(z, v)) for v in below]
+    return shifted_sum(partition_table(block.rs, depth), terms)
+
+
+@pytest.mark.parametrize("name", ACCEPTANCE_TYPES)
+def test_simple_weight_dims_match_back_substitution(name):
+    # P by inversion (simple_weight_dims) against Q by back-substitution
+    rs = _rs(name)
+    for label, mu in suite_weights(rs, 0):
+        block = integral_block(rs, mu)
+        for z in block.coset_reps():
+            want = _simple_dims_by_back_substitution(block, z, 3)
+            assert simple_weight_dims(block, z, 3) == want, (label, z)
+
+
+# per-type constants: built once per type and never cleared
+_CONSTANTS = ("build_root_system", "chevalley_basis")
+
+
+def _module_attrs():
     for info in pkgutil.iter_modules(jantzen.__path__):
         mod = importlib.import_module(f"jantzen.{info.name}")
         for attr, value in vars(mod).items():
-            if isinstance(value, dict) and attr[:1] == "_" and attr[1:2].islower():
-                out[f"{info.name}.{attr}"] = value
-    return out
+            yield f"{info.name}.{attr}", attr, value
 
 
 def test_clear_caches_empties_every_memo():
@@ -402,19 +445,61 @@ def test_clear_caches_empties_every_memo():
     oracle_compare(rs, Weight.of(1, 0), 2)
     pb = enumerate_IWJ(integral_block(rs, Weight.of(-1, -1)), (0,))
     parabolic_layers(pb, pb.reps[-1])
-    memos = _memos()
-    for name in (
-        "blocks._columns",
-        "blocks._rises",
-        "filtration._simple_dims",
-        "kl._registry",
-        "roots._partition_tables",
-        "shapovalov._bases",
-        "weyl._systems",
-    ):
-        assert memos[name], name
+    memos = {
+        name: value
+        for name, attr, value in _module_attrs()
+        if hasattr(value, "cache_info") and attr not in _CONSTANTS
+    }
+    assert {
+        "blocks._column",
+        "blocks._rise",
+        "filtration.simple_weight_dims",
+        "roots._partition_table",
+        "shapovalov._weight_space_basis",
+        "weyl._subsystem",
+    } <= set(memos)
+    for name, memo in memos.items():
+        assert memo.cache_info().currsize, name
+    # the KL registry is the one memo that is a dict, not a cache: a hit
+    # must ignore cache_dir and use_disk
+    dicts = [
+        name
+        for name, attr, value in _module_attrs()
+        if isinstance(value, dict) and attr[:1] == "_" and attr[1:2].islower()
+    ]
+    assert dicts == ["kl._registry"] and kl._registry
+    sizes = [c.cache_info().currsize for c in (build_root_system, chevalley_basis)]
     clear_caches()
-    assert {name for name, memo in memos.items() if memo} == set()
+    assert {name for name, memo in memos.items() if memo.cache_info().currsize} == set()
+    assert not kl._registry
+    assert [c.cache_info().currsize for c in (build_root_system, chevalley_basis)] == sizes
+
+
+def _all_ones_minus_q(sys):
+    """A complete table of sys whose every entry is 1 - q."""
+    bad = build_table(sys)
+    for col in bad._cols.values():
+        for x in col:
+            col[x] = Poly((1, -1))
+    return bad
+
+
+def test_passed_table_is_never_ignored():
+    # a warm column must not stand in for the table a caller passes
+    rs = _rs("A2")
+    block = integral_block(rs, Weight.of(-1, -1))
+    sys = block.system
+    w0 = sys.longest_element()
+    layers(block, w0, table_for(sys))
+    bad = _all_ones_minus_q(sys)
+    with pytest.raises(DefectError):
+        layers(block, w0, bad)
+    pb = enumerate_IWJ(block, (0,))
+    # the module at w with w_I w = w0 reads the warm column of w0
+    w = next(w for w in pb.reps if sys.mul(pb.wI, w) == w0)
+    parabolic_layers(pb, w, table_for(sys))
+    with pytest.raises(DefectError):
+        parabolic_layers(pb, w, bad)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and no
+package module imports the package inside a function.
 
 A stdlib ``ast`` stand-in for a linter's unused-import rule (F401).  A
 name counts as used when it appears as a name anywhere in the module or
@@ -52,3 +53,37 @@ def test_unused_import_is_caught():
         "print(sys.argv)\n"
     )
     assert unused_imports(source) == [(1, "Fraction"), (2, "os")]
+
+
+def function_level_package_imports(source: str) -> list:
+    """(line, module) of each import of ``jantzen`` made inside a function."""
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            out += [(node.lineno, n) for n in names if n.split(".")[0] == "jantzen"]
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_level_package_imports(path):
+    assert function_level_package_imports(path.read_text()) == []
+
+
+def test_function_level_package_import_is_caught():
+    source = (
+        "import jantzen\n"
+        "def f():\n"
+        "    from jantzen import kl\n"
+        "    import os\n"
+        "    def g():\n"
+        "        import jantzen.roots\n"
+    )
+    assert function_level_package_imports(source) == [(3, "jantzen"), (6, "jantzen.roots")]
