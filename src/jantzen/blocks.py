@@ -141,7 +141,7 @@ def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, int]:
                 changed = True
                 break
     block = _block(rs, cur, pos_idx)
-    y, _ = system.decompose_yx(system.element_from_word(word), block.J)
+    y = system.coset_rep(system.element_from_word(word), block.J)
     if block.apply(y) != nu:
         raise DefectError("normalization did not reproduce the input weight")
     return block, y

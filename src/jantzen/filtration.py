@@ -105,7 +105,7 @@ def layers(block: Block, w: int, table: KLTable | None = None) -> LayerTable:
     if not block.is_rep(w):
         raise ValueError(
             "w is not a minimal-length coset representative modulo W_J; "
-            "apply decompose_yx and use the W^J factor"
+            "pass its W^J part, CoxeterSystem.coset_rep(w, J)"
         )
     if table is None:
         table = table_for(sys)
@@ -169,7 +169,7 @@ def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
         alpha = rs.positive_roots[i]
         # s_alpha nu = t w mu for t the reflection in alpha, so the W^J
         # part v of t w is the parameter of s_alpha nu in this block
-        v, _ = sys.decompose_yx(sys.mul(reflection[i], w), block.J)
+        v = sys.coset_rep(sys.mul(reflection[i], w), block.J)
         if block.apply(v) != reflect(rs, nu, alpha):
             raise DefectError("reflected parameter does not reproduce s_alpha nu")
         reflected.append((alpha, v))
@@ -268,7 +268,7 @@ def simple_weight_dims(block: Block, z: int, depth: int) -> dict:
     lz = sys.length(z)
     coeffs: dict[int, int] = {}
     for x in sys.bruhat_interval_below(z):
-        v, _ = sys.decompose_yx(x, block.J)
+        v = sys.coset_rep(x, block.J)
         sign = -1 if (lz - sys.length(x)) % 2 else 1
         coeffs[v] = coeffs.get(v, 0) + sign * table.polynomial(x, z)(1)
     terms = [(c, block.offset(z, v)) for v, c in coeffs.items()]

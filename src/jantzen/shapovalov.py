@@ -3,15 +3,16 @@
 This module recomputes Jantzen filtration layer dimensions from first
 principles, with no reference to Hecke-algebra combinatorics.  The
 deformed Verma module M(nu + t rho - rho) over Q[t] has the PBW basis of
-weakly increasing words in the lowering generators, and the Cartan
-generator of the k-th simple root acts on its highest weight vector by
-nu_k - 1 + t.  Generators act on basis words with one memo entry per
-(generator, word), and the Gram matrix of the contravariant (Shapovalov)
-form on each weight space comes from the one below it by
-<f_b u, w> = <u, e_b w> (Shapovalov 1972; Jantzen, Math. Ann. 226, 1977).
-Elimination over the local ring Q[t]_(t), pivoting on an entry of least
-t-valuation, yields their Smith exponents, whose counting function gives
-dim of the i-th Jantzen submodule.
+weakly increasing words in the lowering generators, and the k-th simple
+coroot acts on its highest weight vector by lambda_k = nu_k - 1 + t.
+Once per type, over Z[lambda_1..lambda_n], generators act on basis words
+with one memo entry per (generator, word), and the Gram matrix of the
+contravariant (Shapovalov) form on each weight space comes from the one
+below it by <f_b u, w> = <u, e_b w> (Shapovalov 1972; Jantzen, Math. Ann.
+226, 1977); each nu specialises those matrices.  Elimination over the
+local ring Q[t]_(t), pivoting on an entry of least t-valuation, yields
+their Smith exponents, whose counting function gives dim of the i-th
+Jantzen submodule.
 
 The Chevalley basis of every type comes from its root data: the
 structure constants N(x, y) by the extraspecial-pair construction
@@ -233,23 +234,34 @@ def _weight_space_basis(rs: RootSystem, beta: tuple) -> tuple:
     return tuple(sorted(out))
 
 
-class VermaModule:
-    """The deformed Verma module M(nu + t rho - rho) over Q[t].
+def _sum_of_products(pairs) -> dict:
+    """The sum of p q over the pairs, for polynomials {exponent tuple: int}
+    in lambda_1..lambda_n."""
+    acc: dict = {}
+    for p, q in pairs:
+        for m, a in p.items():
+            for m2, b in q.items():
+                k = tuple(map(add, m, m2))
+                acc[k] = acc.get(k, 0) + a * b
+    return {m: c for m, c in acc.items() if c}
 
-    A vector is a dict {weakly increasing root-index word: Poly}, the word
-    (b_1, ..., b_k) standing for f_b1 ... f_bk v.  ``act`` is memoised per
-    (generator, word) in ``_memo`` and ``gram`` per offset, for this nu.
+
+class _GenericVerma:
+    """M(lambda) over Z[lambda_1..lambda_n], h_k acting on v by lambda_k.
+
+    A vector is a dict {weakly increasing root-index word: polynomial},
+    the word (b_1, ..., b_k) standing for f_b1 ... f_bk v.  ``act`` is
+    memoised per (generator, word) in ``_memo`` and ``gram`` per offset:
+    both serve every weight of the type.
     """
 
-    def __init__(self, cb: ChevalleyBasis, nu: Weight):
-        if len(nu.coords) != cb.rank:
-            raise ValueError(f"weight {nu.serialize()} does not have rank {cb.rank}")
+    def __init__(self, cb: ChevalleyBasis):
         self.cb = cb
-        # lambda_k = nu_k - 1 + t; ints where nu_k is integral, for speed
-        lam = [c - 1 if c.denominator != 1 else int(c) - 1 for c in nu.coords]
-        self._hw = [Poly((c, 1)) for c in lam]
+        n = cb.rank
+        self._zero = (0,) * n  # the exponent of a constant
+        self._lam = [{tuple(int(i == k) for i in range(n)): 1} for k in range(n)]
         self._memo: dict = {}
-        self._grams: dict = {(0,) * cb.rank: (((),), [[Poly.const(1)]])}
+        self._grams: dict = {self._zero: (((),), [[{self._zero: 1}]])}
 
     def act(self, g: int, word: tuple) -> dict:
         """g (word v): f_b before a word of letters >= b is prepended, h_k
@@ -260,24 +272,26 @@ class VermaModule:
             return self._memo[key]
         N = self.cb.num_positive
         if g < N and (not word or g <= word[0]):
-            out = {(g,) + word: Poly.const(1)}
+            out = {(g,) + word: {self._zero: 1}}
         elif not word:
-            out = {(): self._hw[g - N]} if g < N + self.cb.rank else {}
+            out = {(): self._lam[g - N]} if g < N + self.cb.rank else {}
         else:
             c, rest = word[0], word[1:]
             terms = [(p, self.act(c, w)) for w, p in self.act(g, rest).items()]
-            terms += [(k, self.act(g2, rest)) for g2, k in self.cb.bracket(g, c).items()]
-            out = {}
-            for scale, vec in terms:
+            for g2, k in self.cb.bracket(g, c).items():
+                terms.append(({self._zero: k}, self.act(g2, rest)))
+            pairs: dict = {}
+            for p, vec in terms:
                 for w, q in vec.items():
-                    out[w] = out.get(w, Poly()) + q * scale
-            out = {w: p for w, p in out.items() if not p.is_zero()}
+                    pairs.setdefault(w, []).append((p, q))
+            out = {w: s for w, ps in pairs.items() if (s := _sum_of_products(ps))}
         self._memo[key] = out
         return out
 
     def gram(self, beta: tuple):
-        """(basis, matrix) on the weight space nu - rho - beta, by the
-        Shapovalov recursion <f_b u, w> = <u, e_b w> from beta - beta_b."""
+        """(basis, matrix) on the weight space lambda - beta, by the
+        Shapovalov recursion <f_b u, w> = <u, e_b w> from beta - beta_b;
+        its symmetry is checked as an identity in lambda."""
         if beta in self._grams:
             return self._grams[beta]
         cb = self.cb
@@ -288,13 +302,62 @@ class VermaModule:
             lower_basis, lower_mat = self.gram(lower)
             below = dict(zip(lower_basis, lower_mat[lower_basis.index(tuple(u))]))
             mat.append([
-                sum((p * below[w] for w, p in self.act(cb.e(b), col).items()), Poly())
+                _sum_of_products((p, below[w]) for w, p in self.act(cb.e(b), col).items())
                 for col in basis
             ])
         for i in range(len(basis)):
             for j in range(i):
                 if mat[i][j] != mat[j][i]:
                     raise DefectError("contravariant Gram matrix is not symmetric")
+        self._grams[beta] = basis, mat
+        return basis, mat
+
+
+@cache
+def _generic_verma(lt: LieType) -> _GenericVerma:
+    return _GenericVerma(chevalley_basis(lt))
+
+
+class VermaModule:
+    """The deformed Verma module M(nu + t rho - rho) over Q[t]: the type's
+    Gram matrices over Z[lambda] at lambda_k = nu_k - 1 + t, memoised per
+    offset.  ``_memo`` is the type's action memo."""
+
+    def __init__(self, cb: ChevalleyBasis, nu: Weight):
+        if len(nu.coords) != cb.rank:
+            raise ValueError(f"weight {nu.serialize()} does not have rank {cb.rank}")
+        self._generic = _generic_verma(cb.rs.lie_type)
+        self._memo = self._generic._memo
+        # lambda_k = nu_k - 1 + t; ints where nu_k is integral, for speed
+        self._lam = [Poly((c - 1 if c.denominator != 1 else int(c) - 1, 1)) for c in nu.coords]
+        # monomial -> coefficients of its value; (c_k + t)^j among them
+        self._images: dict = {(0,) * cb.rank: (1,)}
+        self._grams: dict = {}
+
+    def _image(self, m: tuple) -> tuple:
+        if m not in self._images:
+            k = next(k for k, j in enumerate(m) if j)
+            lower = m[:k] + (m[k] - 1,) + m[k + 1 :]
+            self._images[m] = (Poly(self._image(lower)) * self._lam[k]).coeffs
+        return self._images[m]
+
+    def specialise(self, p: dict) -> Poly:
+        """The polynomial p in lambda at lambda_k = nu_k - 1 + t."""
+        out = [0] * (1 + max(map(sum, p), default=-1))
+        for m, c in p.items():
+            for i, a in enumerate(self._image(m)):
+                out[i] += c * a
+        return Poly(out)
+
+    def gram(self, beta: tuple):
+        """(basis, matrix) on the weight space nu - rho - beta."""
+        if beta in self._grams:
+            return self._grams[beta]
+        basis, generic = self._generic.gram(beta)
+        mat = [[None] * len(basis) for _ in basis]
+        for i, row in enumerate(generic):  # symmetric: specialise i <= j
+            for j in range(i, len(row)):
+                mat[i][j] = mat[j][i] = self.specialise(row[j])
         self._grams[beta] = basis, mat
         return basis, mat
 
@@ -400,11 +463,18 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
     tab = layers(block, y, None)
     levels = tab.level_multiplicities()
 
-    offsets = {}
-    sdims = {}
+    # per level, the dims of its simples at nu - rho - beta, keyed by beta;
+    # each z of a level counts once, not msum times, so a simple repeated
+    # within a level is undercounted
+    preds = [{} for _ in levels[1:]]
     for z in tab.columns:
-        offsets[z] = block.offset(y, z)  # nu - z(mu), as nu = y(mu)
-        sdims[z] = simple_weight_dims(block, z, depth)
+        off = block.offset(y, z)  # nu - z(mu), as nu = y(mu)
+        dims = simple_weight_dims(block, z, depth)
+        shifted = {tuple(map(add, b, off)): d for b, d in dims.items()}
+        for pred, level in zip(preds, levels[1:]):
+            if z in level:
+                for beta, d in shifted.items():
+                    pred[beta] = pred.get(beta, 0) + d
 
     # the sum formula's determinant valuation: sum over the integral
     # alpha of the partition function shifted by <nu, alpha^vee> alpha
@@ -424,15 +494,7 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
         if len(mat) != size:
             raise DefectError("weight space basis does not match the partition count")
         dims = jantzen_dims_from_gram(mat)
-        pred = []
-        for level in levels[1:]:
-            total = 0
-            for z, msum in level.items():
-                off = tuple(b - o for b, o in zip(beta, offsets[z]))
-                if any(v < 0 for v in off):
-                    continue
-                total += sdims[z].get(off, 0)
-            pred.append(total)
+        pred = [p.get(beta, 0) for p in preds]
         while pred and pred[-1] == 0:
             pred.pop()
         got = list(dims)  # its last entry counts the largest valuation: never 0

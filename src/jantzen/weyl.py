@@ -318,18 +318,13 @@ class CoxeterSystem:
         mask = self._tables().descents[w]
         return not any(mask >> j & 1 for j in J)
 
-    def decompose_yx(self, w: int, J) -> tuple[int, int]:
-        """w = y x with y in W^J, x in W_J, lengths adding."""
+    def coset_rep(self, w: int, J) -> int:
+        """The W^J part y of w = y x, x in W_J, lengths adding: the
+        minimal-length element of w W_J, by peeling right descents in J."""
         descents = self._tables().descents
-        v = w
-        peeled = []
-        while True:
-            j = next((j for j in J if descents[v] >> j & 1), None)
-            if j is None:
-                break
-            v = self.right_mul(v, j)
-            peeled.append(j)
-        return v, self.element_from_word(reversed(peeled))
+        while (j := next((j for j in J if descents[w] >> j & 1), None)) is not None:
+            w = self.right_mul(w, j)
+        return w
 
     def subgroup_elements(self, I) -> tuple[int, ...]:
         """All elements of the standard parabolic subgroup W_I, in index

@@ -107,3 +107,31 @@ def test_traced_oracle_reads_the_memoised_layers(capsys):
     metrics = tracer.layer_metrics()
     assert metrics["filtration.simple_weight_dims.self_s"] > 0
     assert metrics["shapovalov.gram.calls"] == sum(rep.spaces for rep in reports)
+
+
+def test_traced_oracle_reads_the_type_action_memo(capsys):
+    # gram_matrix's fourth argument is the module, whose _memo is its
+    # type's action memo over Z[lambda]: the tracer reads a nonzero size
+    # from it, and still sees one gram_matrix call per weight space
+    from jantzen import clear_caches
+    from jantzen.blocks import integral_block
+    from jantzen.roots import LieType, Weight, build_root_system
+
+    rs = build_root_system(LieType.parse("A2"))
+    block = integral_block(rs, Weight.of(0, -1))
+    clear_caches()
+    tracer = _layertrace().Tracer(_StubClock())
+    tracer.install()
+    try:
+        reports = [
+            shapovalov.oracle_compare(rs, block.apply(w)) for w in block.coset_reps()
+        ]
+        memo = shapovalov._generic_verma(rs.lie_type)._memo
+    finally:
+        tracer.uninstall()
+        clear_caches()
+    assert "trace hook" not in capsys.readouterr().err
+    assert len(reports) > 1 and all(rep.passed for rep in reports)
+    metrics = tracer.layer_metrics()
+    assert metrics["shapovalov.pbw.memo_words"] == len(memo) > 0
+    assert metrics["shapovalov.gram.calls"] == sum(rep.spaces for rep in reports)

