@@ -11,9 +11,11 @@ v = ws, s the first right descent of w, by the classical recursion
 where c = 1 if xs < x else 0 and z runs over the mu-list of v: the z with
 zs < z and nonvanishing mu(z, v) (the coefficient of q^((l(v)-l(z)-1)/2)
 in P(z, v)), read off column v while column w is built.  The x below w
-are the u and us for u below v.  Everything is exact integer arithmetic;
-a build verifies the degree bound, constant term 1 and coefficient
-nonnegativity on every entry and treats violations as hard defects.
+are the u and us for u below v.  Everything is exact integer arithmetic:
+each P(x, w) is formed in one list of integer coefficients, and a table
+keeps one ``Poly`` per distinct coefficient tuple.  A build verifies the
+degree bound, constant term 1 and coefficient nonnegativity on every entry
+and treats violations as hard defects.
 Inverse polynomials Q(x, w) = P(w0 w, w0 x) are exposed alongside P;
 in the antidominant normalization they, not the plain P, carry the
 module multiplicities, satisfying the alternating inversion identity
@@ -59,6 +61,8 @@ class KLTable:
         self.system = system
         # w -> {x: P(x, w)} over the x <= w
         self._cols: dict[int, dict[int, Poly]] = {}
+        # coefficient tuple -> its one Poly in this table
+        self._polys: dict[tuple[int, ...], Poly] = {_ONE.coeffs: _ONE}
 
     def polynomial(self, x: int, w: int) -> Poly:
         return self._column(w).get(x, _ZERO)
@@ -86,33 +90,50 @@ class KLTable:
         if s is None:  # the identity
             col = self._cols[w] = {w: _ONE}
             return col
-        v = sys.right_mul(w, s)
+        t = sys._tables()
+        length, right, descents = t.length, t.right, t.descents
+        v = right[w][s]
         below = self._column(v)
-        lw = sys.length(w)
+        lw = length[w]
         # the mu-list of v, as (column z, mu(z, v), (l(w) - l(z)) / 2)
         mus = []
         for z, p in below.items():
-            d = lw - 1 - sys.length(z)
-            if d % 2 and sys.right_descent(z, s):
+            d = lw - 1 - length[z]
+            if d % 2 and descents[z] >> s & 1:
                 m = p.coeff((d - 1) // 2)
                 if m:
                     mus.append((self._column(z), m, (d + 1) // 2))
+        polys = self._polys
         col = {}
-        for x in sorted({u for y in below for u in (y, sys.right_mul(y, s))}):
-            diff = lw - sys.length(x)
+        for x in sorted({u for y in below for u in (y, right[y][s])}):
+            diff = lw - length[x]
             if diff <= 2:
                 # degree <= (diff-1)/2 < 1 forces the constant polynomial 1
                 col[x] = _ONE
                 continue
-            xs = sys.right_mul(x, s)
-            if sys.length(xs) < sys.length(x):
-                p = below[xs] + below.get(x, _ZERO).shift(1)
+            # the coefficients of P(x, w): the shifted sum, then each
+            # mu-term subtracted in place
+            xs = right[x][s]
+            if descents[x] >> s & 1:
+                plain, shifted = below[xs], below.get(x)
             else:
-                p = below.get(xs, _ZERO).shift(1) + below[x]
+                plain, shifted = below[x], below.get(xs)
+            acc = [0] * (diff // 2 + 1)
+            acc[: len(plain.coeffs)] = plain.coeffs
+            if shifted is not None:
+                for k, c in enumerate(shifted.coeffs, 1):
+                    acc[k] += c
             for cz, m, k in mus:
                 pz = cz.get(x)
                 if pz is not None:
-                    p = p - m * pz.shift(k)
+                    for j, c in enumerate(pz.coeffs, k):
+                        acc[j] -= m * c
+            while acc and not acc[-1]:
+                acc.pop()
+            key = tuple(acc)
+            p = polys.get(key)
+            if p is None:
+                p = polys[key] = Poly(key)
             _check(diff, p)
             col[x] = p
         self._cols[w] = col
@@ -131,22 +152,22 @@ class KLTable:
                 yield x, w, poly
 
     def expected_pair_count(self) -> int:
-        sys = self.system
-        return sum(len(sys.bruhat_interval_below(w)) for w in sys.elements())
+        return sum(bits.bit_count() for bits in self.system.downsets())
 
 
 def _check(diff: int, poly: Poly) -> None:
-    if poly.coeff(0) != 1:
+    coeffs = poly.coeffs
+    if coeffs[:1] != (1,):
         raise KLDefectError(
             f"constant term {poly.coeff(0)} != 1 for pair of length "
             f"difference {diff}"
         )
-    if 2 * poly.degree > diff - 1:
+    if 2 * len(coeffs) > diff + 1:
         raise KLDefectError(
             f"degree {poly.degree} exceeds bound for length difference {diff}"
         )
-    if any(c < 0 for c in poly.coeffs):
-        raise KLDefectError(f"negative coefficient in {poly.coeffs}")
+    if min(coeffs) < 0:
+        raise KLDefectError(f"negative coefficient in {coeffs}")
 
 
 def build_table(system: CoxeterSystem) -> KLTable:
@@ -180,10 +201,15 @@ def save_table(table: KLTable, cache_dir: str) -> str:
     key = cache_key(table.system.coxeter_matrix())
     sys = table.system
     words = [format_word(sys.word(u)) for u in sys.elements()]
-    body = "".join(
-        f"{words[x]};{words[w]};{','.join(map(str, poly.coeffs))}\n"
-        for x, w, poly in table.entries()
-    ).encode()
+    # each distinct polynomial's coefficient text, formatted once
+    texts: dict[tuple[int, ...], str] = {}
+    lines = []
+    for x, w, poly in table.entries():
+        text = texts.get(poly.coeffs)
+        if text is None:
+            text = texts[poly.coeffs] = ",".join(map(str, poly.coeffs))
+        lines.append(f"{words[x]};{words[w]};{text}\n")
+    body = "".join(lines).encode()
     digest = hashlib.sha256(body).hexdigest()
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
@@ -219,6 +245,7 @@ def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
             return None
         index = {format_word(system.word(u)): u for u in system.elements()}
         length = [system.length(u) for u in system.elements()]
+        downsets = system.downsets()
         # coefficient text -> (its polynomial, twice its degree)
         polys: dict[str, tuple[Poly, int]] = {}
         for line in body.decode().splitlines():
@@ -227,7 +254,7 @@ def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
             col = cols.get(w)
             if col is None:
                 col = cols[w] = {}
-            if x in col or not system.bruhat_leq(x, w):
+            if x in col or not downsets[w] >> x & 1:
                 return None
             got = polys.get(coeff_text)
             if got is None:

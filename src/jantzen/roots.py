@@ -281,11 +281,8 @@ def invert(mat) -> tuple[tuple[Fraction, ...], ...]:
 
 def matmul(a, b):
     """Product of two square matrices given as row tuples."""
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+    columns = tuple(zip(*b))
+    return tuple(tuple([sum(map(mul, row, col)) for col in columns]) for row in a)
 
 
 @cache

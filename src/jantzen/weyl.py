@@ -11,14 +11,17 @@ The first query on a system enumerates the group breadth-first from the
 identity, which yields the elements in (length, canonical word) order: the
 identity is 0, the generator s_i is i + 1 and the longest element w0 comes
 last.  Enumeration is deterministic, so an index names the same element in
-every system built for the same root set.  Per element the system keeps one
-integer matrix, the action on weight coordinates, which recognizes an
-element reached twice during the walk and is the one weight action
-(``apply``); and one list each for the length, the canonical reduced word,
-the right-descent bitmask, the products w s_i, the inverse and w0 w.  Every
-other query is a lookup or a walk through these lists.  A group larger than
-``MAX_GROUP_ORDER`` is never enumerated: its first query raises
-``CapExceededError``, and every later query raises it again at once.
+every system built for the same root set.  The walk recognises an element
+by the integer vector w^-1(rho), rho the ambient all-ones weight: rho is
+regular, so the vector names the element in every subsystem, and one
+reflection of it gives the vector of w s_i.  Per element the system keeps
+one integer matrix, its action on weight coordinates (``apply``), built
+once when the walk first reaches the element; and one list each for the
+length, the canonical reduced word, the right-descent bitmask, the
+products w s_i, the inverse and w0 w.  Every other query is a lookup or a
+walk through these lists.  A group larger than ``MAX_GROUP_ORDER`` is
+never enumerated: its first query raises ``CapExceededError``, and every
+later query raises it again at once.
 
 Systems are interned: ``subsystem`` keeps one per (type, positive-root
 index set) until ``jantzen.clear_caches()``, and checks the root-system
@@ -71,6 +74,13 @@ def _reflection_matrix(rs: RootSystem, alpha):
         tuple((1 if i == j else 0) - wc[i] * coroot[j] for j in range(n))
         for i in range(n)
     )
+
+
+def _reflect(key, coroot, root) -> tuple[int, ...]:
+    """key - <key, alpha^vee> alpha, for integer weight coordinates, the
+    coroot of alpha and the weight coordinates of alpha."""
+    p = sum(map(mul, coroot, key))
+    return tuple([a - p * b for a, b in zip(key, root)])
 
 
 def _walk(right, w: int, word) -> int:
@@ -200,6 +210,12 @@ class CoxeterSystem:
     def _enumerate(self):
         """Breadth-first walk from the identity, one length level at a time.
 
+        An element w is recognised by its key, the integer weight
+        coordinates of w^-1(rho) for the ambient rho: rho is regular, so
+        the key is injective on every subsystem, and the key of w s_i is
+        s_i applied to the key of w, one O(rank) step.  The matrix of w is
+        built once, when w is first reached.
+
         Every element of length L + 1 is w s_i for some w of length L, so a
         product not seen yet is new at length L + 1, and a product already
         seen at length L - 1 marks a right descent.  Within a level the
@@ -214,27 +230,34 @@ class CoxeterSystem:
             raise CapExceededError(f"group order exceeds cap {MAX_GROUP_ORDER}")
         rs = self.rs
         gens = [_reflection_matrix(rs, alpha) for alpha in self.simple_roots]
-        e = identity_matrix(rs.rank)
-        index = {e: 0}
-        matrix, length, word, descents, right = [e], [0], [()], [0], []
+        # per generator: its coroot and the weight coordinates of its root
+        steps = [
+            (i, rs.coroot_of(alpha), rs.root_to_weight_coords(alpha))
+            for i, alpha in enumerate(self.simple_roots)
+        ]
+        rho = (1,) * rs.rank
+        index = {rho: 0}
+        keys, matrix = [rho], [identity_matrix(rs.rank)]
+        length, word, descents, right = [0], [()], [0], []
         frontier = [0]
         while frontier:
             new = []
             for w in frontier:
-                m, lw = matrix[w], length[w]
+                k, lw = keys[w], length[w]
                 row = []
-                for i, g in enumerate(gens):
-                    prod = matmul(m, g)
-                    u = index.get(prod)
+                for i, coroot, root in steps:
+                    key = _reflect(k, coroot, root)
+                    u = index.get(key)
                     if u is None:
-                        u = len(matrix)
+                        u = len(keys)
                         if u >= MAX_GROUP_ORDER:
                             self._over_cap = True
                             raise CapExceededError(
                                 f"group order exceeds cap {MAX_GROUP_ORDER}"
                             )
-                        index[prod] = u
-                        matrix.append(prod)
+                        index[key] = u
+                        keys.append(key)
+                        matrix.append(matmul(matrix[w], gens[i]))
                         length.append(lw + 1)
                         word.append(word[w] + (i,))
                         descents.append(0)
@@ -251,8 +274,9 @@ class CoxeterSystem:
         w0 = len(matrix) - 1  # the unique element of maximal length
         t.inverse = [_walk(right, 0, reversed(v)) for v in word]
         t.w0x = [_walk(right, w0, v) for v in word]
+        # a reflection is an involution, so its key is s_beta(rho)
         t.reflections = tuple(
-            index[_reflection_matrix(rs, rs.positive_roots[k])] for k in self.pos_idx
+            index[_reflect(rho, rs.coroots[k], rs.root_weights[k])] for k in self.pos_idx
         )
         self._info = t
 
@@ -295,16 +319,18 @@ class CoxeterSystem:
             downsets.append(bits)
         self._downsets = downsets
 
-    def bruhat_leq(self, x: int, w: int) -> bool:
+    def downsets(self) -> list[int]:
+        """Per element w, the bitmask of the x <= w."""
         if self._downsets is None:
             self._build_downsets()
-        return bool(self._downsets[w] >> x & 1)
+        return self._downsets
+
+    def bruhat_leq(self, x: int, w: int) -> bool:
+        return bool(self.downsets()[w] >> x & 1)
 
     def bruhat_interval_below(self, w: int) -> list[int]:
         """All x <= w, in index order."""
-        if self._downsets is None:
-            self._build_downsets()
-        bits = bin(self._downsets[w])[:1:-1]  # bit x is character x
+        bits = bin(self.downsets()[w])[:1:-1]  # bit x is character x
         return [x for x, c in enumerate(bits) if c == "1"]
 
     # -- cosets ---------------------------------------------------------------

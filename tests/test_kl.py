@@ -283,6 +283,54 @@ def test_columns_reached_out_of_order(name):
     ]
 
 
+def _poly_columns(sys):
+    """Every column in Poly arithmetic, the reference for the build's
+    integer coefficient lists: the same recursion, P(x, w) as a sum of
+    shifted polynomials with each mu-term subtracted as a Poly."""
+    one, zero = Poly((1,)), Poly()
+    cols = {}
+    for w in sys.elements():  # index order is length order
+        s = sys.first_right_descent(w)
+        if s is None:
+            cols[w] = {w: one}
+            continue
+        v = sys.right_mul(w, s)
+        below = cols[v]
+        lw = sys.length(w)
+        mus = []
+        for z, p in below.items():
+            d = lw - 1 - sys.length(z)
+            if d % 2 and sys.right_descent(z, s):
+                m = p.coeff((d - 1) // 2)
+                if m:
+                    mus.append((cols[z], m, (d + 1) // 2))
+        col = {}
+        for x in sorted({u for y in below for u in (y, sys.right_mul(y, s))}):
+            if lw - sys.length(x) <= 2:
+                col[x] = one  # the degree bound forces 1
+                continue
+            xs = sys.right_mul(x, s)
+            if sys.length(xs) < sys.length(x):
+                p = below[xs] + below.get(x, zero).shift(1)
+            else:
+                p = below.get(xs, zero).shift(1) + below[x]
+            for cz, m, k in mus:
+                pz = cz.get(x)
+                if pz is not None:
+                    p = p - m * pz.shift(k)
+            col[x] = p
+        cols[w] = col
+    return cols
+
+
+@pytest.mark.parametrize("name", ["B4", "C4"])
+def test_build_matches_poly_arithmetic(name):
+    sys = _system(name)
+    ref = _poly_columns(sys)
+    want = [(x, w, p.coeffs) for w in sorted(ref) for x, p in ref[w].items()]
+    assert [(x, w, p.coeffs) for x, w, p in build_table(sys).entries()] == want
+
+
 def test_build_table_pair_count():
     sys = _system("B2")
     table = build_table(sys)

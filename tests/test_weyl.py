@@ -17,11 +17,21 @@ from jantzen.roots import (
     Weight,
     build_root_system,
     coroot_pairing,
+    identity_matrix,
+    matmul,
     reflect,
     rho,
 )
 from jantzen.suite import ACCEPTANCE_TYPES
-from jantzen.weyl import CapExceededError, format_word, parse_word, weyl_group
+from jantzen.weyl import (
+    CapExceededError,
+    _reflection_matrix,
+    _Tables,
+    _walk,
+    format_word,
+    parse_word,
+    weyl_group,
+)
 
 ORDERS = {
     "A1": 2,
@@ -265,6 +275,65 @@ def test_subsystem_tables_match_reflections():
                 assert sys.right_mul(w, i) == by_image[act(sys.word(w) + (i,), r)]
         m = sys.coxeter_matrix()[0][1]
         assert sys.order() == 2 * m
+
+
+def _matrix_keyed_tables(sys):
+    """The element tables by a matrix-keyed walk, the reference for the
+    rho-keyed one: breadth-first from the identity, an element recognised
+    by its matrix on weight coordinates and w s_i formed as a matrix
+    product."""
+    rs = sys.rs
+    gens = [_reflection_matrix(rs, alpha) for alpha in sys.simple_roots]
+    e = identity_matrix(rs.rank)
+    index = {e: 0}
+    matrix, length, word, descents, right = [e], [0], [()], [0], []
+    frontier = [0]
+    while frontier:
+        new = []
+        for w in frontier:
+            row = []
+            for i, g in enumerate(gens):
+                prod = matmul(matrix[w], g)
+                u = index.get(prod)
+                if u is None:
+                    u = index[prod] = len(matrix)
+                    matrix.append(prod)
+                    length.append(length[w] + 1)
+                    word.append(word[w] + (i,))
+                    descents.append(0)
+                    new.append(u)
+                elif length[u] < length[w]:
+                    descents[w] |= 1 << i
+                row.append(u)
+            right.append(tuple(row))
+        frontier = new
+    w0 = len(matrix) - 1
+    return {
+        "matrix": matrix,
+        "length": length,
+        "word": word,
+        "descents": descents,
+        "right": right,
+        "inverse": [_walk(right, 0, reversed(v)) for v in word],
+        "w0x": [_walk(right, w0, v) for v in word],
+        "reflections": tuple(
+            index[_reflection_matrix(rs, rs.positive_roots[k])] for k in sys.pos_idx
+        ),
+    }
+
+
+def test_keyed_walk_matches_matrix_keyed_walk():
+    # every table field of the rho-keyed walk equals the reference's, on
+    # every acceptance type, the rank-4 groups and two nonintegral
+    # subsystems whose simple roots are not the ambient ones
+    systems = [_group(name) for name in REFERENCE_TYPES + ("B4", "F4")]
+    for name in ("B2", "G2"):
+        rs = build_root_system(LieType.parse(name))
+        systems.append(integral_block(rs, Weight.of(Fraction(-1, 2), -1)).system)
+    for sys in systems:
+        want = _matrix_keyed_tables(sys)
+        t = sys._tables()
+        assert {f: getattr(t, f) for f in _Tables.__slots__} == want, sys.rs
 
 
 def test_elements_sorted_by_sort_key():
