@@ -7,6 +7,11 @@ J = {delta in Delta_mu : <mu, delta^vee> = 0}, and the reflection subgroup
 W_mu realized inside the ambient Weyl group.  Every weight nu has a unique
 antidominant representative mu = w^{-1} nu with w a minimal-length coset
 representative modulo W_J.
+
+A block parametrises its weights by w -> w(mu) on the indices of W_mu: the
+entry of w is built from that of s_i w, i the first letter of w's
+canonical word, by one reflection of the weight and one step of its root
+coordinates (``_orbit``).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from jantzen.roots import (
     pairing_numerator,
     positive_integral_pairings,
     reflect,
+    reflect_vector,
 )
 from jantzen.weyl import CoxeterSystem, DefectError, subsystem
 
@@ -67,14 +73,13 @@ class Block:
         return _column(self.system, self.J, w, table)
 
     def apply(self, w: int) -> Weight:
-        """The weight w(mu)."""
-        return self.system.apply(w, self.mu)
+        """The weight w(mu): one ``_orbit`` entry, kept until clear_caches()."""
+        return _orbit(self.system, self.mu, w)[0]
 
     def rise(self, w: int) -> tuple[int, ...]:
         """Root coordinates of w(mu) - mu, a sum of positive roots since mu
-        is antidominant: one root_offset solve per (system, mu, w), kept
-        until clear_caches()."""
-        return _rise(self.system, self.mu, w)
+        is antidominant: read from the same ``_orbit`` entry as apply(w)."""
+        return _orbit(self.system, self.mu, w)[1]
 
     def offset(self, x: int, y: int) -> tuple[int, ...]:
         """Root coordinates of x(mu) - y(mu), read as rise(x) - rise(y); it
@@ -96,8 +101,28 @@ def _column(system: CoxeterSystem, J: tuple[int, ...], w: int, table: KLTable) -
 
 
 @cache
-def _rise(system: CoxeterSystem, mu: Weight, w: int) -> tuple[int, ...]:
-    return root_offset(system.rs, system.apply(w, mu) - mu)
+def _orbit(system: CoxeterSystem, mu: Weight, w: int) -> tuple[Weight, tuple[int, ...]]:
+    """(w(mu), root coordinates of w(mu) - mu) for an antidominant mu.
+
+    With v = s_i w for the first letter i of w's canonical word, l(v) <
+    l(w), so v^-1(alpha_i) is a positive root of the system and
+    p = <v(mu), alpha_i^vee> is an integer <= 0; then w(mu) = v(mu) - p
+    alpha_i, and w(mu) - mu = (v(mu) - mu) - p alpha_i.  DefectError if p is
+    not an integer <= 0, which happens only when mu is not antidominant."""
+    if w == system.identity:
+        return mu, (0,) * len(mu.num)
+    i = system.word(w)[0]
+    vmu, vrise = _orbit(system, mu, system.left_mul(i, w))
+    rs, k = system.rs, system.simple_idx[i]
+    coroot, alpha = rs.coroots[k], rs.positive_roots[k]
+    p, r = divmod(pairing_numerator(vmu, coroot), vmu.den)
+    if p > 0 or r:
+        raise DefectError(
+            f"{mu.serialize()} is not antidominant: <{vmu.serialize()}, "
+            f"alpha^vee> is not an integer <= 0 for alpha = {alpha}"
+        )
+    image = Weight.scaled(vmu.den, reflect_vector(vmu.num, coroot, rs.root_weights[k]))
+    return image, tuple([c - p * a for c, a in zip(vrise, alpha)])
 
 
 def _block(rs: RootSystem, mu: Weight, pos_idx) -> Block:
@@ -145,15 +170,6 @@ def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, int]:
     if block.apply(y) != nu:
         raise DefectError("normalization did not reproduce the input weight")
     return block, y
-
-
-def root_offset(rs: RootSystem, diff: Weight) -> tuple[int, ...]:
-    """Root coordinates of a weight difference that must be a sum of
-    positive roots (an offset below a highest weight); DefectError if not."""
-    rc = rs.weight_to_root_coords(diff.coords)
-    if any(c.denominator != 1 or c < 0 for c in rc):
-        raise DefectError(f"{diff.serialize()} is not a sum of positive roots")
-    return tuple(int(c) for c in rc)
 
 
 def phi_plus_count(rs: RootSystem, nu: Weight) -> int:

@@ -4,24 +4,24 @@ All arithmetic is exact.  Roots and coroots are integer vectors in the
 simple-root and simple-coroot bases; a weight is a vector of rationals in
 the pairing basis, ``coords[i] = <lambda, alpha_i^vee>``, held in one
 integer form: ``den``, the least common denominator of the coordinates,
-and the integer numerators ``num = den * coords``.  Pairings, reflections
-and the Weyl group action are integer arithmetic on ``num`` over the same
-``den`` (the Weyl group acts by integer matrices with integer inverses, so
-it keeps ``den``).  ``Fraction``s appear only at the edges: parsing,
-``coords`` and ``serialize``, a pairing that is not an integer, and the
-exact solves (``solve``, ``weight_to_root_coords``).
+and the integer numerators ``num = den * coords``.  Pairings and
+reflections are integer arithmetic on ``num`` over the same ``den`` (a
+reflection is an integer matrix with an integer inverse, so it keeps
+``den``).  ``Fraction``s appear only at the edges: parsing, ``coords`` and
+``serialize``, a pairing that is not an integer, and the exact solve
+(``solve``).
 Bourbaki numbering fixes the Cartan matrices, with the convention
 ``cartan[i][j] = <alpha_j, alpha_i^vee>``, so ``rho`` is the all-ones
 weight and the reflection in ``alpha_i`` subtracts ``coords[i]`` times the
 i-th Cartan column.
 
 The package's one exact linear solver (``solve``, Gauss-Jordan over the
-rationals), its one matrix product (``matmul``) and its one coroot pairing
-(``pairing_numerator`` over a weight's denominator, ``coroot_pairing`` as
-a number) live here too, as does its one form of the partition
-function: a table truncated at a height (``partition_table``), read at
-shifted boxes by ``shifted_sum`` for every signed sum of shifted partition
-functions a character check needs.
+rationals), its one reflection step on integer vectors (``reflect_vector``,
+v - <v, a> b) and its one coroot pairing (``pairing_numerator`` over a
+weight's denominator, ``coroot_pairing`` as a number) live here too, as
+does its one form of the partition function: a table truncated at a
+height (``partition_table``), read at shifted boxes by ``shifted_sum`` for
+every signed sum of shifted partition functions a character check needs.
 """
 
 from __future__ import annotations
@@ -115,26 +115,23 @@ def _cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
 
 
 def _close_roots(cartan) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Reflection closure of the simple (root, coroot) pairs."""
+    """Reflection closure of the simple (root, coroot) pairs.
+
+    The reflection in alpha_i moves a root along the unit vector e_i by its
+    pairing with Cartan row i, and a coroot by its pairing with Cartan
+    column i."""
     n = len(cartan)
-    start = [
-        (tuple(1 if k == i else 0 for k in range(n)),) * 2 for i in range(n)
-    ]
-    seen = {pair[0]: pair[1] for pair in start}
-    frontier = [pair[0] for pair in start]
+    units = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
+    steps = list(zip(cartan, zip(*cartan), units))
+    seen = {e: e for e in units}
+    frontier = list(units)
     while frontier:
         new = []
         for root in frontier:
             coroot = seen[root]
-            for i in range(n):
-                pr = sum(root[k] * cartan[i][k] for k in range(n))
-                r2 = tuple(
-                    c - (pr if k == i else 0) for k, c in enumerate(root)
-                )
-                pc = sum(coroot[j] * cartan[j][i] for j in range(n))
-                c2 = tuple(
-                    c - (pc if k == i else 0) for k, c in enumerate(coroot)
-                )
+            for row, column, e in steps:
+                r2 = reflect_vector(root, row, e)
+                c2 = reflect_vector(coroot, column, e)
                 if r2 not in seen:
                     seen[r2] = c2
                     new.append(r2)
@@ -173,7 +170,6 @@ class RootSystem:
             self._index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
         )
-        self._inv_cartan = invert(self.cartan)
 
     @property
     def rank(self) -> int:
@@ -217,14 +213,6 @@ class RootSystem:
             sum(self.cartan[i][k] * vec[k] for k in range(n)) for i in range(n)
         )
 
-    def weight_to_root_coords(self, coords) -> tuple[Fraction, ...]:
-        """Solve cartan @ x = coords exactly (valid for root-lattice vectors)."""
-        n = self.rank
-        return tuple(
-            sum(self._inv_cartan[i][k] * Fraction(coords[k]) for k in range(n))
-            for i in range(n)
-        )
-
 
 def solve(vectors, targets):
     """Per target, exact coefficients c with sum_j c[j] * vectors[j] ==
@@ -266,23 +254,11 @@ def solve(vectors, targets):
     return out
 
 
-def identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def invert(mat) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square matrix: one ``solve`` for all unit columns."""
-    columns = tuple(zip(*mat))
-    inverse_columns = solve(columns, identity_matrix(len(mat)))
-    if None in inverse_columns:
-        raise ValueError("matrix is singular")
-    return tuple(zip(*inverse_columns))
-
-
-def matmul(a, b):
-    """Product of two square matrices given as row tuples."""
-    columns = tuple(zip(*b))
-    return tuple(tuple([sum(map(mul, row, col)) for col in columns]) for row in a)
+def reflect_vector(v, a, b) -> tuple[int, ...]:
+    """v - <v, a> b for integer vectors, with <v, a> = sum_k v[k] a[k]:
+    the reflection step of roots, coroots and weight numerators alike."""
+    p = sum(map(mul, a, v))
+    return tuple([x - p * y for x, y in zip(v, b)])
 
 
 @cache
@@ -407,10 +383,7 @@ def reflect(rs: RootSystem, w: Weight, root) -> Weight:
     Over the common denominator d of w, the numerators lose P times the
     Cartan image of the root, with P = d <w, root^vee> an integer."""
     k = rs.reflection_index(root)
-    p = pairing_numerator(w, rs.coroots[k])
-    return Weight.scaled(
-        w.den, tuple(n - p * x for n, x in zip(w.num, rs.root_weights[k]))
-    )
+    return Weight.scaled(w.den, reflect_vector(w.num, rs.coroots[k], rs.root_weights[k]))
 
 
 def positive_integral_pairings(rs: RootSystem, w: Weight):

@@ -320,8 +320,8 @@ def _generic_verma(lt: LieType) -> _GenericVerma:
 
 class VermaModule:
     """The deformed Verma module M(nu + t rho - rho) over Q[t]: the type's
-    Gram matrices over Z[lambda] at lambda_k = nu_k - 1 + t, memoised per
-    offset.  ``_memo`` is the type's action memo."""
+    Gram matrices over Z[lambda] at lambda_k = nu_k - 1 + t.  ``_memo`` is
+    the type's action memo."""
 
     def __init__(self, cb: ChevalleyBasis, nu: Weight):
         if len(nu.coords) != cb.rank:
@@ -332,7 +332,6 @@ class VermaModule:
         self._lam = [Poly((c - 1 if c.denominator != 1 else int(c) - 1, 1)) for c in nu.coords]
         # monomial -> coefficients of its value; (c_k + t)^j among them
         self._images: dict = {(0,) * cb.rank: (1,)}
-        self._grams: dict = {}
 
     def _image(self, m: tuple) -> tuple:
         if m not in self._images:
@@ -351,14 +350,11 @@ class VermaModule:
 
     def gram(self, beta: tuple):
         """(basis, matrix) on the weight space nu - rho - beta."""
-        if beta in self._grams:
-            return self._grams[beta]
         basis, generic = self._generic.gram(beta)
         mat = [[None] * len(basis) for _ in basis]
         for i, row in enumerate(generic):  # symmetric: specialise i <= j
             for j in range(i, len(row)):
                 mat[i][j] = mat[j][i] = self.specialise(row[j])
-        self._grams[beta] = basis, mat
         return basis, mat
 
 

@@ -14,14 +14,14 @@ last.  Enumeration is deterministic, so an index names the same element in
 every system built for the same root set.  The walk recognises an element
 by the integer vector w^-1(rho), rho the ambient all-ones weight: rho is
 regular, so the vector names the element in every subsystem, and one
-reflection of it gives the vector of w s_i.  Per element the system keeps
-one integer matrix, its action on weight coordinates (``apply``), built
-once when the walk first reaches the element; and one list each for the
-length, the canonical reduced word, the right-descent bitmask, the
-products w s_i, the inverse and w0 w.  Every other query is a lookup or a
-walk through these lists.  A group larger than ``MAX_GROUP_ORDER`` is
-never enumerated: its first query raises ``CapExceededError``, and every
-later query raises it again at once.
+reflection of it gives the vector of w s_i.  The system keeps one list
+per element each for the length, the canonical reduced word, the
+right-descent bitmask, the products w s_i, the inverse and w0 w; every
+other query is a lookup or a walk through these lists.  An element acts
+on weights only through a block (``blocks.Block.apply``), which follows
+its canonical word one simple reflection at a time.  A group larger than
+``MAX_GROUP_ORDER`` is never enumerated: its first query raises
+``CapExceededError``, and every later query raises it again at once.
 
 Systems are interned: ``subsystem`` keeps one per (type, positive-root
 index set) until ``jantzen.clear_caches()``, and checks the root-system
@@ -34,14 +34,7 @@ from __future__ import annotations
 from functools import cache
 from operator import mul
 
-from jantzen.roots import (
-    RootSystem,
-    Weight,
-    identity_matrix,
-    matmul,
-    pairing_numerator,
-    solve,
-)
+from jantzen.roots import RootSystem, reflect_vector, solve
 
 MAX_GROUP_ORDER = 1152
 
@@ -59,30 +52,6 @@ class DefectError(RuntimeError):
     """A structural invariant failed; results would not be trustworthy."""
 
 
-def _root_pairing(rs: RootSystem, root, alpha) -> int:
-    """<root, alpha^vee> for roots in simple-root coordinates."""
-    return sum(map(mul, rs.coroot_of(alpha), rs.root_to_weight_coords(root)))
-
-
-def _reflection_matrix(rs: RootSystem, alpha):
-    """The reflection lambda -> lambda - <lambda, alpha^vee> alpha, acting
-    on weight coordinates."""
-    n = rs.rank
-    coroot = rs.coroot_of(alpha)
-    wc = rs.root_to_weight_coords(alpha)
-    return tuple(
-        tuple((1 if i == j else 0) - wc[i] * coroot[j] for j in range(n))
-        for i in range(n)
-    )
-
-
-def _reflect(key, coroot, root) -> tuple[int, ...]:
-    """key - <key, alpha^vee> alpha, for integer weight coordinates, the
-    coroot of alpha and the weight coordinates of alpha."""
-    p = sum(map(mul, coroot, key))
-    return tuple([a - p * b for a, b in zip(key, root)])
-
-
 def _walk(right, w: int, word) -> int:
     """w s_{i1} ... s_{ik} for the word (i1, ..., ik)."""
     for i in word:
@@ -94,15 +63,11 @@ class _Tables:
     """The per-element lists of an enumerated system, indexed by element.
 
     ``right[w][i]`` is w s_i, bit i of ``descents[w]`` is set iff
-    l(w s_i) < l(w), ``matrix[w]`` is the action of w on weight
-    coordinates, and ``reflections`` lists the reflections of the system
-    in the order of its positive roots.
+    l(w s_i) < l(w), and ``reflections`` lists the reflections of the
+    system in the order of its positive roots.
     """
 
-    __slots__ = (
-        "matrix", "length", "word", "descents", "right", "inverse", "w0x",
-        "reflections",
-    )
+    __slots__ = ("length", "word", "descents", "right", "inverse", "w0x", "reflections")
 
 
 class CoxeterSystem:
@@ -152,7 +117,7 @@ class CoxeterSystem:
         """The product w s_i."""
         return self._tables().right[w][i]
 
-    def _left_mul(self, i: int, w: int) -> int:
+    def left_mul(self, i: int, w: int) -> int:
         """The product s_i w, as (w^-1 s_i)^-1."""
         t = self._tables()
         return t.inverse[t.right[t.inverse[w]][i]]
@@ -182,25 +147,15 @@ class CoxeterSystem:
         """The product w0 w, w0 the longest element."""
         return self._tables().w0x[w]
 
-    def apply(self, w: int, weight: Weight) -> Weight:
-        """The image w(lambda) of a weight in the pairing basis.
-
-        Row i of the matrix of w is the coroot w^-1(alpha_i^vee), since
-        <w lambda, alpha_i^vee> = <lambda, w^-1 alpha_i^vee>; the integer
-        matrix acts on the numerators over the weight's denominator."""
-        return Weight.scaled(
-            weight.den,
-            tuple(pairing_numerator(weight, row) for row in self._tables().matrix[w]),
-        )
-
     def coxeter_matrix(self) -> tuple[tuple[int, ...], ...]:
         if self._coxeter_matrix is None:
-            rs, simples = self.rs, self.simple_roots
+            rs, simples = self.rs, self.simple_idx
+
+            def pairing(a, b):  # <alpha_a, alpha_b^vee>
+                return sum(map(mul, rs.coroots[b], rs.root_weights[a]))
+
             self._coxeter_matrix = tuple(
-                tuple(
-                    _COXETER_ENTRY[_root_pairing(rs, a, b) * _root_pairing(rs, b, a)]
-                    for b in simples
-                )
+                tuple(_COXETER_ENTRY[pairing(a, b) * pairing(b, a)] for b in simples)
                 for a in simples
             )
         return self._coxeter_matrix
@@ -213,8 +168,7 @@ class CoxeterSystem:
         An element w is recognised by its key, the integer weight
         coordinates of w^-1(rho) for the ambient rho: rho is regular, so
         the key is injective on every subsystem, and the key of w s_i is
-        s_i applied to the key of w, one O(rank) step.  The matrix of w is
-        built once, when w is first reached.
+        s_i applied to the key of w, one O(rank) step.
 
         Every element of length L + 1 is w s_i for some w of length L, so a
         product not seen yet is new at length L + 1, and a product already
@@ -229,16 +183,11 @@ class CoxeterSystem:
         if self._over_cap:
             raise CapExceededError(f"group order exceeds cap {MAX_GROUP_ORDER}")
         rs = self.rs
-        gens = [_reflection_matrix(rs, alpha) for alpha in self.simple_roots]
         # per generator: its coroot and the weight coordinates of its root
-        steps = [
-            (i, rs.coroot_of(alpha), rs.root_to_weight_coords(alpha))
-            for i, alpha in enumerate(self.simple_roots)
-        ]
+        steps = [(i, rs.coroots[k], rs.root_weights[k]) for i, k in enumerate(self.simple_idx)]
         rho = (1,) * rs.rank
         index = {rho: 0}
-        keys, matrix = [rho], [identity_matrix(rs.rank)]
-        length, word, descents, right = [0], [()], [0], []
+        keys, length, word, descents, right = [rho], [0], [()], [0], []
         frontier = [0]
         while frontier:
             new = []
@@ -246,7 +195,7 @@ class CoxeterSystem:
                 k, lw = keys[w], length[w]
                 row = []
                 for i, coroot, root in steps:
-                    key = _reflect(k, coroot, root)
+                    key = reflect_vector(k, coroot, root)
                     u = index.get(key)
                     if u is None:
                         u = len(keys)
@@ -257,7 +206,6 @@ class CoxeterSystem:
                             )
                         index[key] = u
                         keys.append(key)
-                        matrix.append(matmul(matrix[w], gens[i]))
                         length.append(lw + 1)
                         word.append(word[w] + (i,))
                         descents.append(0)
@@ -268,15 +216,13 @@ class CoxeterSystem:
                 right.append(tuple(row))
             frontier = new
         t = _Tables()
-        t.matrix, t.length, t.word, t.descents, t.right = (
-            matrix, length, word, descents, right
-        )
-        w0 = len(matrix) - 1  # the unique element of maximal length
+        t.length, t.word, t.descents, t.right = length, word, descents, right
+        w0 = len(keys) - 1  # the unique element of maximal length
         t.inverse = [_walk(right, 0, reversed(v)) for v in word]
         t.w0x = [_walk(right, w0, v) for v in word]
         # a reflection is an involution, so its key is s_beta(rho)
         t.reflections = tuple(
-            index[_reflect(rho, rs.coroots[k], rs.root_weights[k])] for k in self.pos_idx
+            index[reflect_vector(rho, rs.coroots[k], rs.root_weights[k])] for k in self.pos_idx
         )
         self._info = t
 
@@ -380,7 +326,7 @@ class CoxeterSystem:
             return False
         lw = self.length(w)
         for i in I:
-            u = self._left_mul(i, w)
+            u = self.left_mul(i, w)
             if self.length(u) != lw + 1:
                 return False
             if not self.is_min_coset_rep(u, J):
@@ -412,7 +358,6 @@ def _validate_subsystem(rs: RootSystem, simple_idx, pos_idx) -> None:
     """Root-system axioms for the integral subsystem; defect on failure."""
     simples = [rs.positive_roots[i] for i in simple_idx]
     pos_vecs = [rs.positive_roots[i] for i in pos_idx]
-    pos_set = set(pos_vecs)
     # every integral positive root is a nonnegative integer combination of
     # the indecomposables
     for vec, coeffs in zip(pos_vecs, solve(simples, pos_vecs)):
@@ -423,15 +368,17 @@ def _validate_subsystem(rs: RootSystem, simple_idx, pos_idx) -> None:
                 f"integral root {vec} is not a nonnegative integer "
                 f"combination of the indecomposables {simples}"
             )
-    # the simple reflections permute the subsystem
-    for srv in simples:
-        for vec in pos_vecs:
-            p = _root_pairing(rs, vec, srv)
-            img = tuple(v - p * a for v, a in zip(vec, srv))
-            if img not in pos_set and tuple(-c for c in img) not in pos_set:
+    # the simple reflections permute the subsystem, checked on the roots'
+    # weight coordinates
+    weights = {rs.root_weights[i] for i in pos_idx}
+    for s in simple_idx:
+        for i in pos_idx:
+            img = reflect_vector(rs.root_weights[i], rs.coroots[s], rs.root_weights[s])
+            if img not in weights and tuple(-c for c in img) not in weights:
                 raise DefectError(
-                    f"reflection in {srv} does not preserve the integral "
-                    f"subsystem (moved {vec} to {img})"
+                    f"reflection in {rs.positive_roots[s]} does not preserve the "
+                    f"integral subsystem (moved {rs.positive_roots[i]} to the "
+                    f"root of weight coordinates {img})"
                 )
 
 

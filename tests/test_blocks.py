@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jantzen import blocks
 from jantzen.blocks import DefectError, integral_block, normalize, phi_plus_count
 from jantzen.filtration import sum_formula_check
 from jantzen.kl import table_for
 from jantzen.roots import LieType, Weight, build_root_system
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
+from jantzen.weyl import weyl_group
+from reference import root_coords, word_apply
 
 
 def _rs(name):
@@ -227,7 +230,38 @@ def test_block_apply():
     rs = _rs("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     for w in block.coset_reps():
-        assert block.apply(w) == block.system.apply(w, block.mu)
+        assert block.apply(w) == word_apply(block.system, w, block.mu)
+
+
+def _orbit_blocks():
+    """Every acceptance-type suite weight of seeds 0 and 1, and F4's -rho."""
+    for name in ACCEPTANCE_TYPES:
+        rs = _rs(name)
+        weights = {mu for seed in (0, 1) for _, mu in suite_weights(rs, seed)}
+        yield from ((rs, mu) for mu in sorted(weights, key=lambda mu: mu.coords))
+    yield _rs("F4"), Weight.of(-1, -1, -1, -1)
+
+
+def test_apply_and_rise_match_the_word_walk():
+    checked = 0
+    for rs, mu in _orbit_blocks():
+        block = integral_block(rs, mu)
+        sys = block.system
+        want = [word_apply(sys, w, mu) for w in sys.elements()]
+        rises = root_coords(rs, [nu - mu for nu in want])
+        for w in sys.elements():
+            assert block.apply(w) == want[w], (mu, w)
+            assert block.rise(w) == tuple(rises[w]), (mu, w)
+        checked += sys.order()
+    assert checked > 1152
+
+
+def test_orbit_rejects_a_weight_that_is_not_antidominant():
+    # <mu, alpha_1^vee> is 1 for the dominant (1, 1), and 1/2 for (1/2, -1)
+    sys = weyl_group(_rs("A2"))
+    for mu in (Weight.of(1, 1), Weight.of(Fraction(1, 2), -1)):
+        with pytest.raises(DefectError, match=f"^{mu.serialize()} is not antidominant"):
+            blocks._orbit(sys, mu, sys.gens[0])
 
 
 def test_phi_plus_count_examples():

@@ -15,6 +15,7 @@ import pathlib
 import pytest
 
 from jantzen import clear_caches
+from jantzen.blocks import integral_block
 from jantzen.kl import (
     CACHE_VERSION,
     KLTable,
@@ -28,6 +29,7 @@ from jantzen.kl import (
 from jantzen.poly import Poly
 from jantzen.roots import LieType, Weight, build_root_system
 from jantzen.weyl import CoxeterSystem, format_word, weyl_group
+from reference import word_apply
 
 
 def _system(name):
@@ -473,16 +475,16 @@ def test_table_for_uses_interned_system():
     assert table_for(twin).system is sys
 
 
-def test_longest_times_matches_matrix_product():
+def test_longest_times_matches_weight_action():
     for name in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "A4"):
         sys = _system(name)
         w0 = sys.longest_element()
-        rho = Weight.of(*[1] * sys.rs.rank)
+        block = integral_block(sys.rs, Weight.of(*[-1] * sys.rs.rank))
         for x in sys.elements():
             w0x = sys.longest_times(x)
-            # the weight action is the matrix product, independent of the
-            # table walks
-            assert sys.apply(w0x, rho) == sys.apply(w0, sys.apply(x, rho))
+            # (w0 x)(-rho) from the block's orbit entries against w0 applied
+            # by the reference walk to x(-rho)
+            assert block.apply(w0x) == word_apply(sys, w0, block.apply(x))
             assert sys.length(w0x) == sys.length(w0) - sys.length(x)
 
 

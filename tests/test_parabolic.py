@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jantzen import weyl
+from jantzen import blocks, weyl
 from jantzen.blocks import DefectError, integral_block
 from jantzen.filtration import layers
 from jantzen.kl import table_for
@@ -19,6 +19,7 @@ from jantzen.parabolic import (
 )
 from jantzen.roots import LieType, Weight, boxes, build_root_system, partition_count
 from jantzen.suite import suite_weights
+from reference import root_coords, word_apply
 
 
 def _rs(name):
@@ -380,11 +381,12 @@ def _char_rows_per_beta(pb, w, depth):
     base = Weight(tuple(c - 1 for c in lam.coords)) + rho_I
 
     def shifts(source):
-        out = []
-        for u in sys.subgroup_elements(pb.I):
-            rc = rs.weight_to_root_coords((source - sys.apply(u, source)).coords)
-            out.append((-1 if sys.length(u) % 2 else 1, tuple(int(c) for c in rc)))
-        return out
+        levi = sys.subgroup_elements(pb.I)
+        rcs = root_coords(rs, [source - word_apply(sys, u, source) for u in levi])
+        return [
+            (-1 if sys.length(u) % 2 else 1, tuple(int(c) for c in rc))
+            for u, rc in zip(levi, rcs)
+        ]
 
     levi_shifts, verma_shifts = shifts(base), shifts(lam)
 
@@ -427,9 +429,10 @@ def test_character_check_rows_match_per_beta_counts(name):
     assert checked == {"B3": 147, "C3": 147, "G2": 25}[name]
 
 
-def test_parabolic_paths_never_multiply_matrices(monkeypatch):
-    # enumerate_IWJ enumerates the group, the one step that multiplies
-    # matrices; everything after it walks the per-element tables
+def test_parabolic_paths_reflect_each_weight_once(monkeypatch):
+    # enumerate_IWJ enumerates the group and the first pass builds the
+    # orbit entries w(mu), the two steps that reflect; a second pass walks
+    # the per-element tables and reads the memoised entries
     prepared = []
     for name in ("A3", "B3"):
         rs = _rs(name)
@@ -448,10 +451,11 @@ def test_parabolic_paths_never_multiply_matrices(monkeypatch):
         for pb, table in prepared
     ]
 
-    def no_products(a, b):
-        raise AssertionError("matrix product after enumeration")
+    def no_steps(v, a, b):
+        raise AssertionError("reflection step in the second pass")
 
-    monkeypatch.setattr(weyl, "matmul", no_products)
+    for mod in (weyl, blocks):
+        monkeypatch.setattr(mod, "reflect_vector", no_steps)
     for (pb, table), want in zip(prepared, expected):
         got = [
             (

@@ -3,7 +3,8 @@
 The integer tables are checked against a reference inside this module:
 ``_act`` applies the simple reflections, read off ``rs.cartan``, along an
 element's word.  W acts simply transitively on the orbit of rho, so an
-element is known by its image of rho.
+element is known by its image of rho; the package's own image is
+-w(-rho), read from the regular integral block.
 """
 
 import itertools
@@ -17,21 +18,19 @@ from jantzen.roots import (
     Weight,
     build_root_system,
     coroot_pairing,
-    identity_matrix,
-    matmul,
     reflect,
     rho,
 )
 from jantzen.suite import ACCEPTANCE_TYPES
 from jantzen.weyl import (
     CapExceededError,
-    _reflection_matrix,
     _Tables,
     _walk,
     format_word,
     parse_word,
     weyl_group,
 )
+from reference import root_coords, word_apply
 
 ORDERS = {
     "A1": 2,
@@ -75,8 +74,15 @@ def _ref_length(rs, image_of_rho):
     )
 
 
+def _regular_block(rs):
+    return integral_block(rs, Weight.of(*[-1] * rs.rank))
+
+
 def _image(sys, w):
-    return sys.apply(w, rho(sys.rs)).coords
+    """w(rho) as the package computes it, for the full group sys."""
+    block = _regular_block(sys.rs)
+    assert block.system is sys
+    return tuple(-c for c in block.apply(w).coords)
 
 
 def test_group_orders():
@@ -228,14 +234,12 @@ def test_descents():
 
 def test_element_tables_match_matrices():
     # Every table against the reference: w s_i, the descents, w0 w and the
-    # product are the elements whose rho-images the reference words give,
-    # and apply is the reference action.
+    # product are the elements whose rho-images the reference words give.
     for name in REFERENCE_TYPES:
         sys = _group(name)
         rs = sys.rs
         by_image = {_image(sys, w): w for w in sys.elements()}
         w0_word = sys.word(sys.longest_element())
-        half = Weight.of(*[Fraction(2 * k + 1, 2) for k in range(rs.rank)])
         sample = sys.elements()[:: max(1, sys.order() // 12)]
         for w in sys.elements():
             word = sys.word(w)
@@ -248,7 +252,6 @@ def test_element_tables_match_matrices():
             for y in sample:
                 image = _act(rs, word + sys.word(y), _rho(rs))
                 assert sys.mul(w, y) == by_image[image]
-            assert sys.apply(w, half).coords == _act(rs, word, half.coords)
 
 
 def test_subsystem_tables_match_reflections():
@@ -258,7 +261,8 @@ def test_subsystem_tables_match_reflections():
     # here is roots.reflect in the system's simple roots.
     for name, coords in (("B2", (Fraction(-1, 2), -1)), ("G2", (Fraction(-1, 2), -1))):
         rs = build_root_system(LieType.parse(name))
-        sys = integral_block(rs, Weight.of(*coords)).system
+        block = integral_block(rs, Weight.of(*coords))
+        sys = block.system
         assert sys.simple_roots != rs.positive_roots[:2]
 
         def act(word, lam):
@@ -267,14 +271,30 @@ def test_subsystem_tables_match_reflections():
             return lam
 
         r = rho(rs)
-        by_image = {sys.apply(w, r): w for w in sys.elements()}
+        by_image = {act(sys.word(w), r): w for w in sys.elements()}
         assert len(by_image) == sys.order()
         for w in sys.elements():
-            assert sys.apply(w, r) == act(sys.word(w), r)
+            assert block.apply(w) == act(sys.word(w), block.mu)
             for i in range(sys.num_gens):
                 assert sys.right_mul(w, i) == by_image[act(sys.word(w) + (i,), r)]
         m = sys.coxeter_matrix()[0][1]
         assert sys.order() == 2 * m
+
+
+def _reflection_matrix(rs, alpha):
+    """The reflection lambda -> lambda - <lambda, alpha^vee> alpha, acting
+    on weight coordinates."""
+    n = rs.rank
+    coroot = rs.coroot_of(alpha)
+    wc = rs.root_to_weight_coords(alpha)
+    return tuple(
+        tuple((1 if i == j else 0) - wc[i] * coroot[j] for j in range(n))
+        for i in range(n)
+    )
+
+
+def _matmul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
 
 
 def _matrix_keyed_tables(sys):
@@ -284,7 +304,7 @@ def _matrix_keyed_tables(sys):
     product."""
     rs = sys.rs
     gens = [_reflection_matrix(rs, alpha) for alpha in sys.simple_roots]
-    e = identity_matrix(rs.rank)
+    e = tuple(tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank))
     index = {e: 0}
     matrix, length, word, descents, right = [e], [0], [()], [0], []
     frontier = [0]
@@ -293,7 +313,7 @@ def _matrix_keyed_tables(sys):
         for w in frontier:
             row = []
             for i, g in enumerate(gens):
-                prod = matmul(matrix[w], g)
+                prod = _matmul(matrix[w], g)
                 u = index.get(prod)
                 if u is None:
                     u = index[prod] = len(matrix)
@@ -309,7 +329,6 @@ def _matrix_keyed_tables(sys):
         frontier = new
     w0 = len(matrix) - 1
     return {
-        "matrix": matrix,
         "length": length,
         "word": word,
         "descents": descents,
@@ -474,17 +493,17 @@ def test_upper_coset_membership():
 
 
 def test_apply_weight_action():
-    # <w lambda, (w alpha)^vee> = <lambda, alpha^vee>, with w alpha computed
-    # by the same weight action on the root's weight coordinates
+    # <w mu, (w alpha)^vee> = <mu, alpha^vee> for mu = -rho, with w mu read
+    # from the regular block and w alpha by the reference word walk
     rs = build_root_system(LieType.parse("B2"))
-    sys = weyl_group(rs)
-    r = rho(rs)
+    block = _regular_block(rs)
+    sys, r = block.system, block.mu
     for w in sys.elements():
-        image = sys.apply(w, r)
-        assert image.coords == _act(rs, sys.word(w), _rho(rs))
+        image = block.apply(w)
+        assert image.coords == tuple(-c for c in _act(rs, sys.word(w), _rho(rs)))
         for alpha in rs.positive_roots:
-            moved_wc = sys.apply(w, Weight.of(*rs.root_to_weight_coords(alpha)))
-            moved = tuple(int(c) for c in rs.weight_to_root_coords(moved_wc.coords))
+            moved_wc = word_apply(sys, w, Weight.of(*rs.root_to_weight_coords(alpha)))
+            moved = tuple(int(c) for c in root_coords(rs, [moved_wc])[0])
             sign = 1
             if all(c <= 0 for c in moved):
                 moved = tuple(-c for c in moved)
@@ -512,7 +531,7 @@ def test_group_order_cap():
         lambda: sys.length(sys.identity),
         lambda: sys.element_from_word((0, 1)),
         lambda: sys.subgroup_elements((0, 1, 2)),
-        lambda: sys.apply(sys.identity, rho(rs)),
+        lambda: _regular_block(rs).apply(sys.gens[0]),
     ):
         with pytest.raises(CapExceededError, match="exceeds cap 1152"):
             query()
@@ -524,12 +543,12 @@ def test_over_cap_failure_is_remembered(monkeypatch):
 
     calls = []
 
-    def counting_matmul(a, b):
+    def counting_steps(v, a, b):
         calls.append(1)
-        return orig(a, b)
+        return orig(v, a, b)
 
-    orig = weyl.matmul
-    monkeypatch.setattr(weyl, "matmul", counting_matmul)
+    orig = weyl.reflect_vector
+    monkeypatch.setattr(weyl, "reflect_vector", counting_steps)
     clear_caches()  # a fresh, never enumerated D5 system
     sys = weyl_group(build_root_system(LieType.parse("D5")))
     with pytest.raises(CapExceededError, match="group order exceeds cap 1152"):
