@@ -178,12 +178,6 @@ class RootSystem:
     def __repr__(self):
         return f"RootSystem({self.lie_type})"
 
-    def root_index(self, vec) -> int:
-        vec = tuple(vec)
-        if vec in self._index:
-            return self._index[vec]
-        raise ValueError(f"{vec} is not a positive root of {self.lie_type}")
-
     def is_root(self, vec) -> bool:
         vec = tuple(vec)
         return vec in self._index or tuple(-c for c in vec) in self._index

@@ -12,7 +12,13 @@ below it by <f_b u, w> = <u, e_b w> (Shapovalov 1972; Jantzen, Math. Ann.
 226, 1977); each nu specialises those matrices.  Elimination over the
 local ring Q[t]_(t), pivoting on an entry of least t-valuation, yields
 their Smith exponents, whose counting function gives dim of the i-th
-Jantzen submodule.
+Jantzen submodule.  The elimination runs mod t^N on integer coefficient
+lists.  By default N exceeds every finite exponent, so a row that
+vanishes mod t^N is a zero factor.  The oracle first takes N one above
+the determinant formula's valuation of the space (Jantzen 1977), which
+bounds every exponent when the formula holds; a row that vanishes there
+only says that an exponent reached N, and the space is redone once at the
+default N.  A wrong prediction can thus cost time, never an exponent.
 
 The Chevalley basis of every type comes from its root data: the
 structure constants N(x, y) by the extraspecial-pair construction
@@ -328,94 +334,146 @@ class VermaModule:
             raise ValueError(f"weight {nu.serialize()} does not have rank {cb.rank}")
         self._generic = _generic_verma(cb.rs.lie_type)
         self._memo = self._generic._memo
-        # lambda_k = nu_k - 1 + t; ints where nu_k is integral, for speed
-        self._lam = [Poly((c - 1 if c.denominator != 1 else int(c) - 1, 1)) for c in nu.coords]
+        # lambda_k = c_k + t, c_k = nu_k - 1; ints where nu_k is integral, for speed
+        self._const = [c - 1 if c.denominator != 1 else int(c) - 1 for c in nu.coords]
         # monomial -> coefficients of its value; (c_k + t)^j among them
         self._images: dict = {(0,) * cb.rank: (1,)}
 
     def _image(self, m: tuple) -> tuple:
         if m not in self._images:
             k = next(k for k, j in enumerate(m) if j)
-            lower = m[:k] + (m[k] - 1,) + m[k + 1 :]
-            self._images[m] = (Poly(self._image(lower)) * self._lam[k]).coeffs
+            lower = self._image(m[:k] + (m[k] - 1,) + m[k + 1 :])
+            c = self._const[k]  # (c + t) lower
+            self._images[m] = tuple(map(add, [c * a for a in lower] + [0], (0,) + lower))
         return self._images[m]
 
-    def specialise(self, p: dict) -> Poly:
-        """The polynomial p in lambda at lambda_k = nu_k - 1 + t."""
-        out = [0] * (1 + max(map(sum, p), default=-1))
+    def specialise(self, p: dict, precision: int | None = None) -> Poly:
+        """The polynomial p in lambda at lambda_k = nu_k - 1 + t, mod
+        t^precision if given."""
+        size = precision
+        if size is None:
+            size = 1 + max(map(sum, p), default=-1)
+        out = [0] * size
         for m, c in p.items():
-            for i, a in enumerate(self._image(m)):
+            for i, a in zip(range(size), self._image(m)):
                 out[i] += c * a
         return Poly(out)
 
-    def gram(self, beta: tuple):
-        """(basis, matrix) on the weight space nu - rho - beta."""
+    def gram(self, beta: tuple, precision: int | None = None):
+        """(basis, matrix) on the weight space nu - rho - beta, its
+        entries mod t^precision if given."""
         basis, generic = self._generic.gram(beta)
         mat = [[None] * len(basis) for _ in basis]
         for i, row in enumerate(generic):  # symmetric: specialise i <= j
             for j in range(i, len(row)):
-                mat[i][j] = mat[j][i] = self.specialise(row[j])
+                mat[i][j] = mat[j][i] = self.specialise(row[j], precision)
         return basis, mat
 
 
-def gram_matrix(cb: ChevalleyBasis, nu: Weight, beta, engine: VermaModule | None = None):
+def gram_matrix(
+    cb: ChevalleyBasis,
+    nu: Weight,
+    beta,
+    engine: VermaModule | None = None,
+    precision: int | None = None,
+):
     """Contravariant Gram matrix on the weight space nu - rho - beta.
 
-    Entries are polynomials in the deformation variable t.  Returns
-    (basis, matrix) where basis lists the PBW words indexing rows and
-    columns.  ``engine``, the VermaModule of (cb, nu), keeps its memos.
+    Entries are polynomials in the deformation variable t, mod
+    t^precision if given.  Returns (basis, matrix) where basis lists the
+    PBW words indexing rows and columns.  ``engine``, the VermaModule of
+    (cb, nu), keeps its memos.
     """
     if engine is None:
         engine = VermaModule(cb, nu)
-    return engine.gram(tuple(beta))
+    return engine.gram(tuple(beta), precision)
 
 
-def smith_normal_form(mat) -> tuple:
+def smith_normal_form(mat, precision: int | None = None) -> tuple:
     """Exponents e_1 <= e_2 <= ... of the Smith form diag(t^e_i) of a
-    square polynomial matrix over the local ring Q[t]_(t); ``None`` for a
-    zero factor, and those come last.
+    square polynomial matrix over the local ring Q[t]_(t), read mod t^N;
+    ``None`` for a row that vanishes mod t^N, and those come last.
 
-    Elimination by least valuation: an entry t^v u with u(0) != 0 and v
-    least in the matrix clears its column by row_i <- u row_i - (a_i / t^v)
-    pivot_row, a multiplication by units of the local ring; its row then
-    clears by column operations that leave the rest unchanged, so v is the
-    next exponent.  The exponents are the t-valuations of the invariant
-    factors over Q[t].  Each row is first scaled by the lcm of its
-    coefficient denominators, also a unit, so the elimination runs on
-    integer polynomials.
+    By default N = 1 + the sum over rows of the row's largest degree,
+    which exceeds the degree, and so the valuation, of every nonzero
+    minor: there ``None`` is a zero factor.  ``precision`` sets N to a
+    hint instead, and there ``None`` means an exponent of at least N or a
+    zero factor.  The exponents below N are exact either way, as mod t^N
+    the elimination yields the Smith form diag(t^min(e_i, N)).
+
+    One elimination over Q[t]/(t^N) on integer coefficient lists: each
+    row is first scaled by the lcm of its coefficient denominators, a
+    unit of the local ring.  An entry t^v u with u(0) != 0 and v least in
+    the matrix clears its column by row_i <- u row_i - (a_i / t^v)
+    pivot_row, truncated mod t^N and divided by the gcd of its integer
+    coefficients, again by units; its row then clears by column
+    operations that leave the rest unchanged, so v is the next exponent.
+    Every remaining entry is then divisible by t^v: the rows keep the
+    quotient, mod t^(N - v).
     """
-    rows = [_integral_row(row) for row in mat]
+    n = precision
+    if n is None:
+        n = 1 + sum(max([0] + [p.degree for p in row]) for row in mat)
+    rows = []
+    for row in mat:
+        row = [p.coeffs[:n] for p in row]
+        scale = math.lcm(*(c.denominator for p in row for c in p))
+        rows.append([[int(c * scale) for c in p] for p in row])
     exps = []
+    e = 0  # the rows hold the remaining matrix divided by t^e, mod t^n
     while rows:
         best = None
         for i, row in enumerate(rows):
             for j, p in enumerate(row):
-                v = p.valuation
-                if v >= 0 and (best is None or v < best[0]):
-                    best = (v, i, j)
+                for v, c in enumerate(p if best is None else p[: best[0]]):
+                    if c:
+                        best = (v, i, j)
+                        break
+            if best is not None and best[0] == 0:
+                break
         if best is None:
             return tuple(exps) + (None,) * len(rows)
         v, i, j = best
         pivot = rows.pop(i)
-        u = Poly(pivot.pop(j).coeffs[v:])
+        u = pivot.pop(j)[v:]
+        pivot = [y[v:] for y in pivot]
+        n -= v
         for r, row in enumerate(rows):
-            q = Poly(row.pop(j).coeffs[v:])
-            rows[r] = [u * x - q * y for x, y in zip(row, pivot)]
-        exps.append(v)
+            q = row.pop(j)[v:]
+            if any(q):
+                rows[r] = _primitive([_mul_sub(u, x[v:], q, y, n) for x, y in zip(row, pivot)])
+            else:
+                rows[r] = [x[v:] for x in row]
+        e += v
+        exps.append(e)
     return tuple(exps)
 
 
-def _integral_row(row) -> list:
-    """The row times the lcm of its coefficient denominators, with int
-    coefficients."""
-    scale = math.lcm(*(c.denominator for p in row for c in p.coeffs))
-    return [Poly([int(c * scale) for c in p.coeffs]) for p in row]
+def _mul_sub(u: list, x: list, q: list, y: list, n: int) -> list:
+    """u x - q y mod t^n, on coefficient lists; u and q have at most n."""
+    out = [0] * n
+    for i, a in enumerate(u):
+        if a:
+            for k, b in enumerate(x[: n - i], i):
+                out[k] += a * b
+    for i, a in enumerate(q):
+        if a:
+            for k, b in enumerate(y[: n - i], i):
+                out[k] -= a * b
+    return out
 
 
-def jantzen_dims_from_gram(mat) -> tuple:
+def _primitive(row: list) -> list:
+    """The row of coefficient lists divided by the gcd of its coefficients."""
+    g = math.gcd(*(c for p in row for c in p))
+    if g > 1:
+        return [[c // g for c in p] for p in row]
+    return row
+
+
+def jantzen_dims(exps) -> tuple:
     """dims[i-1] = dim of the i-th Jantzen submodule's slice: the number
     of Smith exponents at least i."""
-    exps = smith_normal_form(mat)
     if None in exps:
         raise DegenerateFormError("invariant factor vanishes identically")
     top = exps[-1] if exps else 0
@@ -486,10 +544,17 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
     failures = []
     comparisons = 0
     for beta, size in kostant.items():
-        _, mat = gram_matrix(cb, nu, beta, engine)
+        # exponents below the hint are exact; one that reaches it shows as
+        # None, and the space is redone at the exact default precision
+        hint = det_want[beta] + 1
+        _, mat = gram_matrix(cb, nu, beta, engine, hint)
         if len(mat) != size:
             raise DefectError("weight space basis does not match the partition count")
-        dims = jantzen_dims_from_gram(mat)
+        exps = smith_normal_form(mat, hint)
+        if None in exps:
+            _, mat = gram_matrix(cb, nu, beta, engine)
+            exps = smith_normal_form(mat)
+        dims = jantzen_dims(exps)
         pred = [p.get(beta, 0) for p in preds]
         while pred and pred[-1] == 0:
             pred.pop()

@@ -30,7 +30,7 @@ from jantzen.shapovalov import (
     chevalley_basis,
     depth_cap,
     gram_matrix,
-    jantzen_dims_from_gram,
+    jantzen_dims,
     oracle_compare,
     smith_normal_form,
     weight_space_basis,
@@ -444,7 +444,7 @@ def test_a2_gram_and_dims():
     assert smith_normal_form(mat) == (1, 1)
     # both invariant factors vanish at t = 0 to order exactly 1: the
     # Jantzen filtration has a two-dimensional first slice here and stops
-    assert jantzen_dims_from_gram(mat) == (2,)
+    assert jantzen_dims(smith_normal_form(mat)) == (2,)
 
 
 def test_gram_is_symmetric():
@@ -525,7 +525,7 @@ def test_smith_scaling_keeps_exponents_on_nonintegral_grams():
         isinstance(c, Fraction) for m in mats for row in m for p in row for c in p.coeffs
     )
     for beta, m in zip(boxes(3, 5), mats):
-        assert smith_normal_form(m) == _unscaled_smith(m), beta
+        assert _exponents_at_every_hint(m) == _unscaled_smith(m), beta
 
 
 _fraction_entries = st.builds(
@@ -541,15 +541,31 @@ def _fraction_matrices(draw):
     return [[draw(_fraction_entries) for _ in range(n)] for _ in range(n)]
 
 
+def _hinted_smith(mat, hint: int) -> tuple:
+    """The oracle's use of a precision hint: the exponents mod t^hint,
+    redone at the default precision when a row vanishes."""
+    exps = smith_normal_form(mat, hint)
+    if None in exps:
+        exps = smith_normal_form(mat)
+    return exps
+
+
+def _exponents_at_every_hint(mat) -> tuple:
+    """The default exponents, after checking what hints 1, 2, 3 and 50
+    give: mod t^hint, each exponent below the hint exactly and any other
+    (or a zero factor) as None, and after the redo all of them."""
+    exps = smith_normal_form(mat)
+    for hint in (1, 2, 3, 50):
+        cut = tuple(e if e is not None and e < hint else None for e in exps)
+        assert smith_normal_form(mat, hint) == cut
+        assert _hinted_smith(mat, hint) == exps
+    return exps
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_fraction_matrices())
 def test_smith_scaling_keeps_exponents_on_fraction_matrices(m):
-    assert smith_normal_form(m) == _unscaled_smith(m)
-    for row in m:
-        scaled = shapovalov._integral_row(row)
-        assert all(type(c) is int for p in scaled for c in p.coeffs)
-        # a nonzero rational multiple of the row: same valuations
-        assert [p.valuation for p in scaled] == [p.valuation for p in row]
+    assert _exponents_at_every_hint(m) == _unscaled_smith(m)
 
 
 def _det(m) -> Poly:
@@ -587,7 +603,8 @@ def _poly_matrices(draw):
 def test_smith_exponents_match_minor_valuations(m):
     # over a discrete valuation ring the k-th determinantal divisor is the
     # least valuation of a k x k minor, and it equals e_1 + ... + e_k
-    exps = smith_normal_form(m)
+    exps = _exponents_at_every_hint(m)
+    assert exps == _unscaled_smith(m)
     n = len(m)
     assert len(exps) == n
     known = [e for e in exps if e is not None]
@@ -605,19 +622,98 @@ def test_smith_exponents_match_minor_valuations(m):
             assert vals == []
 
 
+def test_smith_hint_examples():
+    # exponents (0, 1, 3): mod t^2 the last row vanishes, mod t the last two
+    m = [
+        [ONE, Poly(), Poly()],
+        [Poly(), T, Poly()],
+        [Poly(), Poly(), T * T * T],
+    ]
+    assert smith_normal_form(m) == (0, 1, 3)
+    assert smith_normal_form(m, 1) == (0, None, None)
+    assert smith_normal_form(m, 2) == (0, 1, None)
+    assert smith_normal_form(m, 4) == (0, 1, 3)
+    # after a pivot of valuation 1 the quotient rows are known mod t^2
+    # only, so at hint 3 the exponent 3 is out of reach: None, not 3
+    m = [
+        [Poly((0, -1, -1, 1)), Poly((0, 0, 2, -1))],
+        [Poly((0, -1)), Poly((0, 0, 2, 1))],
+    ]
+    assert smith_normal_form(m) == (1, 3)
+    assert smith_normal_form(m, 3) == (1, None)
+    # the default precision is exact: a zero factor stays None at any hint
+    m = [[T, T], [T, T]]
+    assert smith_normal_form(m) == smith_normal_form(m, 99) == (1, None)
+
+
+def _plant_det_want(monkeypatch, beta, delta):
+    """Shift the determinant formula's valuation at beta by delta, and
+    record the precision of every Smith form at beta."""
+    orig_sum, orig_smith = shapovalov.shifted_sum, shapovalov.smith_normal_form
+    beta_mats = {}
+    precisions = []
+
+    def planted(*args):
+        out = dict(orig_sum(*args))
+        out[beta] += delta
+        return out
+
+    def gram(cb, nu, b, engine=None, precision=None):
+        basis, mat = gram_matrix(cb, nu, b, engine, precision)
+        if tuple(b) == beta:
+            beta_mats[id(mat)] = mat
+        return basis, mat
+
+    def smith(mat, precision=None):
+        if id(mat) in beta_mats:
+            precisions.append(precision)
+        return orig_smith(mat, precision)
+
+    monkeypatch.setattr(shapovalov, "shifted_sum", planted)
+    monkeypatch.setattr(shapovalov, "gram_matrix", gram)
+    monkeypatch.setattr(shapovalov, "smith_normal_form", smith)
+    return precisions
+
+
+def test_hint_below_an_exponent_retries_once(monkeypatch):
+    # A1 at nu = 1: the space beta = 2 has the one exponent 1, and the
+    # determinant formula predicts 1.  Planted as 0, the hint 1 reaches
+    # that exponent, so the space is redone once at the default precision:
+    # the same dims, and only the determinant check fails.
+    rs, nu = _rs("A1"), Weight.of(1)
+    honest = oracle_compare(rs, nu, 4)
+    assert honest.passed
+    precisions = _plant_det_want(monkeypatch, (2,), -1)
+    rep = oracle_compare(rs, nu, 4)
+    assert precisions == [1, None]
+    assert rep.failures == ("beta=(2,): determinant valuation 1 != 0",)
+    assert rep.comparisons == honest.comparisons
+
+
+def test_planted_high_det_want_still_fails(monkeypatch):
+    # A2 at nu = (1, 1): the space beta = (1, 1) has exponents (1, 1).  A
+    # prediction one too high only raises the precision; the determinant
+    # check still sees the true valuation 2.
+    rs, nu = _rs("A2"), Weight.of(1, 1)
+    precisions = _plant_det_want(monkeypatch, (1, 1), 1)
+    rep = oracle_compare(rs, nu, 2)
+    assert precisions == [4]
+    assert rep.failures == ("beta=(1, 1): determinant valuation 2 != 3",)
+
+
 def test_jantzen_dims_from_valuations():
     m = [[T, Poly()], [Poly(), T * T * T]]
     # valuations (1, 3): one vector survives past levels 2 and 3
-    assert jantzen_dims_from_gram(m) == (2, 1, 1)
+    assert jantzen_dims(smith_normal_form(m)) == (2, 1, 1)
     m = [[ONE, Poly()], [Poly(), ONE]]
-    assert jantzen_dims_from_gram(m) == ()
+    assert jantzen_dims(smith_normal_form(m)) == ()
 
 
 def test_degenerate_form_raises():
     with pytest.raises(DegenerateFormError):
-        jantzen_dims_from_gram([[Poly(), Poly()], [Poly(), Poly()]])
+        jantzen_dims(smith_normal_form([[Poly(), Poly()], [Poly(), Poly()]]))
     with pytest.raises(DegenerateFormError):
-        jantzen_dims_from_gram([[T, T], [T, T]])
+        jantzen_dims(smith_normal_form([[T, T], [T, T]]))
 
 
 def test_oracle_small_cases_pass():
