@@ -109,28 +109,30 @@ def layers(block: Block, w: int, table: KLTable | None = None) -> LayerTable:
         )
     if table is None:
         table = table_for(sys)
-    rows = graded_rows(sys, w, block.column(w, table).items())
+    lengths = sys.lengths
+    column = block.column(w, table)
+    rows = graded_rows(lengths[w], [(z, lengths[z], q.coeffs) for z, q in column.items()])
     return LayerTable(block=block, w=w, rows=rows)
 
 
-def graded_rows(sys, w: int, polys, defect=DefectError) -> tuple[dict, ...]:
-    """Layer rows of a module at w from graded multiplicities.
+def graded_rows(lw: int, graded, defect=DefectError) -> tuple[dict, ...]:
+    """Layer rows of a module at w of length lw from graded multiplicities.
 
-    ``polys`` yields pairs (z, n) with n a polynomial in q; its coefficient
-    of q^k is the multiplicity of the simple at z in layer l(w) - l(z) - 2k.
-    A negative coefficient, or a layer index below 0, raises ``defect``.
+    ``graded`` yields triples (z, l(z), coeffs), coeffs the integer
+    coefficients of a polynomial in q; that of q^k is the multiplicity of
+    the simple at z in layer lw - l(z) - 2k.  A negative coefficient, or a
+    layer index below 0, raises ``defect``.
     """
-    lw = sys.length(w)
     rows: list[dict] = [dict() for _ in range(lw + 1)]
-    for z, n in polys:
-        base = lw - sys.length(z)
-        for k, c in enumerate(n.coeffs):
+    for z, lz, coeffs in graded:
+        base = lw - lz
+        for k, c in enumerate(coeffs):
             if c == 0:
                 continue
             if c < 0:
                 raise defect(
                     f"negative graded multiplicity {c} at q^{k} for column "
-                    f"of length {sys.length(z)} under w of length {lw}"
+                    f"of length {lz} under w of length {lw}"
                 )
             j = base - 2 * k
             if j < 0:

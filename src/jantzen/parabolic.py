@@ -16,23 +16,27 @@ computed in the integral Weyl group, where Q(x, v) = P(w0 v, w0 x) is
 the inverse Kazhdan-Lusztig polynomial (the multiplicity polynomial of
 the ordinary radical filtration), with layer j of the module at w
 reading the coefficient of q^((l(w) - l(z) - j)/2).  Any negative
-coefficient is a hard convention defect.  The layers are validated by a
-signed superposition of ordinary layer tables with grading shifts, and
-the character of each module by an exact weight count: the alternating
-sum over W_I of ordinary Verma characters, whose multiplicities must all
-be nonnegative.
+coefficient is a hard convention defect.  The sum runs on the integer
+coefficient tuples of the columns' Q, with l(z) and w_I z read from the
+parabolic block, where enumerate_IWJ keeps them.  The layers are
+validated by a signed superposition of ordinary layer tables with
+grading shifts, and the character of each module by an exact weight
+count: the alternating sum over W_I of ordinary Verma characters, whose
+multiplicities must all be nonnegative.  Those counts depend only on the
+type, the depth and the signed shift list (+-1, lam - u lam), which many
+modules share, so they are memoised per shift list until clear_caches();
+the Levi-dominance check and the verdict are made on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 from jantzen.blocks import Block, DefectError
 from jantzen.filtration import LayerRows, graded_rows, layers
 from jantzen.kl import KLTable, table_for
-from jantzen.poly import Poly
-from jantzen.roots import Weight, partition_table, shifted_sum
+from jantzen.roots import RootSystem, Weight, partition_table, shifted_sum
 from jantzen.roots import partition_count  # noqa: F401  (hooked by bench/layertrace.py)
 
 
@@ -48,18 +52,26 @@ class ParabolicBlock:
     ambient_I: tuple[int, ...]  # 0-based ambient simple indices
     I: tuple[int, ...]  # generator indices in the block system
     wI: int
-    reps: tuple[int, ...]  # {}^I W^J
+    # z -> (l(z), w_I z) for z in {}^I W^J, in (length, word) order; it is
+    # determined by the fields above, which alone give equality and hash
+    lifted: dict = field(compare=False)
 
     @cached_property
-    def rep_set(self) -> frozenset:
-        return frozenset(self.reps)
+    def reps(self) -> tuple[int, ...]:
+        """{}^I W^J in (length, word) order."""
+        return tuple(self.lifted)
 
     def highest_weight(self, w: int) -> Weight:
         return self.block.apply(self.block.system.mul(self.wI, w))
 
-    def check_rep(self, w: int) -> None:
-        if w not in self.rep_set:
-            raise ValueError("w is not an upper coset representative for (I, J)")
+    def lift(self, w: int) -> tuple[int, int]:
+        """(l(w), w_I w) for w in {}^I W^J; ValueError for any other w."""
+        try:
+            return self.lifted[w]
+        except KeyError:
+            raise ValueError(
+                "w is not an upper coset representative for (I, J)"
+            ) from None
 
     @cached_property
     def signed_levi(self) -> tuple:
@@ -89,13 +101,15 @@ def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
             ) from None
     I = tuple(local)
     wI = sys.longest_element(I)
-    reps = tuple(
-        w for w in block.coset_reps() if sys.upper_coset_membership(w, I, block.J)
-    )
+    lifted = {
+        w: (sys.length(w), sys.mul(wI, w))
+        for w in block.coset_reps()
+        if sys.upper_coset_membership(w, I, block.J)
+    }
     # parabolic_layers looks w_I z up in columns over W^J
-    if not all(sys.is_min_coset_rep(sys.mul(wI, z), block.J) for z in reps):
+    if not all(sys.is_min_coset_rep(wIz, block.J) for _, wIz in lifted.values()):
         raise DefectError("w_I z is not minimal in its coset modulo W_J")
-    return ParabolicBlock(block=block, ambient_I=ambient_I, I=I, wI=wI, reps=reps)
+    return ParabolicBlock(block=block, ambient_I=ambient_I, I=I, wI=wI, lifted=lifted)
 
 
 @dataclass
@@ -125,32 +139,30 @@ def parabolic_layers(
     """Layer table of the parabolic Verma with highest weight w_I w mu."""
     block = pblock.block
     sys = block.system
-    pblock.check_rep(w)
+    lw, wIw = pblock.lift(w)
     if table is None:
         table = table_for(sys)
-    wI = pblock.wI
-    wIw = sys.mul(wI, w)
     targets = [
         (block.column(sys.mul(u, wIw), table), sign) for u, sign in pblock.signed_levi
     ]
-    lw = sys.length(w)
-    n_polys = {}
+    graded = []
     # only columns in {}^I W^J survive translation onto the singular weight;
-    # reps are in (length, word) order, so the rows keep that order.  Each
+    # lifted is in (length, word) order, so the rows keep that order.  Each
     # w_I z lies in W^J (enumerate_IWJ checks it), so Q(w_I z, target) is
     # its entry in the target's column, absent when w_I z is not below
-    for z in pblock.reps:
-        if sys.length(z) > lw:
+    for z, (lz, wIz) in pblock.lifted.items():
+        if lz > lw:
             break
-        wIz = sys.mul(wI, z)
-        n = Poly()
+        n = []
         for col, sign in targets:
             q = col.get(wIz)
             if q is not None:
-                n = n + sign * q
-        if not n.is_zero():
-            n_polys[z] = n
-    rows = graded_rows(sys, w, n_polys.items(), ConventionDefectError)
+                cs = q.coeffs
+                n.extend([0] * (len(cs) - len(n)))
+                for k, c in enumerate(cs):
+                    n[k] += sign * c
+        graded.append((z, lz, n))
+    rows = graded_rows(lw, graded, ConventionDefectError)
     return ParabolicLayerTable(pblock=pblock, w=w, rows=rows)
 
 
@@ -167,10 +179,8 @@ def parabolic_layers_dual_path(
     """
     block = pblock.block
     sys = block.system
-    pblock.check_rep(w)
+    lw, wIw = pblock.lift(w)
     wI = pblock.wI
-    wIw = sys.mul(wI, w)
-    lw = sys.length(w)
     span = lw + sys.length(wI)
     acc: list[dict] = [dict() for _ in range(span + 1)]
     for u, sign in pblock.signed_levi:
@@ -195,7 +205,7 @@ def parabolic_layers_dual_path(
                     "uncancelled contribution beyond the layer range"
                 )
             z = sys.mul(wI, x)
-            if z not in pblock.rep_set:
+            if z not in pblock.lifted:
                 raise ConventionDefectError(
                     "uncancelled multiplicity outside the parabolic column set"
                 )
@@ -238,8 +248,8 @@ def parabolic_character_check(
     block = pblock.block
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    pblock.check_rep(w)
-    lam = pblock.highest_weight(w)
+    _, wIw = pblock.lift(w)
+    lam = block.apply(wIw)
     for i in pblock.ambient_I:
         # lam_i = num[i] / den must be an integer >= 1
         if lam.num[i] % lam.den or lam.num[i] < lam.den:
@@ -247,13 +257,20 @@ def parabolic_character_check(
                 "highest weight is not dominant regular on the Levi simples"
             )
     # lam - u lam = rise(w_I w) - rise(u w_I w), both measured from mu
-    wIw = block.system.mul(pblock.wI, w)
-    shifts = [
+    shifts = tuple(
         (sign, block.offset(wIw, block.system.mul(u, wIw)))
         for u, sign in pblock.signed_levi
-    ]
-    rows = tuple(shifted_sum(partition_table(block.rs, depth), shifts).items())
+    )
+    rows = _character_rows(block.rs, depth, shifts)
     passed = all(dim >= 0 for _, dim in rows)
     return CharCheckResult(
         pblock=pblock, w=w, depth=depth, passed=passed, rows=rows
     )
+
+
+@cache
+def _character_rows(rs: RootSystem, depth: int, shifts: tuple) -> tuple:
+    """((beta, sum of sign * P(beta - d)) over the signed shifts (sign, d))
+    on every box of height <= depth: the rows of a character check, kept
+    per shift list until clear_caches()."""
+    return tuple(shifted_sum(partition_table(rs, depth), shifts).items())

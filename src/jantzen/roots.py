@@ -20,8 +20,9 @@ rationals), its one reflection step on integer vectors (``reflect_vector``,
 v - <v, a> b) and its one coroot pairing (``pairing_numerator`` over a
 weight's denominator, ``coroot_pairing`` as a number) live here too, as
 does its one form of the partition function: a table truncated at a
-height (``partition_table``), read at shifted boxes by ``shifted_sum`` for
-every signed sum of shifted partition functions a character check needs.
+height (``partition_table``), scattered onto shifted boxes by
+``shifted_sum`` for every signed sum of shifted partition functions a
+character check needs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from operator import mul, sub
+from itertools import islice
+from operator import add, mul, sub
 
 _VALID_RANK = {
     "A": lambda n: n >= 1,
@@ -469,14 +471,36 @@ def partition_count(rs: RootSystem, beta, root_indices=None) -> int:
 
 def shifted_sum(table: dict, terms) -> dict:
     """{b: sum of c * table[b - d] over the terms (c, d)} on every box b
-    of the table; the shifts d are nonnegative, and a shifted box outside
-    the table counts 0."""
-    out = {}
-    for b in table:
-        total = 0
-        for c, d in terms:
-            total += c * table.get(tuple(map(sub, b, d)), 0)
-        out[b] = total
+    of the table; a box b - d outside the table counts 0.
+
+    The table must hold every box of height <= its depth, keyed in
+    boxes() order, as partition_table builds it.  The boxes of height
+    <= depth - |d| are then its first C(depth - |d| + rank, rank) keys,
+    and a term scatters c * table[e] onto e + d for those e only; a term
+    with |d| > depth reaches no box.  ValueError if a shift has a
+    negative coordinate, or if the table's box count is not that of every
+    box up to the height of its last key.
+    """
+    terms = tuple(terms)
+    for _, d in terms:
+        if any(x < 0 for x in d):
+            raise ValueError(f"shift {tuple(d)} has a negative coordinate")
+    out = dict.fromkeys(table, 0)
+    if not table:
+        return out
+    last = next(reversed(table))
+    rank, depth = len(last), sum(last)
+    if len(table) != math.comb(depth + rank, rank):
+        raise ValueError(
+            f"table of {len(table)} boxes does not hold every box up to height {depth}"
+        )
+    for c, d in terms:
+        room = depth - sum(d)
+        if room < 0:
+            continue
+        for e, v in islice(table.items(), math.comb(room + rank, rank)):
+            if v:
+                out[tuple(map(add, e, d))] += c * v
     return out
 
 

@@ -105,6 +105,12 @@ class CoxeterSystem:
     def length(self, w: int) -> int:
         return self._tables().length[w]
 
+    @property
+    def lengths(self):
+        """l(w) for every element, indexed by w, for loops over many
+        elements; callers read it and must not change it."""
+        return self._tables().length
+
     def right_descent(self, w: int, i: int) -> bool:
         """True iff l(w s_i) < l(w)."""
         return bool(self._tables().descents[w] >> i & 1)

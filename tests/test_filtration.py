@@ -22,7 +22,11 @@ from jantzen.filtration import (
     sum_formula_check,
 )
 from jantzen.kl import build_table, table_for
-from jantzen.parabolic import enumerate_IWJ, parabolic_layers
+from jantzen.parabolic import (
+    enumerate_IWJ,
+    parabolic_character_check,
+    parabolic_layers,
+)
 from jantzen.poly import Poly
 from jantzen.roots import (
     LieType,
@@ -442,6 +446,7 @@ def test_clear_caches_empties_every_memo():
     oracle_compare(rs, Weight.of(1, 0), 2)
     pb = enumerate_IWJ(integral_block(rs, Weight.of(-1, -1)), (0,))
     parabolic_layers(pb, pb.reps[-1])
+    parabolic_character_check(pb, pb.reps[-1], 2)
     memos = {
         name: value
         for name, attr, value in _module_attrs()
@@ -451,6 +456,7 @@ def test_clear_caches_empties_every_memo():
         "blocks._column",
         "blocks._orbit",
         "filtration.simple_weight_dims",
+        "parabolic._character_rows",
         "roots._partition_table",
         "shapovalov._weight_space_basis",
         "weyl._subsystem",

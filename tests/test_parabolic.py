@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from jantzen import blocks, weyl
+from jantzen import blocks, parabolic, weyl
 from jantzen.blocks import DefectError, integral_block
 from jantzen.filtration import layers
 from jantzen.kl import table_for
@@ -43,6 +43,9 @@ def test_a2_maximal_parabolic():
     assert words == [(), (1,), (1, 0)]
     assert pb.wI == sys.gens[0]
     assert pb.I == (0,)
+    assert pb.lifted == {w: (sys.length(w), sys.mul(pb.wI, w)) for w in pb.reps}
+    # lifted is derived data: equality and hash read the other fields
+    assert pb == enumerate_IWJ(block, (0,)) and len({pb, enumerate_IWJ(block, (0,))}) == 1
 
     expected = [
         [{"e": 1}],
@@ -209,7 +212,11 @@ def test_character_check_fails_on_a_flipped_sign():
     pb.__dict__["signed_levi"] = tuple(
         (u, -sign if u == s1s2 else sign) for u, sign in pb.signed_levi
     )
+    # the rows memo is warm with the clean shift list; the flipped one
+    # must miss it, not read the clean rows back
+    misses = parabolic._character_rows.cache_info().misses
     res = parabolic_character_check(pb, w, 4)
+    assert parabolic._character_rows.cache_info().misses == misses + 1
     assert not res.passed
     assert min(dim for _, dim in res.rows) == -2
 
@@ -412,21 +419,31 @@ def _char_rows_per_beta(pb, w, depth):
 
 @pytest.mark.parametrize("name", ["B3", "C3", "G2"])
 def test_character_check_rows_match_per_beta_counts(name):
+    # every seed-0 suite block of B3 and G2: the singular and nonintegral
+    # blocks repeat shift lists most, so there the rows come from the memo;
+    # the regular block only of C3
     rs = _rs(name)
-    label, mu = suite_weights(rs)[0]
-    assert label == "regular"
-    block = integral_block(rs, mu)
+    weights = suite_weights(rs)
+    if name == "C3":
+        weights = weights[:1]
+        assert weights[0][0] == "regular"
+    hits = parabolic._character_rows.cache_info().hits
     checked = 0
-    for I in _block_simple_subsets(rs, block):
-        pb = enumerate_IWJ(block, I)
-        for w in pb.reps:
-            res = parabolic_character_check(pb, w, 4)
-            assert res.passed
-            rows = _char_rows_per_beta(pb, w, 4)
-            assert all(lhs == rhs for _, lhs, rhs in rows), (name, I)
-            assert res.rows == tuple((beta, rhs) for beta, _, rhs in rows), (name, I)
-            checked += 1
-    assert checked == {"B3": 147, "C3": 147, "G2": 25}[name]
+    for label, mu in weights:
+        block = integral_block(rs, mu)
+        for I in _block_simple_subsets(rs, block):
+            pb = enumerate_IWJ(block, I)
+            for w in pb.reps:
+                res = parabolic_character_check(pb, w, 4)
+                assert res.passed
+                rows = _char_rows_per_beta(pb, w, 4)
+                assert all(lhs == rhs for _, lhs, rhs in rows), (name, label, I)
+                want = tuple((beta, rhs) for beta, _, rhs in rows)
+                assert res.rows == want, (name, label, I)
+                checked += 1
+    assert checked == {"B3": 423, "C3": 147, "G2": 55}[name]
+    if name != "C3":
+        assert parabolic._character_rows.cache_info().hits > hits
 
 
 def test_parabolic_paths_reflect_each_weight_once(monkeypatch):

@@ -350,6 +350,19 @@ def test_partition_table_refuses_too_many_boxes(monkeypatch):
         partition_count(rs, (2, 2, 1))
 
 
+def _per_box_sum(table, terms):
+    """shifted_sum by its definition: every box reads every term."""
+    out = {}
+    for b in table:
+        want = 0
+        for c, d in terms:
+            shifted = tuple(x - y for x, y in zip(b, d))
+            if min(shifted) >= 0:
+                want += c * table[shifted]
+        out[b] = want
+    return out
+
+
 def test_shifted_sum_matches_per_box_sum():
     rs = build_root_system(LieType.parse("B2"))
     table = partition_table(rs, 5)
@@ -357,15 +370,50 @@ def test_shifted_sum_matches_per_box_sum():
     terms = [(1, (0, 0)), (-2, (1, 0)), (3, (0, 2)), (-1, (2, 3)), (4, (6, 0))]
     got = shifted_sum(table, terms)
     assert list(got) == list(table)
-    for b in table:
-        want = 0
-        for c, d in terms:
-            shifted = (b[0] - d[0], b[1] - d[1])
-            if min(shifted) >= 0:
-                want += c * table[shifted]
-        assert got[b] == want, b
+    assert got == _per_box_sum(table, terms)
     assert shifted_sum(table, []) == dict.fromkeys(table, 0)
     assert shifted_sum({}, terms) == {}
+
+
+def test_shifted_sum_refuses_a_negative_shift_or_a_partial_table():
+    rs = build_root_system(LieType.parse("B2"))
+    table = partition_table(rs, 3)
+    for terms in ([(1, (0, -1))], [(1, (0, 0)), (-1, (-2, 4))]):
+        with pytest.raises(ValueError, match="negative coordinate"):
+            shifted_sum(table, terms)
+        with pytest.raises(ValueError, match="negative coordinate"):
+            shifted_sum({}, terms)
+    # a table missing a box below its last key breaks the scatter's slices
+    partial = {b: v for b, v in table.items() if b != (1, 0)}
+    with pytest.raises(ValueError, match="does not hold every box up to height 3"):
+        shifted_sum(partial, [(1, (0, 0))])
+
+
+@st.composite
+def _shifted_sum_cases(draw):
+    """A full or nilradical partition table of A2, B2, G2 or A3 and signed
+    terms whose shifts may be zero or reach beyond the table's depth."""
+    rs = build_root_system(LieType.parse(draw(st.sampled_from(("A2", "B2", "G2", "A3")))))
+    # I empty gives the full table; otherwise the roots outside the Levi of I
+    I = draw(st.sets(st.integers(0, rs.rank - 1)))
+    nil = [
+        k for k, vec in enumerate(rs.positive_roots)
+        if any(c for j, c in enumerate(vec) if j not in I)
+    ]
+    depth = draw(st.integers(0, 5))
+    zero = st.just((0,) * rs.rank)
+    shift = st.tuples(*[st.integers(0, depth + 2)] * rs.rank)
+    terms = draw(st.lists(st.tuples(st.integers(-3, 3), zero | shift), max_size=6))
+    return partition_table(rs, depth, nil), terms
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_shifted_sum_cases())
+def test_shifted_sum_scatter_matches_per_box_sum(case):
+    table, terms = case
+    got = shifted_sum(table, terms)
+    assert list(got) == list(table)
+    assert got == _per_box_sum(table, terms)
 
 
 def test_clear_caches_empties_partition_caches():
