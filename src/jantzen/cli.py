@@ -283,7 +283,7 @@ def cmd_conjecture(args) -> int:
             if not sys_.bruhat_leq(x, w):
                 continue
             pairs += 1
-            res = domination_check(block, x, w, tables[x], tables[w])
+            res = domination_check(tables[x], tables[w])
             for j, z, lower, upper in res.violations:
                 violations.append(
                     {

@@ -213,27 +213,18 @@ class DominationResult:
     violations: tuple[tuple[int, int, int, int], ...]
 
 
-def domination_check(
-    block: Block,
-    x: int,
-    w: int,
-    tx: LayerTable | None = None,
-    tw: LayerTable | None = None,
-) -> DominationResult:
-    """Layer-wise inequality m_x[j][z] <= m_w[j + r][z] with r = l(w) - l(x).
+def domination_check(tx: LayerTable, tw: LayerTable) -> DominationResult:
+    """Layer-wise inequality m_x[j][z] <= m_w[j + r][z] with r = l(w) - l(x),
+    for the layer tables tx of M(x mu) and tw of M(w mu) in one block.
 
     This is the shadow, on radical layers, of the filtration compatibility
-    M(x mu) cap M(w mu)^{j+r} = M(x mu)^j of the embedded Verma.  Layer
-    tables may be passed in to avoid recomputation in batch runs.
+    M(x mu) cap M(w mu)^{j+r} = M(x mu)^j of the embedded Verma.  The
+    tables come from ``layers``; a batch run builds each one once.
     """
+    block, x, w = tw.block, tx.w, tw.w
     sys = block.system
     if not sys.bruhat_leq(x, w):
         raise ValueError("x must lie below w in Bruhat order")
-    table = table_for(sys)
-    if tx is None:
-        tx = layers(block, x, table)
-    if tw is None:
-        tw = layers(block, w, table)
     r = sys.length(w) - sys.length(x)
     violations = []
     for j, row in enumerate(tx.rows):

@@ -111,7 +111,10 @@ class Poly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant equals its number, so it hashes as that number
+        if len(self.coeffs) > 1:
+            return hash(self.coeffs)
+        return hash(self.coeffs[0]) if self.coeffs else 0
 
     def __repr__(self):
         return f"Poly({self.coeffs})"

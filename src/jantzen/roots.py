@@ -1,4 +1,4 @@
-"""Root systems, exact weights, Kostant partition tables, exact linear algebra.
+"""Root systems, exact weights, Kostant partition tables.
 
 All arithmetic is exact.  Roots and coroots are integer vectors in the
 simple-root and simple-coroot bases; a weight is a vector of rationals in
@@ -8,21 +8,19 @@ and the integer numerators ``num = den * coords``.  Pairings and
 reflections are integer arithmetic on ``num`` over the same ``den`` (a
 reflection is an integer matrix with an integer inverse, so it keeps
 ``den``).  ``Fraction``s appear only at the edges: parsing, ``coords`` and
-``serialize``, a pairing that is not an integer, and the exact solve
-(``solve``).
+``serialize``, and a pairing that is not an integer.
 Bourbaki numbering fixes the Cartan matrices, with the convention
 ``cartan[i][j] = <alpha_j, alpha_i^vee>``, so ``rho`` is the all-ones
 weight and the reflection in ``alpha_i`` subtracts ``coords[i]`` times the
 i-th Cartan column.
 
-The package's one exact linear solver (``solve``, Gauss-Jordan over the
-rationals), its one reflection step on integer vectors (``reflect_vector``,
+The package's one reflection step on integer vectors (``reflect_vector``,
 v - <v, a> b) and its one coroot pairing (``pairing_numerator`` over a
 weight's denominator, ``coroot_pairing`` as a number) live here too, as
-does its one form of the partition function: a table truncated at a
-height (``partition_table``), scattered onto shifted boxes by
-``shifted_sum`` for every signed sum of shifted partition functions a
-character check needs.
+does its one form of the partition function: a table over all positive
+roots truncated at a height (``partition_table``), scattered onto shifted
+boxes by ``shifted_sum`` for every signed sum of shifted partition
+functions a character check needs.
 """
 
 from __future__ import annotations
@@ -210,46 +208,6 @@ class RootSystem:
         )
 
 
-def solve(vectors, targets):
-    """Per target, exact coefficients c with sum_j c[j] * vectors[j] ==
-    target, or None when the target is not in the span of the vectors.
-
-    One Gauss-Jordan elimination over the rationals on the matrix whose
-    columns are ``vectors``, augmented by every target.  A vector that
-    depends on earlier ones gets coefficient 0, and the elimination stops
-    once every row has a pivot.
-    """
-    targets = list(targets)
-    rows, k = len(targets[0]) if targets else 0, len(vectors)
-    aug = [
-        [Fraction(v[r]) for v in vectors] + [Fraction(t[r]) for t in targets]
-        for r in range(rows)
-    ]
-    pivots = []
-    for c in range(k):
-        r = len(pivots)
-        if r == rows:
-            break
-        sel = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-    out = []
-    for j in range(k, k + len(targets)):
-        coeffs = [Fraction(0)] * k
-        for i, c in enumerate(pivots):
-            coeffs[c] = aug[i][j]
-        out.append(None if any(aug[i][j] for i in range(len(pivots), rows)) else coeffs)
-    return out
-
-
 def reflect_vector(v, a, b) -> tuple[int, ...]:
     """v - <v, a> b for integer vectors, with <v, a> = sum_k v[k] a[k]:
     the reflection step of roots, coroots and weight numerators alike."""
@@ -410,12 +368,6 @@ def is_antidominant(rs: RootSystem, w: Weight) -> bool:
 MAX_BOXES = 100_000
 
 
-def _root_key(rs: RootSystem, root_indices) -> tuple[int, ...]:
-    if root_indices is None:
-        return tuple(range(len(rs.positive_roots)))
-    return tuple(sorted(root_indices))
-
-
 def check_box_limit(rs: RootSystem, depth: int) -> None:
     """ValueError if a partition table of this depth would hold more than
     MAX_BOXES boxes."""
@@ -427,28 +379,23 @@ def check_box_limit(rs: RootSystem, depth: int) -> None:
         )
 
 
-def partition_table(rs: RootSystem, depth: int, root_indices=None) -> dict:
-    """Partition counts over the given positive roots (all by default) on
-    every box of height <= depth, keyed in boxes() order.
+@cache
+def partition_table(rs: RootSystem, depth: int) -> dict:
+    """Kostant partition counts on every box of height <= depth, keyed in
+    boxes() order.
 
-    One pass per root walks the boxes in order and adds the count at
-    b - root to the count at b; b - root has smaller height, so its count
-    already includes this root, and each root may be used any number of
-    times.  Tables are memoised per (type, root set, depth); callers read
+    One pass per positive root walks the boxes in order and adds the
+    count at b - root to the count at b; b - root has smaller height, so
+    its count already includes this root, and each root may be used any
+    number of times.  Tables are memoised per (type, depth); callers read
     them and must not change them.  A table of more than MAX_BOXES boxes
     is refused by check_box_limit before anything is allocated.
     """
-    return _partition_table(rs, depth, _root_key(rs, root_indices))
-
-
-@cache
-def _partition_table(rs: RootSystem, depth: int, root_indices: tuple[int, ...]) -> dict:
     check_box_limit(rs, depth)
     table = dict.fromkeys(boxes(rs.rank, depth), 0)
     if table:
         table[(0,) * rs.rank] = 1
-    for i in root_indices:
-        root = rs.positive_roots[i]
+    for root in rs.positive_roots:
         for b in table:
             prev = table.get(tuple(map(sub, b, root)))
             if prev:
@@ -456,9 +403,9 @@ def _partition_table(rs: RootSystem, depth: int, root_indices: tuple[int, ...]) 
     return table
 
 
-def partition_count(rs: RootSystem, beta, root_indices=None) -> int:
-    """Number of multiset decompositions of beta into the given positive
-    roots: a lookup in the table of height(beta)."""
+def partition_count(rs: RootSystem, beta) -> int:
+    """Number of multiset decompositions of beta into positive roots: a
+    lookup in the table of height(beta)."""
     if any(b != int(b) for b in beta):
         raise ValueError(f"offset {tuple(beta)} has a non-integral coordinate")
     beta = tuple(int(b) for b in beta)
@@ -466,7 +413,7 @@ def partition_count(rs: RootSystem, beta, root_indices=None) -> int:
         raise ValueError(f"expected {rs.rank} coordinates, got {len(beta)}")
     if any(b < 0 for b in beta):
         return 0
-    return partition_table(rs, sum(beta), root_indices)[beta]
+    return partition_table(rs, sum(beta))[beta]
 
 
 def shifted_sum(table: dict, terms) -> dict:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import cache
 from operator import mul
 
-from jantzen.roots import RootSystem, reflect_vector, solve
+from jantzen.roots import RootSystem, reflect_vector
 
 MAX_GROUP_ORDER = 1152
 
@@ -361,21 +361,19 @@ def _indecomposables(rs: RootSystem, pos_idx) -> tuple[int, ...]:
 
 
 def _validate_subsystem(rs: RootSystem, simple_idx, pos_idx) -> None:
-    """Root-system axioms for the integral subsystem; defect on failure."""
-    simples = [rs.positive_roots[i] for i in simple_idx]
-    pos_vecs = [rs.positive_roots[i] for i in pos_idx]
-    # every integral positive root is a nonnegative integer combination of
-    # the indecomposables
-    for vec, coeffs in zip(pos_vecs, solve(simples, pos_vecs)):
-        if coeffs is None or any(
-            c.denominator != 1 or c < 0 for c in coeffs
-        ):
-            raise DefectError(
-                f"integral root {vec} is not a nonnegative integer "
-                f"combination of the indecomposables {simples}"
-            )
-    # the simple reflections permute the subsystem, checked on the roots'
-    # weight coordinates
+    """Root-system axioms for the integral subsystem; defect on failure.
+
+    The reflections in the indecomposables must permute the subsystem's
+    roots up to sign.  That alone certifies the indecomposables as a
+    simple system.  For two of them, a != b with <a, b^vee> > 0, one of
+    the pairings <a, b^vee>, <b, a^vee> is 1, so a - b = s_b(a) or
+    b - a = s_a(b) would be a root of the subsystem up to sign, and a or
+    b would decompose.  So they are pairwise obtuse, hence linearly
+    independent (Humphreys, Reflection Groups and Coxeter Groups, 1.3),
+    and by induction on height every root of the subsystem is a
+    nonnegative integer sum of them.
+    """
+    # checked on the roots' weight coordinates
     weights = {rs.root_weights[i] for i in pos_idx}
     for s in simple_idx:
         for i in pos_idx:

@@ -1,10 +1,16 @@
-"""Reference Weyl group action for the tests, apart from the package's
-memoised orbit entries: an element acts along its canonical word by
-``roots.reflect``, and a weight of the root lattice gets its root
-coordinates by ``roots.solve`` against the simple roots' weight
-coordinates.  A positive root's index is its place in the root list."""
+"""References for the tests, apart from the package's own paths.
 
-from jantzen.roots import reflect, solve
+The Weyl group acts along an element's canonical word by
+``roots.reflect``, not by the package's memoised orbit entries.  A weight
+of the root lattice gets its root coordinates by an exact solve against
+the simple roots' weight coordinates.  Partition counts over any set of
+positive roots come from explicit multiplicities, and the axioms of a
+reflection subsystem are checked as stated.  A positive root's index is
+its place in the root list."""
+
+from fractions import Fraction
+
+from jantzen.roots import boxes, reflect
 
 
 def word_apply(sys, w, lam):
@@ -15,10 +21,35 @@ def word_apply(sys, w, lam):
     return lam
 
 
+def solve_square(columns, targets):
+    """Per target, the exact coefficients c with sum_j c[j] * columns[j] ==
+    target, for n columns of length n; None when the columns are
+    linearly dependent.  Gauss-Jordan over the rationals, every target
+    carried along as an extra column."""
+    n = len(columns)
+    aug = [
+        [Fraction(col[r]) for col in columns] + [Fraction(t[r]) for t in targets]
+        for r in range(n)
+    ]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if aug[r][c]), None)
+        if pivot is None:
+            return None
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = 1 / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [[aug[r][n + j] for r in range(n)] for j in range(len(targets))]
+
+
 def root_coords(rs, weights) -> list:
-    """Per weight, its coordinates in the simple roots, as Fractions."""
+    """Per weight of the root lattice, its coordinates in the simple
+    roots, as Fractions."""
     simple = [rs.root_weights[k] for k in rs.simple_indices]
-    return solve(simple, [lam.coords for lam in weights])
+    return solve_square(simple, [lam.coords for lam in weights])
 
 
 def root_index(rs, vec) -> int:
@@ -27,3 +58,65 @@ def root_index(rs, vec) -> int:
     if vec not in rs.positive_roots:
         raise ValueError(f"{vec} is not a positive root of {rs.lie_type}")
     return rs.positive_roots.index(vec)
+
+
+def kostant_counts(rs, max_height, root_indices=None) -> dict:
+    """Partition counts over the given positive roots (all by default) on
+    every box of height <= max_height, keyed in boxes() order, by
+    one-root-at-a-time dynamic programming over explicit multiplicities."""
+    if root_indices is None:
+        root_indices = range(len(rs.positive_roots))
+    vecs = boxes(rs.rank, max_height)
+    counts = {v: 0 for v in vecs}
+    counts[(0,) * rs.rank] = 1
+    for alpha in (rs.positive_roots[i] for i in root_indices):
+        new = {}
+        for v in vecs:
+            total = 0
+            m = 0
+            while True:
+                rem = tuple(a - m * b for a, b in zip(v, alpha))
+                if any(c < 0 for c in rem):
+                    break
+                total += counts[rem]
+                m += 1
+            new[v] = total
+        counts = new
+    return counts
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def is_simple_system(rs, simple_idx, pos_idx) -> bool:
+    """Both axioms of a root subsystem S (the positive roots ``pos_idx``)
+    with simple roots ``simple_idx``, checked as stated:
+
+    1. the simple roots are linearly independent, and every root of S is
+       a nonnegative integer combination of them;
+    2. S and -S together are stable under the reflection in every root
+       of S.
+
+    Independence is that of the Gram matrix of the simple roots under
+    the dot product of root coordinates; a root's coefficients then solve
+    the normal equations, and must reproduce the root."""
+    simples = [rs.positive_roots[i] for i in simple_idx]
+    roots = [rs.positive_roots[i] for i in pos_idx]
+    gram = [[_dot(a, b) for a in simples] for b in simples]
+    coeffs = solve_square(gram, [[_dot(v, b) for b in simples] for v in roots])
+    if coeffs is None:
+        return False
+    for v, cs in zip(roots, coeffs):
+        if any(c.denominator != 1 or c < 0 for c in cs):
+            return False
+        if tuple(sum(c * a[k] for c, a in zip(cs, simples)) for k in range(rs.rank)) != v:
+            return False
+    signed = set(roots) | {tuple(-x for x in v) for v in roots}
+    for i in pos_idx:
+        gamma, coroot = rs.positive_roots[i], rs.coroots[i]
+        for v in roots:
+            p = _dot(coroot, rs.root_to_weight_coords(v))
+            if tuple(x - p * g for x, g in zip(v, gamma)) not in signed:
+                return False
+    return True

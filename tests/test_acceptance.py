@@ -140,7 +140,7 @@ def test_criterion_3_layer_domination():
                 for x in sys.bruhat_interval_below(w):
                     if not block.is_rep(x):
                         continue
-                    res = domination_check(block, x, w, tabs[x], tabs[w])
+                    res = domination_check(tabs[x], tabs[w])
                     pairs += 1
                     if not res.passed:
                         failures.append(

@@ -108,6 +108,8 @@ def test_hecke_algebra_oracle():
 
 def test_dihedral_polynomials_all_one():
     one = Poly.const(1)
+    # a constant equals its number, and hashes as it
+    assert len({one, 1}) == 1 and len({Poly(), 0}) == 1
     for name in ("A1", "A2", "B2", "C2", "G2"):
         sys = _system(name)
         table = table_for(sys)
@@ -285,43 +287,48 @@ def test_columns_reached_out_of_order(name):
     ]
 
 
-def _poly_columns(sys):
-    """Every column in Poly arithmetic, the reference for the build's
-    integer coefficient lists: the same recursion, P(x, w) as a sum of
-    shifted polynomials with each mu-term subtracted as a Poly."""
+def _poly_column(sys, cols, w):
+    """Column w in Poly arithmetic from the columns below it in ``cols``,
+    the reference for the build's integer coefficient lists: the same
+    recursion, P(x, w) as a sum of shifted polynomials with each mu-term
+    subtracted as a Poly."""
     one, zero = Poly((1,)), Poly()
-    cols = {}
-    for w in sys.elements():  # index order is length order
-        s = sys.first_right_descent(w)
-        if s is None:
-            cols[w] = {w: one}
+    s = sys.first_right_descent(w)
+    if s is None:
+        return {w: one}
+    v = sys.right_mul(w, s)
+    below = cols[v]
+    lw = sys.length(w)
+    mus = []
+    for z, p in below.items():
+        d = lw - 1 - sys.length(z)
+        if d % 2 and sys.right_descent(z, s):
+            m = p.coeff((d - 1) // 2)
+            if m:
+                mus.append((cols[z], m, (d + 1) // 2))
+    col = {}
+    for x in sorted({u for y in below for u in (y, sys.right_mul(y, s))}):
+        if lw - sys.length(x) <= 2:
+            col[x] = one  # the degree bound forces 1
             continue
-        v = sys.right_mul(w, s)
-        below = cols[v]
-        lw = sys.length(w)
-        mus = []
-        for z, p in below.items():
-            d = lw - 1 - sys.length(z)
-            if d % 2 and sys.right_descent(z, s):
-                m = p.coeff((d - 1) // 2)
-                if m:
-                    mus.append((cols[z], m, (d + 1) // 2))
-        col = {}
-        for x in sorted({u for y in below for u in (y, sys.right_mul(y, s))}):
-            if lw - sys.length(x) <= 2:
-                col[x] = one  # the degree bound forces 1
-                continue
-            xs = sys.right_mul(x, s)
-            if sys.length(xs) < sys.length(x):
-                p = below[xs] + below.get(x, zero).shift(1)
-            else:
-                p = below.get(xs, zero).shift(1) + below[x]
-            for cz, m, k in mus:
-                pz = cz.get(x)
-                if pz is not None:
-                    p = p - m * pz.shift(k)
-            col[x] = p
-        cols[w] = col
+        xs = sys.right_mul(x, s)
+        if sys.length(xs) < sys.length(x):
+            p = below[xs] + below.get(x, zero).shift(1)
+        else:
+            p = below.get(xs, zero).shift(1) + below[x]
+        for cz, m, k in mus:
+            pz = cz.get(x)
+            if pz is not None:
+                p = p - m * pz.shift(k)
+        col[x] = p
+    return col
+
+
+def _poly_columns(sys):
+    """Every column by _poly_column, in index order, which is length order."""
+    cols = {}
+    for w in sys.elements():
+        cols[w] = _poly_column(sys, cols, w)
     return cols
 
 
@@ -331,6 +338,33 @@ def test_build_matches_poly_arithmetic(name):
     ref = _poly_columns(sys)
     want = [(x, w, p.coeffs) for w in sorted(ref) for x, p in ref[w].items()]
     assert [(x, w, p.coeffs) for x, w, p in build_table(sys).entries()] == want
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_mu_term_is_scaled_by_mu(name):
+    # Every group under the cap has mu in {0, 1}, so plant mu(s, v) = 2 in
+    # a built column v = w s, s the first right descent of w and l(v) even:
+    # the top coefficient of P(s, v) that the degree bound allows becomes
+    # 2.  Column w then subtracts 2 q^k P(x, s) at x in {e, s}, the only
+    # x below s, where the planted coefficient enters the plain part
+    # q P(s, v) at the same q^k; so the column keeps every KL invariant and
+    # equals the true one only if the mu-term is scaled by mu.
+    sys = _system(name)
+    lengths = [sys.length(u) for u in sys.elements()]
+    w = max(u for u in sys.elements() if lengths[u] % 2 and lengths[u] >= 5)
+    s = sys.first_right_descent(w)
+    v, gen = sys.right_mul(w, s), sys.gens[s]
+    true = _poly_columns(sys)
+    top = (lengths[v] - lengths[gen] - 1) // 2
+    coeffs = true[v][gen].coeffs + (0,) * top
+    planted = Poly(coeffs[:top] + (2,))
+    table = KLTable(sys)
+    table._cols[v] = {**table._column(v), gen: planted}
+    ref = dict(true)
+    ref[v] = {**true[v], gen: planted}
+    got = table._column(w)
+    assert table.polynomial(gen, v).coeff(top) == 2
+    assert got == _poly_column(sys, ref, w) == true[w]
 
 
 def test_build_table_pair_count():

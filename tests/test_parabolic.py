@@ -19,7 +19,7 @@ from jantzen.parabolic import (
 )
 from jantzen.roots import LieType, Weight, boxes, build_root_system, partition_count
 from jantzen.suite import suite_weights
-from reference import root_coords, word_apply
+from reference import kostant_counts, root_coords, word_apply
 
 
 def _rs(name):
@@ -371,10 +371,11 @@ def _block_simple_subsets(rs, block):
 
 
 def _char_rows_per_beta(pb, w, depth):
-    """ch M_I by both routes, one partition_count call per (beta, gamma)
-    pair: (beta, lhs, rhs) with lhs the Levi Weyl character convolved with
-    the nilradical partition function (gamma running over the box below
-    beta), and rhs the alternating sum over W_I of Verma characters."""
+    """ch M_I by both routes, per beta: (beta, lhs, rhs) with lhs the Levi
+    Weyl character convolved with the nilradical partition function
+    (gamma running over the box below beta), both counted by the
+    reference, and rhs the alternating sum over W_I of Verma characters,
+    one partition_count call per term."""
     rs = pb.block.rs
     sys = pb.block.system
     lam = pb.highest_weight(w)
@@ -397,23 +398,24 @@ def _char_rows_per_beta(pb, w, depth):
 
     levi_shifts, verma_shifts = shifts(base), shifts(lam)
 
-    def signed(shift_list, vec, idx):
+    def signed(shift_list, vec, count):
         total = 0
         for sign, d in shift_list:
             arg = tuple(v - s for v, s in zip(vec, d))
             if all(a >= 0 for a in arg):
-                total += sign * partition_count(rs, arg, idx)
+                total += sign * count(arg)
         return total
 
+    levi_counts = kostant_counts(rs, depth, levi_pos)
+    nil_counts = kostant_counts(rs, depth, nil_pos)
     rows = []
     for beta in boxes(rs.rank, depth):
         lhs = 0
         for gamma in itertools.product(*(range(b + 1) for b in beta)):
             rest = tuple(b - g for b, g in zip(beta, gamma))
-            lhs += signed(levi_shifts, gamma, levi_pos) * partition_count(
-                rs, rest, nil_pos
-            )
-        rows.append((beta, lhs, signed(verma_shifts, beta, None)))
+            lhs += signed(levi_shifts, gamma, levi_counts.__getitem__) * nil_counts[rest]
+        rhs = signed(verma_shifts, beta, lambda b: partition_count(rs, b))
+        rows.append((beta, lhs, rhs))
     return tuple(rows)
 
 

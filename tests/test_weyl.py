@@ -24,13 +24,16 @@ from jantzen.roots import (
 from jantzen.suite import ACCEPTANCE_TYPES
 from jantzen.weyl import (
     CapExceededError,
+    DefectError,
+    _indecomposables,
     _Tables,
+    _validate_subsystem,
     _walk,
     format_word,
     parse_word,
     weyl_group,
 )
-from reference import root_coords, word_apply
+from reference import is_simple_system, root_coords, root_index, word_apply
 
 ORDERS = {
     "A1": 2,
@@ -566,3 +569,36 @@ def test_normalize_over_cap_fails_closed():
     for nu in (Weight.of(1, 2, 1, 1, 1), Weight.of(-1, -1, -1, -1, -1)):
         with pytest.raises(CapExceededError, match="exceeds cap 1152"):
             normalize(rs, nu)
+
+
+def test_subsystem_check_matches_both_axioms_on_every_root_subset():
+    # The reflection check alone must refuse exactly the subsets that
+    # break either root-system axiom with the indecomposables as simple
+    # roots: every nonempty subset of positive roots of six types.
+    checked = refused = 0
+    for name in ("A2", "B2", "G2", "A3", "B3", "C3"):
+        rs = build_root_system(LieType.parse(name))
+        n = len(rs.positive_roots)
+        for r in range(1, n + 1):
+            for S in itertools.combinations(range(n), r):
+                simple = _indecomposables(rs, S)
+                try:
+                    _validate_subsystem(rs, simple, S)
+                    raised = False
+                except DefectError:
+                    raised = True
+                assert raised == (not is_simple_system(rs, simple, S)), (name, S)
+                checked += 1
+                refused += raised
+    assert checked == 1170
+    assert 0 < refused < checked
+
+
+def test_subsystem_check_refuses_a_set_not_closed_under_reflection():
+    # In A2, {alpha1, alpha1 + alpha2} has both roots indecomposable and
+    # independent, but s_1 moves alpha1 + alpha2 to alpha2, outside the set.
+    rs = build_root_system(LieType.parse("A2"))
+    S = (root_index(rs, (1, 0)), root_index(rs, (1, 1)))
+    assert _indecomposables(rs, S) == S
+    with pytest.raises(DefectError, match="does not preserve"):
+        _validate_subsystem(rs, S, S)
