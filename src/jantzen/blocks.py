@@ -24,10 +24,8 @@ from jantzen.kl import KLTable
 from jantzen.roots import (
     RootSystem,
     Weight,
-    coroot_pairing,
     is_antidominant,
     pairing_numerator,
-    positive_integral_pairings,
     reflect,
     reflect_vector,
 )
@@ -42,7 +40,7 @@ def _integral_positive_indices(rs: RootSystem, w: Weight) -> tuple[int, ...]:
     return tuple(
         i
         for i, coroot in enumerate(rs.coroots)
-        if pairing_numerator(w, coroot) % w.den == 0
+        if pairing_numerator(w.num, coroot) % w.den == 0
     )
 
 
@@ -115,7 +113,7 @@ def _orbit(system: CoxeterSystem, mu: Weight, w: int) -> tuple[Weight, tuple[int
     vmu, vrise = _orbit(system, mu, system.left_mul(i, w))
     rs, k = system.rs, system.simple_idx[i]
     coroot, alpha = rs.coroots[k], rs.positive_roots[k]
-    p, r = divmod(pairing_numerator(vmu, coroot), vmu.den)
+    p, r = divmod(pairing_numerator(vmu.num, coroot), vmu.den)
     if p > 0 or r:
         raise DefectError(
             f"{mu.serialize()} is not antidominant: <{vmu.serialize()}, "
@@ -128,7 +126,8 @@ def _orbit(system: CoxeterSystem, mu: Weight, w: int) -> tuple[Weight, tuple[int
 def _block(rs: RootSystem, mu: Weight, pos_idx) -> Block:
     """Block of an antidominant weight whose integral positive roots are
     ``pos_idx``.  The integral root set is invariant under the integral
-    Weyl group, so normalize passes the set it computed for nu."""
+    Weyl group, so normalize passes the set it computed for nu.  Here and
+    in normalize a pairing is tested by the sign of den <mu, alpha^vee>."""
     if not is_antidominant(rs, mu):
         raise ValueError(
             f"{mu.serialize()} is not antidominant; use normalize() to reach "
@@ -138,7 +137,7 @@ def _block(rs: RootSystem, mu: Weight, pos_idx) -> Block:
     J = tuple(
         i
         for i, k in enumerate(system.simple_idx)
-        if coroot_pairing(mu, rs.coroots[k]) == 0
+        if pairing_numerator(mu.num, rs.coroots[k]) == 0
     )
     return Block(rs=rs, mu=mu, system=system, J=J)
 
@@ -160,7 +159,7 @@ def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, int]:
     while changed:
         changed = False
         for i, k in enumerate(system.simple_idx):
-            if coroot_pairing(cur, rs.coroots[k]) > 0:
+            if pairing_numerator(cur.num, rs.coroots[k]) > 0:
                 cur = reflect(rs, cur, rs.positive_roots[k])
                 word.append(i)
                 changed = True
@@ -170,8 +169,3 @@ def normalize(rs: RootSystem, nu: Weight) -> tuple[Block, int]:
     if block.apply(y) != nu:
         raise DefectError("normalization did not reproduce the input weight")
     return block, y
-
-
-def phi_plus_count(rs: RootSystem, nu: Weight) -> int:
-    """|{alpha > 0 : <nu, alpha^vee> is a positive integer}|."""
-    return sum(1 for _ in positive_integral_pairings(rs, nu))

@@ -17,8 +17,9 @@ the inverse Kazhdan-Lusztig polynomial (the multiplicity polynomial of
 the ordinary radical filtration), with layer j of the module at w
 reading the coefficient of q^((l(w) - l(z) - j)/2).  Any negative
 coefficient is a hard convention defect.  The sum runs on the integer
-coefficient tuples of the columns' Q, with l(z) and w_I z read from the
-parabolic block, where enumerate_IWJ keeps them.  The layers are
+coefficient tuples of the columns' Q, with l(z), w_I z and the signs
+(-1)^l(u) read from the parabolic block, where enumerate_IWJ keeps them;
+it lists W_I once per parabolic block.  The layers are
 validated by a signed superposition of ordinary layer tables with
 grading shifts, and the character of each module by an exact weight
 count: the alternating sum over W_I of ordinary Verma characters, whose
@@ -36,7 +37,7 @@ from functools import cache, cached_property
 from jantzen.blocks import Block, DefectError
 from jantzen.filtration import LayerRows, graded_rows, layers
 from jantzen.kl import KLTable, table_for
-from jantzen.roots import RootSystem, Weight, partition_table, shifted_sum
+from jantzen.roots import RootSystem, partition_table, shifted_sum
 from jantzen.roots import partition_count  # noqa: F401  (hooked by bench/layertrace.py)
 
 
@@ -52,17 +53,16 @@ class ParabolicBlock:
     ambient_I: tuple[int, ...]  # 0-based ambient simple indices
     I: tuple[int, ...]  # generator indices in the block system
     wI: int
-    # z -> (l(z), w_I z) for z in {}^I W^J, in (length, word) order; it is
+    # z -> (l(z), w_I z) for z in {}^I W^J, in (length, word) order, and
+    # (u, (-1)^l(u)) for every u in W_I, in index order; both are
     # determined by the fields above, which alone give equality and hash
     lifted: dict = field(compare=False)
+    signed_levi: tuple = field(compare=False)
 
     @cached_property
     def reps(self) -> tuple[int, ...]:
         """{}^I W^J in (length, word) order."""
         return tuple(self.lifted)
-
-    def highest_weight(self, w: int) -> Weight:
-        return self.block.apply(self.block.system.mul(self.wI, w))
 
     def lift(self, w: int) -> tuple[int, int]:
         """(l(w), w_I w) for w in {}^I W^J; ValueError for any other w."""
@@ -72,14 +72,6 @@ class ParabolicBlock:
             raise ValueError(
                 "w is not an upper coset representative for (I, J)"
             ) from None
-
-    @cached_property
-    def signed_levi(self) -> tuple:
-        """(u, (-1)^l(u)) for every u in W_I, in index order."""
-        sys = self.block.system
-        return tuple(
-            (u, -1 if sys.length(u) % 2 else 1) for u in sys.subgroup_elements(self.I)
-        )
 
 
 def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
@@ -100,7 +92,11 @@ def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
                 "simple for the block"
             ) from None
     I = tuple(local)
-    wI = sys.longest_element(I)
+    levi = sys.subgroup_elements(I)
+    # index order is (length, word) order, so w_I, the unique longest
+    # element of W_I, comes last
+    wI = levi[-1]
+    signed_levi = tuple((u, -1 if sys.length(u) % 2 else 1) for u in levi)
     lifted = {
         w: (sys.length(w), sys.mul(wI, w))
         for w in block.coset_reps()
@@ -109,7 +105,9 @@ def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
     # parabolic_layers looks w_I z up in columns over W^J
     if not all(sys.is_min_coset_rep(wIz, block.J) for _, wIz in lifted.values()):
         raise DefectError("w_I z is not minimal in its coset modulo W_J")
-    return ParabolicBlock(block=block, ambient_I=ambient_I, I=I, wI=wI, lifted=lifted)
+    return ParabolicBlock(
+        block=block, ambient_I=ambient_I, I=I, wI=wI, lifted=lifted, signed_levi=signed_levi
+    )
 
 
 @dataclass

@@ -8,18 +8,19 @@ and the integer numerators ``num = den * coords``.  Pairings and
 reflections are integer arithmetic on ``num`` over the same ``den`` (a
 reflection is an integer matrix with an integer inverse, so it keeps
 ``den``).  ``Fraction``s appear only at the edges: parsing, ``coords`` and
-``serialize``, and a pairing that is not an integer.
+``serialize``.
 Bourbaki numbering fixes the Cartan matrices, with the convention
 ``cartan[i][j] = <alpha_j, alpha_i^vee>``, so ``rho`` is the all-ones
 weight and the reflection in ``alpha_i`` subtracts ``coords[i]`` times the
 i-th Cartan column.
 
 The package's one reflection step on integer vectors (``reflect_vector``,
-v - <v, a> b) and its one coroot pairing (``pairing_numerator`` over a
-weight's denominator, ``coroot_pairing`` as a number) live here too, as
-does its one form of the partition function: a table over all positive
-roots truncated at a height (``partition_table``), scattered onto shifted
-boxes by ``shifted_sum`` for every signed sum of shifted partition
+v - <v, a> b) and its one coroot pairing (``pairing_numerator``, the
+integer pairing of a coroot with an integer vector: a weight's ``num``,
+which gives den <w, alpha^vee>, or a root's weight coordinates) live here
+too, as does its one form of the partition function: a table over all
+positive roots truncated at a height (``partition_table``), scattered onto
+shifted boxes by ``shifted_sum`` for every signed sum of shifted partition
 functions a character check needs.
 """
 
@@ -209,9 +210,9 @@ class RootSystem:
 
 
 def reflect_vector(v, a, b) -> tuple[int, ...]:
-    """v - <v, a> b for integer vectors, with <v, a> = sum_k v[k] a[k]:
+    """v - <v, a> b for integer vectors, <v, a> = pairing_numerator(v, a):
     the reflection step of roots, coroots and weight numerators alike."""
-    p = sum(map(mul, a, v))
+    p = pairing_numerator(v, a)
     return tuple([x - p * y for x, y in zip(v, b)])
 
 
@@ -231,7 +232,7 @@ class Weight:
     the integer numerators ``num = den * coords``; this form is unique, so
     two weights are equal iff their forms are.  ``coords`` is built from
     it on first use.  Weights are immutable; equality and hash are those
-    of the ``coords`` tuple.
+    of the integer form ``(den, num)``.
     """
 
     __slots__ = ("den", "num", "_coords", "_hash")
@@ -287,7 +288,7 @@ class Weight:
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.coords,))
+            h = hash((self.den, self.num))
             _assign(self, "_hash", h)
             return h
 
@@ -314,21 +315,11 @@ class Weight:
         return Weight.scaled(d, tuple(a * x + b * y for x, y in zip(self.num, other.num)))
 
 
-def rho(rs: RootSystem) -> Weight:
-    return Weight.scaled(1, (1,) * rs.rank)
-
-
-def pairing_numerator(w: Weight, coroot) -> int:
-    """den * <w, alpha^vee>, an integer, for a coroot given in
-    simple-coroot coordinates."""
-    return sum(map(mul, coroot, w.num))
-
-
-def coroot_pairing(w: Weight, coroot):
-    """<w, alpha^vee> for a coroot given in simple-coroot coordinates: an
-    int when it is an integer, else a Fraction."""
-    p = pairing_numerator(w, coroot)
-    return p // w.den if p % w.den == 0 else Fraction(p, w.den)
+def pairing_numerator(v, coroot) -> int:
+    """<v, alpha^vee> for an integer vector v in weight coordinates and a
+    coroot in simple-coroot coordinates; for a weight's ``num`` it is
+    den <w, alpha^vee>."""
+    return sum(map(mul, coroot, v))
 
 
 def reflect(rs: RootSystem, w: Weight, root) -> Weight:
@@ -349,7 +340,7 @@ def positive_integral_pairings(rs: RootSystem, w: Weight):
     """
     d = w.den
     for i, coroot in enumerate(rs.coroots):
-        p = pairing_numerator(w, coroot)
+        p = pairing_numerator(w.num, coroot)
         if p > 0 and p % d == 0:
             yield i, p // d
 

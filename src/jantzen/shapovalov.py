@@ -85,9 +85,6 @@ class ChevalleyBasis:
     def f(self, b: int) -> int:
         return b
 
-    def h(self, k: int) -> int:
-        return self.num_positive + k
-
     def e(self, b: int) -> int:
         return self.num_positive + self.rank + b
 
@@ -212,13 +209,9 @@ def chevalley_basis(lt: LieType) -> ChevalleyBasis:
 
 
 def weight_space_basis(rs: RootSystem, beta) -> tuple:
-    """Kostant partitions of beta as weakly increasing root-index words,
-    memoised per (type, beta) until clear_caches()."""
-    return _weight_space_basis(rs, tuple(beta))
-
-
-@cache
-def _weight_space_basis(rs: RootSystem, beta: tuple) -> tuple:
+    """Kostant partitions of beta as weakly increasing root-index words, in
+    sorted order."""
+    beta = tuple(beta)
     if len(beta) != rs.rank or any(v < 0 for v in beta):
         raise ValueError(f"offset {beta} is not {rs.rank} nonnegative integers")
     out = []

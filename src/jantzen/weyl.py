@@ -32,9 +32,8 @@ the entry for the full root set.
 from __future__ import annotations
 
 from functools import cache
-from operator import mul
 
-from jantzen.roots import RootSystem, reflect_vector
+from jantzen.roots import RootSystem, pairing_numerator, reflect_vector
 
 MAX_GROUP_ORDER = 1152
 
@@ -111,10 +110,6 @@ class CoxeterSystem:
         elements; callers read it and must not change it."""
         return self._tables().length
 
-    def right_descent(self, w: int, i: int) -> bool:
-        """True iff l(w s_i) < l(w)."""
-        return bool(self._tables().descents[w] >> i & 1)
-
     def first_right_descent(self, w: int):
         mask = self._tables().descents[w]
         return (mask & -mask).bit_length() - 1 if mask else None
@@ -158,7 +153,7 @@ class CoxeterSystem:
             rs, simples = self.rs, self.simple_idx
 
             def pairing(a, b):  # <alpha_a, alpha_b^vee>
-                return sum(map(mul, rs.coroots[b], rs.root_weights[a]))
+                return pairing_numerator(rs.root_weights[a], rs.coroots[b])
 
             self._coxeter_matrix = tuple(
                 tuple(_COXETER_ENTRY[pairing(a, b) * pairing(b, a)] for b in simples)
@@ -309,21 +304,6 @@ class CoxeterSystem:
         order: those whose reduced words use generators in I only."""
         I = set(I)
         return tuple(w for w, v in enumerate(self._tables().word) if I.issuperset(v))
-
-    def longest_element(self, I=None) -> int:
-        """Longest element of W_I (of the whole group when I is None)."""
-        if I is None:
-            I = range(self.num_gens)
-        I = tuple(I)
-        w = self.identity
-        changed = True
-        while changed:
-            changed = False
-            for i in I:
-                if not self.right_descent(w, i):
-                    w = self.right_mul(w, i)
-                    changed = True
-        return w
 
     def upper_coset_membership(self, w: int, I, J) -> bool:
         """True iff w lies in {}^I W^J: w in W^J and left multiplication by

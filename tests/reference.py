@@ -6,7 +6,7 @@ of the root lattice gets its root coordinates by an exact solve against
 the simple roots' weight coordinates.  Partition counts over any set of
 positive roots come from explicit multiplicities, and the axioms of a
 reflection subsystem are checked as stated.  A positive root's index is
-its place in the root list."""
+its place in the root list, and a pairing is a sum of Fraction products."""
 
 from fractions import Fraction
 
@@ -19,6 +19,17 @@ def word_apply(sys, w, lam):
     for i in reversed(sys.word(w)):
         lam = reflect(sys.rs, lam, sys.simple_roots[i])
     return lam
+
+
+def pairing(nu, coroot) -> Fraction:
+    """<nu, alpha^vee> for a coroot in simple-coroot coordinates."""
+    return sum((c * x for c, x in zip(nu.coords, coroot)), Fraction(0))
+
+
+def phi_plus_count(rs, nu) -> int:
+    """|{alpha > 0 : <nu, alpha^vee> is a positive integer}|."""
+    pairings = (pairing(nu, coroot) for coroot in rs.coroots)
+    return sum(1 for p in pairings if p > 0 and p.denominator == 1)
 
 
 def solve_square(columns, targets):

@@ -14,10 +14,9 @@ KL sanity criterion also checks the full A4, D4 and B4 tables.
 
 import hashlib
 import time
-from fractions import Fraction
 
 from jantzen import clear_caches
-from jantzen.blocks import DefectError, integral_block, normalize, phi_plus_count
+from jantzen.blocks import DefectError, integral_block, normalize
 from jantzen.filtration import domination_check, layers, sum_formula_check
 from jantzen.kl import save_table, table_for
 from jantzen.parabolic import (
@@ -30,6 +29,7 @@ from jantzen.poly import Poly
 from jantzen.roots import LieType, Weight, build_root_system
 from jantzen.shapovalov import oracle_compare
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
+from reference import phi_plus_count, solve_square
 
 _RS = {}
 _SUITE = {}
@@ -260,22 +260,16 @@ def _regular_companion(rs, block):
     # pairings stay fixed.  Solved exactly; any drift in the subsystem or
     # leftover wall is an error.
     rows = [rs.coroot_of(d) for d in block.delta_roots]
-    rhs = [Fraction(-1) if i in block.J else Fraction(0) for i in range(len(rows))]
+    rhs = [-1 if i in block.J else 0 for i in range(len(rows))]
     m, n = len(rows), rs.rank
     # x = A^T y with (A A^T) y = rhs; the Gram matrix of the independent
-    # coroot rows is invertible over Q
+    # coroot rows is invertible over Q, and symmetric, so its rows are its
+    # columns
     gram = [[sum(a * b for a, b in zip(rows[i], rows[j])) for j in range(m)] for i in range(m)]
-    aug = [[Fraction(v) for v in gram[i]] + [rhs[i]] for i in range(m)]
-    for col in range(m):
-        piv = next(r for r in range(col, m) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    y = [aug[r][m] for r in range(m)]
+    solved = solve_square(gram, [rhs])
+    if solved is None:
+        raise DefectError(f"dependent coroots in the block of {block.mu.serialize()}")
+    y = solved[0]
     shift = [sum(y[i] * rows[i][k] for i in range(m)) for k in range(n)]
     # scaling the shift keeps the wall pairings negative integral and the
     # other simple pairings fixed; scan for a scale that does not turn any

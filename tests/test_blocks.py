@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jantzen import blocks
-from jantzen.blocks import DefectError, integral_block, normalize, phi_plus_count
+from jantzen.blocks import DefectError, integral_block, normalize
 from jantzen.filtration import sum_formula_check
 from jantzen.kl import table_for
 from jantzen.roots import LieType, Weight, build_root_system
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
 from jantzen.weyl import weyl_group
-from reference import kostant_counts, root_coords, root_index, word_apply
+from reference import kostant_counts, phi_plus_count, root_coords, root_index, word_apply
 
 
 def _rs(name):

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and no
-package module imports the package inside a function.
+"""Every name a package module, test module or benchmark script imports
+is used in that module, and no package module imports the package inside
+a function.
 
 A stdlib ``ast`` stand-in for a linter's unused-import rule (F401).  A
 name counts as used when it appears as a name anywhere in the module or
@@ -11,7 +12,15 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "jantzen"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "jantzen"
+# the package modules by file name, the tests and benchmark scripts by
+# directory and file name
+CHECKED = [p for d in (SRC, ROOT / "tests", ROOT / "bench") for p in sorted(d.glob("*.py"))]
+
+
+def _module_id(path):
+    return path.name if path.parent == SRC else f"{path.parent.name}/{path.name}"
 
 
 def unused_imports(source: str) -> list:
@@ -38,7 +47,7 @@ def unused_imports(source: str) -> list:
     return [(line, name) for line, name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", CHECKED, ids=_module_id)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -177,7 +177,7 @@ def test_inverse_polynomial_a3_differs():
     sys = _system("A3")
     table = _table("A3")
     e = sys.identity
-    w0 = sys.longest_element()
+    w0 = sys.longest_times(sys.identity)
     s2 = sys.element_from_word((1,))
     s1s3 = sys.element_from_word((0, 2))
     v = sys.element_from_word((1, 0, 2, 1))
@@ -246,7 +246,7 @@ def test_not_comparable_gives_zero():
     table = _table("A2")
     s1, s2 = sys.gens
     assert table.polynomial(s1, s2).is_zero()
-    assert table.polynomial(sys.longest_element(), sys.identity).is_zero()
+    assert table.polynomial(sys.longest_times(sys.identity), sys.identity).is_zero()
 
 
 def test_mu_values():
@@ -276,7 +276,7 @@ def test_columns_reached_out_of_order(name):
     ref = build_table(CoxeterSystem(rs, rs.simple_indices, range(len(rs.positive_roots))))
     sys = _system(name)
     lazy = KLTable(sys)
-    e, w0 = sys.identity, sys.longest_element()
+    e, w0 = sys.identity, sys.longest_times(sys.identity)
     assert lazy.polynomial(e, w0) == ref.polynomial(e, w0)
     assert lazy.inverse_polynomial(e, w0) == ref.inverse_polynomial(e, w0)
     for w in reversed(sys.elements()):
@@ -302,7 +302,7 @@ def _poly_column(sys, cols, w):
     mus = []
     for z, p in below.items():
         d = lw - 1 - sys.length(z)
-        if d % 2 and sys.right_descent(z, s):
+        if d % 2 and sys.length(sys.right_mul(z, s)) < sys.length(z):
             m = p.coeff((d - 1) // 2)
             if m:
                 mus.append((cols[z], m, (d + 1) // 2))
@@ -512,7 +512,7 @@ def test_table_for_uses_interned_system():
 def test_longest_times_matches_weight_action():
     for name in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "A4"):
         sys = _system(name)
-        w0 = sys.longest_element()
+        w0 = sys.longest_times(sys.identity)
         block = integral_block(sys.rs, Weight.of(*[-1] * sys.rs.rank))
         for x in sys.elements():
             w0x = sys.longest_times(x)

@@ -1,5 +1,6 @@
 """Parabolic Verma layer tables, the dual assembly, and character checks."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from jantzen.blocks import DefectError, integral_block
 from jantzen.filtration import layers
 from jantzen.kl import table_for
 from jantzen.parabolic import (
-    ConventionDefectError,
     ParabolicLayerTable,
     enumerate_IWJ,
     parabolic_character_check,
@@ -18,12 +18,17 @@ from jantzen.parabolic import (
     parabolic_layers_dual_path,
 )
 from jantzen.roots import LieType, Weight, boxes, build_root_system, partition_count
-from jantzen.suite import suite_weights
+from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
 from reference import kostant_counts, root_coords, word_apply
 
 
 def _rs(name):
     return build_root_system(LieType.parse(name))
+
+
+def _highest_weight(pb, w):
+    """The highest weight (w_I w)(mu) of the parabolic Verma at w."""
+    return pb.block.apply(pb.block.system.mul(pb.wI, w))
 
 
 def _named_rows(pblock, table):
@@ -139,7 +144,7 @@ def test_singular_wall_interacts_with_I():
     sys = block.system
     assert tuple(sys.word(w) for w in pb.reps) == ((1,),)
     w = pb.reps[0]
-    assert pb.highest_weight(w) == Weight.of(1, 0)
+    assert _highest_weight(pb, w) == Weight.of(1, 0)
     t = parabolic_layers(pb, w)
     assert t.rows == ({w: 1}, {})
     assert t.loewy_length == 1
@@ -165,20 +170,31 @@ def test_highest_weight_levi_dominance():
             for I in itertools.combinations(range(n), r):
                 pb = enumerate_IWJ(block, I)
                 for w in pb.reps:
-                    lam = pb.highest_weight(w)
+                    lam = _highest_weight(pb, w)
                     for i in pb.ambient_I:
                         c = lam.coords[i]
                         assert c.denominator == 1 and c >= 1, (name, I, c)
 
 
 def test_wI_is_longest_involution():
-    rs = _rs("B3")
-    block = integral_block(rs, Weight.of(-1, -1, -1))
-    sys = block.system
-    for I in ((0,), (1,), (0, 1), (1, 2), (0, 1, 2)):
-        pb = enumerate_IWJ(block, I)
-        assert pb.wI == sys.longest_element(I)
-        assert sys.mul(pb.wI, pb.wI) == sys.identity
+    # on the regular block the system is the ambient group, so I indexes
+    # its generators; the longest element of W_I is the involution of W_I
+    # whose length is the number of positive roots supported on I
+    for name in ACCEPTANCE_TYPES:
+        rs = _rs(name)
+        block = integral_block(rs, Weight.of(*([-1] * rs.rank)))
+        sys = block.system
+        for r in range(rs.rank + 1):
+            for I in itertools.combinations(range(rs.rank), r):
+                wI = enumerate_IWJ(block, I).wI
+                assert set(sys.word(wI)) <= set(I)
+                supported = [
+                    root
+                    for root in rs.positive_roots
+                    if all(c == 0 for k, c in enumerate(root) if k not in I)
+                ]
+                assert sys.length(wI) == len(supported)
+                assert sys.mul(wI, wI) == sys.identity
 
 
 def test_character_check_values():
@@ -209,9 +225,8 @@ def test_character_check_fails_on_a_flipped_sign():
     w = pb.reps[0]
     assert parabolic_character_check(pb, w, 4).passed
     s1s2 = block.system.element_from_word((0, 1))
-    pb.__dict__["signed_levi"] = tuple(
-        (u, -sign if u == s1s2 else sign) for u, sign in pb.signed_levi
-    )
+    flipped = tuple((u, -sign if u == s1s2 else sign) for u, sign in pb.signed_levi)
+    pb = dataclasses.replace(pb, signed_levi=flipped)
     # the rows memo is warm with the clean shift list; the flipped one
     # must miss it, not read the clean rows back
     misses = parabolic._character_rows.cache_info().misses
@@ -378,7 +393,7 @@ def _char_rows_per_beta(pb, w, depth):
     one partition_count call per term."""
     rs = pb.block.rs
     sys = pb.block.system
-    lam = pb.highest_weight(w)
+    lam = _highest_weight(pb, w)
     levi_pos = [
         i
         for i, vec in enumerate(rs.positive_roots)
@@ -463,7 +478,7 @@ def test_parabolic_paths_reflect_each_weight_once(monkeypatch):
             (
                 parabolic_layers(pb, w, table).rows,
                 parabolic_layers_dual_path(pb, w, table).rows,
-                pb.highest_weight(w),
+                _highest_weight(pb, w),
             )
             for w in pb.reps
         ]
@@ -480,7 +495,7 @@ def test_parabolic_paths_reflect_each_weight_once(monkeypatch):
             (
                 parabolic_layers(pb, w, table).rows,
                 parabolic_layers_dual_path(pb, w, table).rows,
-                pb.highest_weight(w),
+                _highest_weight(pb, w),
             )
             for w in pb.reps
         ]
@@ -488,8 +503,9 @@ def test_parabolic_paths_reflect_each_weight_once(monkeypatch):
 
 
 def test_levi_built_once_per_parabolic_block(monkeypatch):
-    # W_I with its signs is computed once per parabolic block, however many
-    # modules the layer paths and the character check visit
+    # W_I with its signs is computed once per parabolic block, when
+    # enumerate_IWJ builds it, however many modules the layer paths and the
+    # character check visit
     calls = []
     orig = weyl.CoxeterSystem.subgroup_elements
 
@@ -498,6 +514,7 @@ def test_levi_built_once_per_parabolic_block(monkeypatch):
         return orig(self, I)
 
     monkeypatch.setattr(weyl.CoxeterSystem, "subgroup_elements", counting)
+    parabolic_blocks = 0
     blocks_with_modules = 0
     modules = 0
     for name in ("A3", "B3"):
@@ -507,6 +524,7 @@ def test_levi_built_once_per_parabolic_block(monkeypatch):
             table = table_for(block.system)
             for I in _block_simple_subsets(rs, block):
                 pb = enumerate_IWJ(block, I)
+                parabolic_blocks += 1
                 blocks_with_modules += bool(pb.reps)
                 for w in pb.reps:
                     parabolic_layers(pb, w, table)
@@ -514,4 +532,4 @@ def test_levi_built_once_per_parabolic_block(monkeypatch):
                     parabolic_character_check(pb, w, 2)
                     modules += 1
     assert modules > 2 * blocks_with_modules
-    assert len(calls) == blocks_with_modules
+    assert len(calls) == parabolic_blocks == 140

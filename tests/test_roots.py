@@ -8,23 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jantzen import clear_caches, roots
 from jantzen.blocks import normalize
+from jantzen.filtration import sum_formula_check
 from jantzen.roots import (
     LieType,
-    RootSystem,
     Weight,
     boxes,
     build_root_system,
-    coroot_pairing,
     is_antidominant,
+    pairing_numerator,
     partition_count,
     partition_table,
     positive_integral_pairings,
     reflect,
-    rho,
     shifted_sum,
 )
-from jantzen.suite import ACCEPTANCE_TYPES
+from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
 from reference import kostant_counts, root_coords, root_index
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4"]
@@ -149,17 +149,19 @@ def test_weight_coord_round_trip():
 
 
 def test_rho_is_all_ones():
+    # half the sum of the positive roots pairs to 1 with every simple coroot
     for name, rs in _systems():
-        assert rho(rs).coords == tuple(Fraction(1) for _ in range(rs.rank))
+        total = [sum(col) for col in zip(*rs.root_weights)]
+        assert total == [2] * rs.rank
 
 
 def test_rho_pairs_to_coroot_height():
     # <rho, alpha^vee> equals the height of alpha^vee.
     for name, rs in _systems():
-        r = rho(rs)
+        rho = (1,) * rs.rank
         for alpha in rs.positive_roots:
             coroot = rs.coroot_of(alpha)
-            assert coroot_pairing(r, coroot) == sum(coroot)
+            assert pairing_numerator(rho, coroot) == sum(coroot)
 
 
 def test_reflect_negates_pairing_and_is_involutive():
@@ -168,22 +170,26 @@ def test_reflect_negates_pairing_and_is_involutive():
     for alpha in rs.positive_roots:
         image = reflect(rs, w, alpha)
         coroot = rs.coroot_of(alpha)
-        assert coroot_pairing(image, coroot) == -coroot_pairing(w, coroot)
+        assert image.den == w.den
+        assert pairing_numerator(image.num, coroot) == -pairing_numerator(w.num, coroot)
         assert reflect(rs, image, alpha) == w
 
 
 def test_pairing_examples():
     rs = build_root_system(LieType.parse("A2"))
-    w = Weight.of(1, -1)
-    assert coroot_pairing(w, rs.coroot_of((1, 0))) == 1
-    assert coroot_pairing(w, rs.coroot_of((0, 1))) == -1
-    assert coroot_pairing(w, rs.coroot_of((1, 1))) == 0
+    w = (1, -1)
+    assert pairing_numerator(w, rs.coroot_of((1, 0))) == 1
+    assert pairing_numerator(w, rs.coroot_of((0, 1))) == -1
+    assert pairing_numerator(w, rs.coroot_of((1, 1))) == 0
     g2 = build_root_system(LieType.parse("G2"))
     # alpha1 short: <alpha1, alpha2^vee> = -1, <alpha2, alpha1^vee> = -3.
-    a1 = Weight.of(*g2.root_to_weight_coords((1, 0)))
-    a2 = Weight.of(*g2.root_to_weight_coords((0, 1)))
-    assert coroot_pairing(a1, g2.coroot_of((0, 1))) == -1
-    assert coroot_pairing(a2, g2.coroot_of((1, 0))) == -3
+    a1 = g2.root_to_weight_coords((1, 0))
+    a2 = g2.root_to_weight_coords((0, 1))
+    assert pairing_numerator(a1, g2.coroot_of((0, 1))) == -1
+    assert pairing_numerator(a2, g2.coroot_of((1, 0))) == -3
+    # over a weight's denominator: <(1/2, 1/3), (2, 1)^vee> = 4/3
+    half_third = Weight.of(Fraction(1, 2), Fraction(1, 3))
+    assert (half_third.den, pairing_numerator(half_third.num, (2, 1))) == (6, 8)
 
 
 def test_antidominance():
@@ -424,7 +430,7 @@ def test_positive_integral_pairings_match_pairing():
         for coords in [(1, 1), (1, 0), (-1, 2), (half, 1), (3 * half, 2)]:
             w = Weight.of(*coords)
             pairings = [
-                coroot_pairing(w, rs.coroot_of(root)) for root in rs.positive_roots
+                _ref_pairing(w.coords, rs.coroot_of(root)) for root in rs.positive_roots
             ]
             want = [
                 (i, p)
@@ -435,24 +441,15 @@ def test_positive_integral_pairings_match_pairing():
             assert is_antidominant(rs, w) == (not want)
 
 
-def test_coroot_pairing_is_int_when_integral():
-    rs = build_root_system(LieType.parse("B2"))
-    for coroot in rs.coroots:
-        p = coroot_pairing(Weight.of(3, -2), coroot)
-        assert type(p) is int
-    # <(1/2, 1/3), alpha_1^vee> = 1/2 and <., (2, 1)> = 4/3, both reduced
-    half = coroot_pairing(Weight.of(Fraction(1, 2), Fraction(1, 3)), (1, 0))
-    assert type(half) is Fraction and (half.numerator, half.denominator) == (1, 2)
-    four_thirds = coroot_pairing(Weight.of(Fraction(1, 2), Fraction(1, 3)), (2, 1))
-    assert four_thirds == Fraction(4, 3) and four_thirds.denominator == 3
-    # a pairing that is an integer is an int even when the weight is not
-    assert type(coroot_pairing(Weight.of(Fraction(1, 2), Fraction(1, 2)), (2, 2))) is int
-
-
 def test_weight_integer_form_and_identity():
-    assert Weight.of(1, 0) == Weight((Fraction(1), Fraction(0)))
-    assert hash(Weight.of(1, 0)) == hash(Weight((Fraction(1), Fraction(0))))
-    assert hash(Weight.of(1, 0)) == hash(((Fraction(1), Fraction(0)),))
+    # equal weights hash equal, whichever constructor built them
+    forms = [
+        Weight.of(1, 0),
+        Weight((Fraction(1), Fraction(0))),
+        Weight.scaled(1, (1, 0)),
+        Weight.scaled(3, (3, 0)),
+    ]
+    assert all(x == forms[0] and hash(x) == hash(forms[0]) for x in forms)
     w = Weight.of(Fraction(-1, 2), Fraction(2, 3), 1)
     assert (w.den, w.num) == (6, (-3, 4, 6))
     # the same weight from unreduced numerators over any denominator
@@ -505,7 +502,9 @@ def test_integer_arithmetic_matches_fraction_reference(weights):
         assert w.den == math.lcm(*(c.denominator for c in coords))
         assert w.num == tuple(c * w.den for c in coords)
         for root, coroot in zip(rs.positive_roots, rs.coroots):
-            assert coroot_pairing(w, coroot) == _ref_pairing(coords, coroot)
+            assert Fraction(pairing_numerator(w.num, coroot), w.den) == _ref_pairing(
+                coords, coroot
+            )
             for r in (root, tuple(-x for x in root)):
                 image = reflect(rs, w, r)
                 assert image.coords == _ref_reflect(rs, coords, r)
@@ -521,3 +520,28 @@ def test_integer_arithmetic_matches_fraction_reference(weights):
             got = block.apply(u)
             assert got.coords == want
             assert got == Weight(want) and hash(got) == hash(Weight(want))
+
+
+def test_sum_formula_path_builds_no_fraction(monkeypatch):
+    """normalize and sum_formula_check run on integer weight forms alone:
+    on the seed-0 suite weights of A3, B3 and G2 and on every module's
+    nu, no Fraction is built, neither for a pairing nor for a hash."""
+    cases = []
+    for name in ("A3", "B3", "G2"):
+        rs = build_root_system(LieType.parse(name))
+        for _, mu in suite_weights(rs, 0):
+            block, _ = normalize(rs, mu)
+            cases += [(rs, mu)] + [(rs, block.apply(w)) for w in block.coset_reps()]
+    clear_caches()
+    built = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(roots, "Fraction", CountingFraction)
+    for rs, nu in cases:
+        normalize(rs, nu)
+        assert sum_formula_check(rs, nu).passed
+    assert built == []
