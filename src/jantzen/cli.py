@@ -334,6 +334,7 @@ def cmd_parabolic(args) -> int:
     all_passed = True
     for w in chosen:
         tab = parabolic_layers(pb, w, table)
+        tab.validate()
         dual = parabolic_layers_dual_path(pb, w, table)
         dual_ok = dual.rows == tab.rows
         cc = parabolic_character_check(pb, w, args.depth)

@@ -9,16 +9,20 @@ Once per type, over Z[lambda_1..lambda_n], generators act on basis words
 with one memo entry per (generator, word), and the Gram matrix of the
 contravariant (Shapovalov) form on each weight space comes from the one
 below it by <f_b u, w> = <u, e_b w> (Shapovalov 1972; Jantzen, Math. Ann.
-226, 1977); each nu specialises those matrices.  Elimination over the
-local ring Q[t]_(t), pivoting on an entry of least t-valuation, yields
-their Smith exponents, whose counting function gives dim of the i-th
-Jantzen submodule.  The elimination runs mod t^N on integer coefficient
-lists.  By default N exceeds every finite exponent, so a row that
-vanishes mod t^N is a zero factor.  The oracle first takes N one above
-the determinant formula's valuation of the space (Jantzen 1977), which
+226, 1977).  Each nu specialises those matrices straight into rows of
+integer coefficient lists: d^D times the Gram matrix, for d the least
+common denominator of nu and D the largest degree of the space's
+entries, which is a unit of the local ring Q[t]_(t).  Elimination over
+that ring, pivoting on an entry of least t-valuation, yields their Smith
+exponents, whose counting function gives dim of the i-th Jantzen
+submodule.  The specialisation and the elimination both run mod t^N.
+By default N exceeds every finite exponent, so a row that vanishes mod
+t^N is a zero factor.  The oracle first takes N one above the
+determinant formula's valuation of the space (Jantzen 1977), which
 bounds every exponent when the formula holds; a row that vanishes there
-only says that an exponent reached N, and the space is redone once at the
-default N.  A wrong prediction can thus cost time, never an exponent.
+only says that an exponent reached N, and the space is redone once at
+the default N.  A wrong prediction can thus cost time, never an
+exponent.
 
 The Chevalley basis of every type comes from its root data: the
 structure constants N(x, y) by the extraspecial-pair construction
@@ -35,11 +39,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 from operator import add, sub
 
 from jantzen.blocks import DefectError, normalize
 from jantzen.filtration import layers, simple_weight_dims
-from jantzen.poly import Poly
 from jantzen.roots import (
     LieType,
     RootSystem,
@@ -260,7 +264,7 @@ class _GenericVerma:
         self._zero = (0,) * n  # the exponent of a constant
         self._lam = [{tuple(int(i == k) for i in range(n)): 1} for k in range(n)]
         self._memo: dict = {}
-        self._grams: dict = {self._zero: (((),), [[{self._zero: 1}]])}
+        self._grams: dict = {self._zero: (((),), [[{self._zero: 1}]], 0)}
 
     def act(self, g: int, word: tuple) -> dict:
         """g (word v): f_b before a word of letters >= b is prepended, h_k
@@ -288,9 +292,10 @@ class _GenericVerma:
         return out
 
     def gram(self, beta: tuple):
-        """(basis, matrix) on the weight space lambda - beta, by the
-        Shapovalov recursion <f_b u, w> = <u, e_b w> from beta - beta_b;
-        its symmetry is checked as an identity in lambda."""
+        """(basis, matrix, degree) on the weight space lambda - beta, by
+        the Shapovalov recursion <f_b u, w> = <u, e_b w> from beta - beta_b;
+        its symmetry is checked as an identity in lambda, and degree is
+        the largest total degree of its entries."""
         if beta in self._grams:
             return self._grams[beta]
         cb = self.cb
@@ -298,7 +303,7 @@ class _GenericVerma:
         mat = []
         for b, *u in basis:
             lower = tuple(x - y for x, y in zip(beta, cb.rs.positive_roots[b]))
-            lower_basis, lower_mat = self.gram(lower)
+            lower_basis, lower_mat, _ = self.gram(lower)
             below = dict(zip(lower_basis, lower_mat[lower_basis.index(tuple(u))]))
             mat.append([
                 _sum_of_products((p, below[w]) for w, p in self.act(cb.e(b), col).items())
@@ -308,8 +313,9 @@ class _GenericVerma:
             for j in range(i):
                 if mat[i][j] != mat[j][i]:
                     raise DefectError("contravariant Gram matrix is not symmetric")
-        self._grams[beta] = basis, mat
-        return basis, mat
+        degree = max((sum(m) for row in mat for p in row for m in p), default=0)
+        self._grams[beta] = basis, mat, degree
+        return self._grams[beta]
 
 
 @cache
@@ -319,48 +325,61 @@ def _generic_verma(lt: LieType) -> _GenericVerma:
 
 class VermaModule:
     """The deformed Verma module M(nu + t rho - rho) over Q[t]: the type's
-    Gram matrices over Z[lambda] at lambda_k = nu_k - 1 + t.  ``_memo`` is
-    the type's action memo."""
+    Gram matrices over Z[lambda] at lambda_k = nu_k - 1 + t, as rows of
+    integer coefficient lists.
+
+    With d the least common denominator of nu (1 on integral weights),
+    a_k = d (nu_k - 1) and D the largest total degree of a space's generic
+    entries, d^D times an entry sum_m c_m lambda^m is the integer
+    polynomial sum_m c_m d^(D - |m|) prod_k (a_k + d t)^(m_k).  The rows of
+    ``gram`` are the Gram matrix times d^D, a unit of Q[t]_(t), so they
+    have its Smith exponents.  ``_images`` maps a monomial m to the
+    coefficients of prod_k (a_k + d t)^(m_k); ``_memo`` is the type's
+    action memo.
+    """
 
     def __init__(self, cb: ChevalleyBasis, nu: Weight):
-        if len(nu.coords) != cb.rank:
+        if len(nu.num) != cb.rank:
             raise ValueError(f"weight {nu.serialize()} does not have rank {cb.rank}")
         self._generic = _generic_verma(cb.rs.lie_type)
         self._memo = self._generic._memo
-        # lambda_k = c_k + t, c_k = nu_k - 1; ints where nu_k is integral, for speed
-        self._const = [c - 1 if c.denominator != 1 else int(c) - 1 for c in nu.coords]
-        # monomial -> coefficients of its value; (c_k + t)^j among them
+        self._den = nu.den
+        self._const = [k - nu.den for k in nu.num]  # a_k
         self._images: dict = {(0,) * cb.rank: (1,)}
 
     def _image(self, m: tuple) -> tuple:
-        if m not in self._images:
-            k = next(k for k, j in enumerate(m) if j)
-            lower = self._image(m[:k] + (m[k] - 1,) + m[k + 1 :])
-            c = self._const[k]  # (c + t) lower
-            self._images[m] = tuple(map(add, [c * a for a in lower] + [0], (0,) + lower))
-        return self._images[m]
-
-    def specialise(self, p: dict, precision: int | None = None) -> Poly:
-        """The polynomial p in lambda at lambda_k = nu_k - 1 + t, mod
-        t^precision if given."""
-        size = precision
-        if size is None:
-            size = 1 + max(map(sum, p), default=-1)
-        out = [0] * size
-        for m, c in p.items():
-            for i, a in zip(range(size), self._image(m)):
-                out[i] += c * a
-        return Poly(out)
+        """prod_k (a_k + d t)^(m_k) for a monomial m not yet in
+        ``_images``, which keeps it."""
+        k = next(k for k, j in enumerate(m) if j)
+        m_lower = m[:k] + (m[k] - 1,) + m[k + 1 :]
+        lower = self._images.get(m_lower) or self._image(m_lower)
+        a, d = self._const[k], self._den  # (a + d t) lower
+        out = tuple(map(add, [a * c for c in lower] + [0], [0] + [d * c for c in lower]))
+        self._images[m] = out
+        return out
 
     def gram(self, beta: tuple, precision: int | None = None):
-        """(basis, matrix) on the weight space nu - rho - beta, its
-        entries mod t^precision if given."""
-        basis, generic = self._generic.gram(beta)
-        mat = [[None] * len(basis) for _ in basis]
-        for i, row in enumerate(generic):  # symmetric: specialise i <= j
+        """(basis, rows) on the weight space nu - rho - beta: d^D times its
+        Gram matrix, each entry a list of integer coefficients of t, mod
+        t^precision if given.  Symmetric: entries i <= j are computed and
+        shared with j, i."""
+        basis, generic, degree = self._generic.gram(beta)
+        size = degree + 1 if precision is None else min(precision, degree + 1)
+        images, d = self._images, self._den
+        # scale[|m|] = d^(D - |m|); m's image has |m| + 1 coefficients
+        scale = [d ** (degree - j) for j in range(degree + 1)] if d != 1 else None
+        rows = [[None] * len(basis) for _ in basis]
+        for i, row in enumerate(generic):
             for j in range(i, len(row)):
-                mat[i][j] = mat[j][i] = self.specialise(row[j], precision)
-        return basis, mat
+                out = [0] * size
+                for m, c in row[j].items():
+                    im = images.get(m) or self._image(m)
+                    if scale:
+                        c *= scale[len(im) - 1]
+                    for k, a in enumerate(im[:size]):
+                        out[k] += c * a
+                rows[i][j] = rows[j][i] = out
+        return basis, rows
 
 
 def gram_matrix(
@@ -370,48 +389,44 @@ def gram_matrix(
     engine: VermaModule | None = None,
     precision: int | None = None,
 ):
-    """Contravariant Gram matrix on the weight space nu - rho - beta.
+    """Contravariant Gram matrix on the weight space nu - rho - beta,
+    times the unit d^D of VermaModule.
 
-    Entries are polynomials in the deformation variable t, mod
-    t^precision if given.  Returns (basis, matrix) where basis lists the
-    PBW words indexing rows and columns.  ``engine``, the VermaModule of
-    (cb, nu), keeps its memos.
+    Entries are lists of the integer coefficients of polynomials in the
+    deformation variable t, mod t^precision if given.  Returns (basis,
+    rows) where basis lists the PBW words indexing rows and columns.
+    ``engine``, the VermaModule of (cb, nu), keeps its memos.
     """
     if engine is None:
         engine = VermaModule(cb, nu)
     return engine.gram(tuple(beta), precision)
 
 
-def smith_normal_form(mat, precision: int | None = None) -> tuple:
-    """Exponents e_1 <= e_2 <= ... of the Smith form diag(t^e_i) of a
-    square polynomial matrix over the local ring Q[t]_(t), read mod t^N;
-    ``None`` for a row that vanishes mod t^N, and those come last.
+def smith_normal_form(rows, precision: int | None = None) -> tuple:
+    """Exponents e_1 <= e_2 <= ... of the Smith form diag(t^e_i) over the
+    local ring Q[t]_(t) of a square matrix whose entries are lists of
+    integer coefficients of t, read mod t^N; ``None`` for a row that
+    vanishes mod t^N, and those come last.
 
-    By default N = 1 + the sum over rows of the row's largest degree,
-    which exceeds the degree, and so the valuation, of every nonzero
+    By default N = 1 + the sum over rows of the row's longest list less
+    one, which exceeds the degree, and so the valuation, of every nonzero
     minor: there ``None`` is a zero factor.  ``precision`` sets N to a
     hint instead, and there ``None`` means an exponent of at least N or a
     zero factor.  The exponents below N are exact either way, as mod t^N
     the elimination yields the Smith form diag(t^min(e_i, N)).
 
-    One elimination over Q[t]/(t^N) on integer coefficient lists: each
-    row is first scaled by the lcm of its coefficient denominators, a
-    unit of the local ring.  An entry t^v u with u(0) != 0 and v least in
-    the matrix clears its column by row_i <- u row_i - (a_i / t^v)
+    One elimination over Z[t]/(t^N), the rows kept integral by units of
+    the local ring: an entry t^v u with u(0) != 0 and v least in the
+    matrix clears its column by row_i <- u row_i - (a_i / t^v)
     pivot_row, truncated mod t^N and divided by the gcd of its integer
-    coefficients, again by units; its row then clears by column
-    operations that leave the rest unchanged, so v is the next exponent.
-    Every remaining entry is then divisible by t^v: the rows keep the
-    quotient, mod t^(N - v).
+    coefficients; its row then clears by column operations that leave the
+    rest unchanged, so v is the next exponent.  Every remaining entry is
+    then divisible by t^v: the rows keep the quotient, mod t^(N - v).
     """
     n = precision
     if n is None:
-        n = 1 + sum(max([0] + [p.degree for p in row]) for row in mat)
-    rows = []
-    for row in mat:
-        row = [p.coeffs[:n] for p in row]
-        scale = math.lcm(*(c.denominator for p in row for c in p))
-        rows.append([[int(c * scale) for c in p] for p in row])
+        n = 1 + sum(max([1, *map(len, row)]) - 1 for row in rows)
+    rows = [[p[:n] for p in row] for row in rows]
     exps = []
     e = 0  # the rows hold the remaining matrix divided by t^e, mod t^n
     while rows:
@@ -512,16 +527,22 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
 
     # per level, the dims of its simples at nu - rho - beta, keyed by beta;
     # each z of a level counts once, not msum times, so a simple repeated
-    # within a level is undercounted
+    # within a level is undercounted.  A box b of L(z) lands on b + off,
+    # within the depth only for b among the first C(room + rank, rank)
+    # boxes (the reach rule of shifted_sum), and on none if room < 0.
+    rank = rs.rank
     preds = [{} for _ in levels[1:]]
     for z in tab.columns:
         off = block.offset(y, z)  # nu - z(mu), as nu = y(mu)
+        room = depth - sum(off)
+        if room < 0:
+            continue
+        holding = [pred for pred, level in zip(preds, levels[1:]) if z in level]
         dims = simple_weight_dims(block, z, depth)
-        shifted = {tuple(map(add, b, off)): d for b, d in dims.items()}
-        for pred, level in zip(preds, levels[1:]):
-            if z in level:
-                for beta, d in shifted.items():
-                    pred[beta] = pred.get(beta, 0) + d
+        for b, d in islice(dims.items(), math.comb(room + rank, rank)):
+            beta = tuple(map(add, b, off))
+            for pred in holding:
+                pred[beta] = pred.get(beta, 0) + d
 
     # the sum formula's determinant valuation: sum over the integral
     # alpha of the partition function shifted by <nu, alpha^vee> alpha

@@ -83,8 +83,8 @@ def test_traced_build_reads_the_sentinels(capsys):
 def test_traced_oracle_reads_the_memoised_layers(capsys):
     # The memos of simple characters and weight space bases sit inside the
     # functions the tracer patches, so a traced oracle pass over one block
-    # still counts every simple_weight_dims call and one gram_matrix call
-    # per weight space of every module.
+    # still counts every simple_weight_dims call, and one gram_matrix and
+    # one smith_normal_form call per weight space of every module.
     from jantzen import clear_caches
     from jantzen.blocks import integral_block
     from jantzen.roots import LieType, Weight, build_root_system
@@ -107,6 +107,8 @@ def test_traced_oracle_reads_the_memoised_layers(capsys):
     metrics = tracer.layer_metrics()
     assert metrics["filtration.simple_weight_dims.self_s"] > 0
     assert metrics["shapovalov.gram.calls"] == sum(rep.spaces for rep in reports)
+    assert tracer.calls["shapovalov.smith"] == sum(rep.spaces for rep in reports)
+    assert metrics["shapovalov.gram.max_dim"] > 0
 
 
 def test_traced_oracle_reads_the_type_action_memo(capsys):

@@ -5,6 +5,7 @@ pass/fail/usage, flag-value handling for weights with a leading minus,
 and the disk-cache controls.
 """
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -228,6 +229,33 @@ def test_parabolic_bad_w_is_usage_error(capsys):
     )
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [("head", "layer 0 is not the simple head"), ("count", "expected 2 layers, found 3")],
+)
+def test_parabolic_validates_its_table(broken, message, monkeypatch, capsys):
+    # the table printed must have the head {w: 1} and l(w) + 1 layers, as
+    # jantzen layers checks; a broken one is a failed check, exit 1
+    built = cli.parabolic_layers
+
+    def parabolic_layers(pb, w, table=None):
+        tab = built(pb, w, table)
+        if broken == "head":
+            rows = ({w: 2},) + tab.rows[1:]
+        else:
+            rows = tab.rows + ({},)
+        return dataclasses.replace(tab, rows=rows)
+
+    monkeypatch.setattr(cli, "parabolic_layers", parabolic_layers)
+    code = main(
+        ["parabolic", "--type", "A2", "--weight", "-1,-1", "--I", "1",
+         "--w", "2", "--no-cache"]
+    )
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CHECK_FAILED
+    assert err == f"check failed: {message}\n"
 
 
 def test_kl_word_out_of_range_is_usage_error(capsys):

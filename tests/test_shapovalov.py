@@ -8,10 +8,14 @@ keeps its pure Cartan part, as the oracle once did.
 
 The deformation direction is rho: the Gram entries are polynomials in t
 with h_k acting on the highest weight by <nu - rho, alpha_k^vee> + t.
-Everything below is exact; no floats anywhere.
+``gram_matrix`` returns them times a unit d^D as integer coefficient
+rows; ``_poly_view`` divides that unit out again for comparison with the
+references, and ``_rows`` turns a matrix of Polys into such rows for
+``smith_normal_form``.  Everything below is exact; no floats anywhere.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,6 +43,41 @@ from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
 
 T = Poly((0, 1))
 ONE = Poly.const(1)
+
+
+def _rows(mat):
+    """A matrix of Polys as integer coefficient rows, each row scaled by
+    the lcm of its coefficient denominators (a unit of Q[t]_(t))."""
+    out = []
+    for row in mat:
+        scale = math.lcm(*(Fraction(c).denominator for p in row for c in p.coeffs))
+        out.append([[int(c * scale) for c in p.coeffs] for p in row])
+    return out
+
+
+def _poly_view(cb, nu, beta, mod):
+    """gram_matrix's (basis, rows) with the rows divided by their unit
+    d^D: d the least common denominator of nu, D the largest total degree
+    of the space's generic entries.  Asserts the rows are integral."""
+    basis, rows = gram_matrix(cb, nu, beta, mod)
+    _, generic, _ = shapovalov._generic_verma(cb.rs.lie_type).gram(tuple(beta))
+    unit = nu.den ** max(sum(m) for row in generic for p in row for m in p)
+    assert all(type(c) is int for row in rows for p in row for c in p)
+    return basis, [[Poly(Fraction(c, unit) for c in p) for p in row] for row in rows]
+
+
+def _at_nu(nu, p):
+    """The polynomial p in lambda, {exponent tuple: int}, at
+    lambda_k = nu_k - 1 + t, by Poly arithmetic."""
+    lam = [T + Poly.const(c - 1) for c in nu.coords]
+    total = Poly()
+    for m, c in p.items():
+        term = Poly.const(c)
+        for x, j in zip(lam, m):
+            for _ in range(j):
+                term = term * x
+        total = total + term
+    return total
 
 
 def _rs(name):
@@ -231,11 +270,10 @@ def test_verma_action_sl2():
     # h f v = f h v + [h, f] v = (lambda - 2) f v
     assert gen.act(h, (0,)) == {(0,): {(1,): 1, (0,): -2}}
     # at nu = 3 they specialise, lambda = nu - 1 + t, to the Polys over Q[t]
-    mod = VermaModule(cb, Weight.of(3))
     lam_t = T + Poly.const(2)
 
     def at_nu(g, word):
-        return {w: mod.specialise(p) for w, p in gen.act(g, word).items()}
+        return {w: _at_nu(Weight.of(3), p) for w, p in gen.act(g, word).items()}
 
     assert at_nu(f, ()) == {(0,): ONE}
     assert at_nu(h, ()) == {(): lam_t}
@@ -253,7 +291,7 @@ def test_sl2_closed_form_at_depth_30():
     want = ONE
     for n in range(1, 31):
         want = want * (lam - Poly.const(n - 1)) * n
-        assert gram_matrix(cb, nu, (n,), mod) == (((0,) * n,), [[want]])
+        assert _poly_view(cb, nu, (n,), mod) == (((0,) * n,), [[want]])
 
 
 def test_a2_depth_7_action_memo_stays_small():
@@ -335,11 +373,26 @@ class _PerWeightVerma:
         return basis, mat
 
 
+def _check_integer_rows(cb, nu, beta, mod, want):
+    """gram_matrix's integer rows against want, the basis and exact Poly
+    Gram matrix: rows / d^D equal it, their Smith exponents at the default
+    precision and at hints 1, 2, 3 and 50 are those of the unscaled
+    elimination on it, and the rows asked for mod t^hint are the full
+    rows cut there."""
+    basis, rows = gram_matrix(cb, nu, beta, mod)
+    assert _poly_view(cb, nu, beta, mod) == want, (nu, beta)
+    assert _exponents_at_every_hint(rows) == _unscaled_smith(want[1]), (nu, beta)
+    for hint in (1, 2, 3, 50):
+        cut = [[p[:hint] for p in row] for row in rows]
+        assert gram_matrix(cb, nu, beta, mod, hint) == (basis, cut), (nu, beta, hint)
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "A3", "G2"])
 def test_gram_matches_per_weight_module(name):
     # every weight space, at the default cap, of every seed-0 and seed-1
-    # suite module: the type's matrices over Z[lambda], specialised, equal
-    # the ones built for that weight alone
+    # suite module: the type's matrices over Z[lambda], specialised to
+    # integer rows, equal the ones built for that weight alone over the
+    # unit d^D and have their Smith exponents
     rs = _rs(name)
     cb = chevalley_basis(rs.lie_type)
     modules = {}
@@ -352,20 +405,21 @@ def test_gram_matches_per_weight_module(name):
     for nu in modules.values():
         mod, ref = VermaModule(cb, nu), _PerWeightVerma(cb, nu)
         for beta in partition_table(rs, depth_cap(rs.lie_type)):
-            assert gram_matrix(cb, nu, beta, mod) == ref.gram(beta), (nu, beta)
+            _check_integer_rows(cb, nu, beta, mod, ref.gram(beta))
 
 
 _GRAM_CASES = {"A1": 8, "A2": 5, "B2": 4, "A3": 3, "G2": 3, "B3": 2}
 
 
 @st.composite
-def _weights(draw):
+def _weights(draw, max_den=3):
     # one weight per type, so that every type is drawn in every example
     out = {}
     for name in _GRAM_CASES:
         rank = int(name[1:])
         coords = [
-            Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 3))) for _ in range(rank)
+            Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, max_den)))
+            for _ in range(rank)
         ]
         out[name] = Weight(tuple(coords))
     return out
@@ -379,8 +433,19 @@ def test_gram_matches_whole_word_straightening(weights):
         cb = chevalley_basis(LieType.parse(name))
         mod = VermaModule(cb, nu)
         for beta in partition_table(cb.rs, _GRAM_CASES[name]):
-            got = gram_matrix(cb, nu, beta, mod)
+            got = _poly_view(cb, nu, beta, mod)
             assert got == _reference_gram(cb, nu, beta), (name, beta)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(_weights(max_den=6))
+def test_integer_rows_keep_exact_smith_exponents(weights):
+    # denominators up to 6: every weight space up to the type's depth
+    for name, nu in weights.items():
+        cb = chevalley_basis(LieType.parse(name))
+        mod, ref = VermaModule(cb, nu), _PerWeightVerma(cb, nu)
+        for beta in partition_table(cb.rs, _GRAM_CASES[name]):
+            _check_integer_rows(cb, nu, beta, mod, ref.gram(beta))
 
 
 def test_wrong_length_offset_raises():
@@ -419,23 +484,29 @@ def test_sl2_gram_closed_forms():
     cb = chevalley_basis(LieType.parse("A1"))
     basis, mat = gram_matrix(cb, Weight.of(1), (1,))
     assert basis == ((0,),)
-    assert mat == [[T]]
+    assert mat == [[[0, 1]]]
     basis, mat = gram_matrix(cb, Weight.of(1), (2,))
     # (f^2 v, f^2 v) = 2t^2 - 2t at nu = (1): vanishes at t = 0 to order 1
-    assert mat == [[Poly((0, -2, 2))]]
+    assert mat == [[[0, -2, 2]]]
     basis, mat = gram_matrix(cb, Weight.of(0), (1,))
-    assert mat == [[T - ONE]]
+    assert mat == [[[-1, 1]]]
+    # at nu = 1/2, d = 2 and D = 2: the rows are 4 (2 lambda^2 - 2 lambda)
+    # for lambda = t - 1/2, that is 8t^2 - 16t + 6
+    basis, mat = gram_matrix(cb, Weight.of(Fraction(1, 2)), (2,))
+    assert mat == [[[6, -16, 8]]]
 
 
 def test_a2_gram_and_dims():
     cb = chevalley_basis(LieType.parse("A2"))
-    basis, mat = gram_matrix(cb, Weight.of(1, 1), (1, 1))
+    mod = VermaModule(cb, Weight.of(1, 1))
+    basis, polys = _poly_view(cb, Weight.of(1, 1), (1, 1), mod)
     assert basis == ((0, 1), (2,))
-    assert mat == [
+    assert polys == [
         [Poly((0, 1, 1)), Poly((0, -1))],
         [Poly((0, -1)), Poly((0, 2))],
     ]
     # the invariant factors over Q[t] are t and t/2 + t^2
+    _, mat = gram_matrix(cb, Weight.of(1, 1), (1, 1), mod)
     assert smith_normal_form(mat) == (1, 1)
     # both invariant factors vanish at t = 0 to order exactly 1: the
     # Jantzen filtration has a two-dimensional first slice here and stops
@@ -459,17 +530,17 @@ def test_smith_normal_form_examples():
         [Poly(), T, -ONE],
         [Poly(), -ONE, T],
     ]
-    assert smith_normal_form(m) == (0, 0, 0)
+    assert smith_normal_form(_rows(m)) == (0, 0, 0)
     # coprime diagonal: invariant factors 1 | t(t+1)
     m = [[T, Poly()], [Poly(), T + ONE]]
-    assert smith_normal_form(m) == (0, 1)
+    assert smith_normal_form(_rows(m)) == (0, 1)
     # rank-one polynomial matrix: invariant factors t, 0; the zero comes last
     m = [[T, T], [T, T]]
-    assert smith_normal_form(m) == (1, None)
+    assert smith_normal_form(_rows(m)) == (1, None)
     # constant matrices only see rank
     rows = ((2, 1, 0, 0), (1, 2, 1, 0), (0, 1, 2, 1), (0, 1, 2, 1))
     m = [[Poly.const(v) for v in row] for row in rows]
-    assert smith_normal_form(m) == (0, 0, 0, None)
+    assert smith_normal_form(_rows(m)) == (0, 0, 0, None)
 
 
 def test_smith_normal_form_divisibility_chain():
@@ -479,7 +550,7 @@ def test_smith_normal_form_divisibility_chain():
         [T, T * T, T],
         [ONE, T, T * T],
     ]
-    exps = smith_normal_form(m)
+    exps = smith_normal_form(_rows(m))
     assert None not in exps
     assert list(exps) == sorted(exps)
 
@@ -514,13 +585,14 @@ def test_smith_scaling_keeps_exponents_on_nonintegral_grams():
     cb = chevalley_basis(LieType.parse("A3"))
     nu = Weight.of(Fraction(1, 2), Fraction(1, 2), 0)
     mod = VermaModule(cb, nu)
-    mats = [gram_matrix(cb, nu, beta, mod)[1] for beta in boxes(3, 5)]
+    mats = [_poly_view(cb, nu, beta, mod)[1] for beta in boxes(3, 5)]
     assert len(mats) == 56
     assert any(
         isinstance(c, Fraction) for m in mats for row in m for p in row for c in p.coeffs
     )
     for beta, m in zip(boxes(3, 5), mats):
-        assert _exponents_at_every_hint(m) == _unscaled_smith(m), beta
+        rows = gram_matrix(cb, nu, beta, mod)[1]
+        assert _exponents_at_every_hint(rows) == _unscaled_smith(m), beta
 
 
 _fraction_entries = st.builds(
@@ -537,8 +609,8 @@ def _fraction_matrices(draw):
 
 
 def _hinted_smith(mat, hint: int) -> tuple:
-    """The oracle's use of a precision hint: the exponents mod t^hint,
-    redone at the default precision when a row vanishes."""
+    """The oracle's use of a precision hint on integer rows: the exponents
+    mod t^hint, redone at the default precision when a row vanishes."""
     exps = smith_normal_form(mat, hint)
     if None in exps:
         exps = smith_normal_form(mat)
@@ -560,7 +632,7 @@ def _exponents_at_every_hint(mat) -> tuple:
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_fraction_matrices())
 def test_smith_scaling_keeps_exponents_on_fraction_matrices(m):
-    assert _exponents_at_every_hint(m) == _unscaled_smith(m)
+    assert _exponents_at_every_hint(_rows(m)) == _unscaled_smith(m)
 
 
 def _det(m) -> Poly:
@@ -598,7 +670,7 @@ def _poly_matrices(draw):
 def test_smith_exponents_match_minor_valuations(m):
     # over a discrete valuation ring the k-th determinantal divisor is the
     # least valuation of a k x k minor, and it equals e_1 + ... + e_k
-    exps = _exponents_at_every_hint(m)
+    exps = _exponents_at_every_hint(_rows(m))
     assert exps == _unscaled_smith(m)
     n = len(m)
     assert len(exps) == n
@@ -624,21 +696,21 @@ def test_smith_hint_examples():
         [Poly(), T, Poly()],
         [Poly(), Poly(), T * T * T],
     ]
-    assert smith_normal_form(m) == (0, 1, 3)
-    assert smith_normal_form(m, 1) == (0, None, None)
-    assert smith_normal_form(m, 2) == (0, 1, None)
-    assert smith_normal_form(m, 4) == (0, 1, 3)
+    assert smith_normal_form(_rows(m)) == (0, 1, 3)
+    assert smith_normal_form(_rows(m), 1) == (0, None, None)
+    assert smith_normal_form(_rows(m), 2) == (0, 1, None)
+    assert smith_normal_form(_rows(m), 4) == (0, 1, 3)
     # after a pivot of valuation 1 the quotient rows are known mod t^2
     # only, so at hint 3 the exponent 3 is out of reach: None, not 3
     m = [
         [Poly((0, -1, -1, 1)), Poly((0, 0, 2, -1))],
         [Poly((0, -1)), Poly((0, 0, 2, 1))],
     ]
-    assert smith_normal_form(m) == (1, 3)
-    assert smith_normal_form(m, 3) == (1, None)
+    assert smith_normal_form(_rows(m)) == (1, 3)
+    assert smith_normal_form(_rows(m), 3) == (1, None)
     # the default precision is exact: a zero factor stays None at any hint
     m = [[T, T], [T, T]]
-    assert smith_normal_form(m) == smith_normal_form(m, 99) == (1, None)
+    assert smith_normal_form(_rows(m)) == smith_normal_form(_rows(m), 99) == (1, None)
 
 
 def _plant_det_want(monkeypatch, beta, delta):
@@ -699,16 +771,16 @@ def test_planted_high_det_want_still_fails(monkeypatch):
 def test_jantzen_dims_from_valuations():
     m = [[T, Poly()], [Poly(), T * T * T]]
     # valuations (1, 3): one vector survives past levels 2 and 3
-    assert jantzen_dims(smith_normal_form(m)) == (2, 1, 1)
+    assert jantzen_dims(smith_normal_form(_rows(m))) == (2, 1, 1)
     m = [[ONE, Poly()], [Poly(), ONE]]
-    assert jantzen_dims(smith_normal_form(m)) == ()
+    assert jantzen_dims(smith_normal_form(_rows(m))) == ()
 
 
 def test_degenerate_form_raises():
     with pytest.raises(DegenerateFormError):
-        jantzen_dims(smith_normal_form([[Poly(), Poly()], [Poly(), Poly()]]))
+        jantzen_dims(smith_normal_form([[[], []], [[], []]]))
     with pytest.raises(DegenerateFormError):
-        jantzen_dims(smith_normal_form([[T, T], [T, T]]))
+        jantzen_dims(smith_normal_form([[[0, 1], [0, 1]], [[0, 1], [0, 1]]]))
 
 
 def test_oracle_small_cases_pass():
