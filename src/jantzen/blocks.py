@@ -84,7 +84,10 @@ class Block:
         must be a sum of positive roots, DefectError if not."""
         off = tuple(map(sub, self.rise(x), self.rise(y)))
         if any(c < 0 for c in off):
-            diff = self.apply(x) - self.apply(y)
+            # every weight of the block has mu's den: a reflection in the
+            # block keeps num mod den
+            a, b = self.apply(x), self.apply(y)
+            diff = Weight.scaled(a.den, tuple(map(sub, a.num, b.num)))
             raise DefectError(f"{diff.serialize()} is not a sum of positive roots")
         return off
 

@@ -38,6 +38,7 @@ from jantzen.roots import (
     Weight,
     build_root_system,
     check_box_limit,
+    plain_text,
 )
 from jantzen.shapovalov import oracle_compare
 from jantzen.suite import suite_weights
@@ -56,9 +57,9 @@ class UsageError(ValueError):
 
 def _weight(rs: RootSystem, text: str) -> Weight:
     w = Weight.parse(text)
-    if len(w.coords) != rs.rank:
+    if len(w.num) != rs.rank:
         raise UsageError(
-            f"weight has {len(w.coords)} coordinates; {rs.lie_type} needs {rs.rank}"
+            f"weight has {len(w.num)} coordinates; {rs.lie_type} needs {rs.rank}"
         )
     return w
 
@@ -168,7 +169,7 @@ def cmd_kl(args) -> int:
         "x_word": _word_str(sys_, x),
         "w_word": _word_str(sys_, w),
         "polynomial": poly.render("q"),
-        "value_at_1": poly(1),
+        "value_at_1": sum(poly.coeffs),
     }
     return _emit(
         args,
@@ -320,7 +321,7 @@ def cmd_parabolic(args) -> int:
     sys_ = block.system
     try:
         ambient_I = sorted(
-            {int(part) - 1 for part in args.I.split(",") if part.strip()}
+            {int(part) - 1 for part in plain_text(args.I).split(",") if part.strip()}
         )
     except ValueError:
         raise UsageError(f"cannot parse I list {args.I!r}") from None
@@ -462,19 +463,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = frozenset(
-    {"--type", "--weight", "--block-of", "--x", "--w", "--I", "--cache",
-     "--depth", "--seed"}
-)
+def _value_flags(parser: argparse.ArgumentParser) -> frozenset:
+    """Every option string, over all subcommands, that takes a value."""
+    subcommands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return frozenset(
+        flag
+        for sub in subcommands.choices.values()
+        for action in sub._actions
+        if action.nargs != 0
+        for flag in action.option_strings
+    )
 
 
-def _merge_flag_values(argv):
-    """Join "--flag value" into "--flag=value" so values may start with "-"."""
+def _merge_flag_values(argv, flags):
+    """Join "--flag value" into "--flag=value" for the value-taking flags,
+    so values may start with "-"."""
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
+        if tok in flags and i + 1 < len(argv):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -487,7 +497,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_flag_values(list(argv))
+    argv = _merge_flag_values(list(argv), _value_flags(parser))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -143,9 +143,6 @@ def graded_rows(lw: int, graded, defect=DefectError) -> tuple[dict, ...]:
 
 @dataclass
 class SumFormulaResult:
-    nu: Weight
-    block: Block
-    w: int
     passed: bool
     per_column: tuple[tuple[int, int, int], ...]  # (z, lhs, rhs)
     reflected: tuple[tuple[tuple[int, ...], int], ...]  # (alpha, v_alpha)
@@ -176,7 +173,7 @@ def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
             raise DefectError("reflected parameter does not reproduce s_alpha nu")
         reflected.append((alpha, v))
         for z, q in block.column(v, table).items():
-            rhs[z] = rhs.get(z, 0) + q(1)
+            rhs[z] = rhs.get(z, 0) + sum(q.coeffs)
 
     # sum_{i>0} [M^i : L(z mu)] = sum_j j [Rad_j : L(z mu)]
     lhs: dict[int, int] = {}
@@ -193,9 +190,6 @@ def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
             passed = False
         per_column.append((z, lhs_z, rhs_z))
     return SumFormulaResult(
-        nu=nu,
-        block=block,
-        w=w,
         passed=passed,
         per_column=tuple(per_column),
         reflected=tuple(reflected),
@@ -205,10 +199,6 @@ def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
 
 @dataclass
 class DominationResult:
-    block: Block
-    x: int
-    w: int
-    r: int
     passed: bool
     violations: tuple[tuple[int, int, int, int], ...]
 
@@ -221,8 +211,8 @@ def domination_check(tx: LayerTable, tw: LayerTable) -> DominationResult:
     M(x mu) cap M(w mu)^{j+r} = M(x mu)^j of the embedded Verma.  The
     tables come from ``layers``; a batch run builds each one once.
     """
-    block, x, w = tw.block, tx.w, tw.w
-    sys = block.system
+    x, w = tx.w, tw.w
+    sys = tw.block.system
     if not sys.bruhat_leq(x, w):
         raise ValueError("x must lie below w in Bruhat order")
     r = sys.length(w) - sys.length(x)
@@ -232,14 +222,7 @@ def domination_check(tx: LayerTable, tw: LayerTable) -> DominationResult:
             upper = tw.mult(j + r, z)
             if m > upper:
                 violations.append((j, z, m, upper))
-    return DominationResult(
-        block=block,
-        x=x,
-        w=w,
-        r=r,
-        passed=not violations,
-        violations=tuple(violations),
-    )
+    return DominationResult(passed=not violations, violations=tuple(violations))
 
 
 @cache
@@ -263,7 +246,7 @@ def simple_weight_dims(block: Block, z: int, depth: int) -> dict:
     for x in sys.bruhat_interval_below(z):
         v = sys.coset_rep(x, block.J)
         sign = -1 if (lz - sys.length(x)) % 2 else 1
-        coeffs[v] = coeffs.get(v, 0) + sign * table.polynomial(x, z)(1)
+        coeffs[v] = coeffs.get(v, 0) + sign * sum(table.polynomial(x, z).coeffs)
     terms = [(c, block.offset(z, v)) for v, c in coeffs.items()]
     out = shifted_sum(partition_table(block.rs, depth), terms)
     if any(d < 0 for d in out.values()):

@@ -13,9 +13,10 @@ zs < z and nonvanishing mu(z, v) (the coefficient of q^((l(v)-l(z)-1)/2)
 in P(z, v)), read off column v while column w is built.  The x below w
 are the u and us for u below v.  Everything is exact integer arithmetic:
 each P(x, w) is formed in one list of integer coefficients, and a table
-keeps one ``Poly`` per distinct coefficient tuple.  A build verifies the
-degree bound, constant term 1 and coefficient nonnegativity on every entry
-and treats violations as hard defects.
+keeps one ``Poly``, the entry type, per distinct coefficient tuple.  A
+build verifies the degree bound, constant term 1 and coefficient
+nonnegativity on every entry (``entry_defect``, which the cache reader
+shares) and treats violations as hard defects.
 Inverse polynomials Q(x, w) = P(w0 w, w0 x) are exposed alongside P;
 in the antidominant normalization they, not the plain P, carry the
 module multiplicities, satisfying the alternating inversion identity
@@ -40,8 +41,52 @@ import os
 import tempfile
 
 from jantzen import weyl
-from jantzen.poly import Poly
 from jantzen.weyl import CoxeterSystem, DefectError, format_word
+
+
+class Poly:
+    """One table entry P(x, w): ``coeffs[k]``, an int, multiplies q^k.
+
+    Trailing zeros are stripped, so the zero polynomial has an empty
+    coefficient tuple, the degree is ``len(coeffs) - 1``, and two entries
+    are equal iff their tuples are.  The value at q = 1 is
+    ``sum(coeffs)``."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def coeff(self, k: int) -> int:
+        if 0 <= k < len(self.coeffs):
+            return self.coeffs[k]
+        return 0
+
+    def render(self, var: str = "q") -> str:
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            else:
+                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
+                parts.append(f"{head}{var}" + (f"^{k}" if k > 1 else ""))
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"Poly({self.coeffs})"
+
 
 CACHE_VERSION = "KLCACHE v2"
 _ONE = Poly((1,))
@@ -134,7 +179,9 @@ class KLTable:
             p = polys.get(key)
             if p is None:
                 p = polys[key] = Poly(key)
-            _check(diff, p)
+            defect = entry_defect(key, diff)
+            if defect:
+                raise KLDefectError(defect)
             col[x] = p
         self._cols[w] = col
         return col
@@ -155,19 +202,21 @@ class KLTable:
         return sum(bits.bit_count() for bits in self.system.downsets())
 
 
-def _check(diff: int, poly: Poly) -> None:
-    coeffs = poly.coeffs
+def entry_defect(coeffs: tuple, diff: int) -> str | None:
+    """What breaks a KL invariant in the coefficients of P(x, w), x <= w
+    with l(w) - l(x) = diff: a constant term other than 1, a degree d > 0
+    with 2 d >= diff (on the diagonal only 1 passes), or a negative
+    coefficient.  None when the entry keeps all three."""
     if coeffs[:1] != (1,):
-        raise KLDefectError(
-            f"constant term {poly.coeff(0)} != 1 for pair of length "
-            f"difference {diff}"
+        return (
+            f"constant term {coeffs[0] if coeffs else 0} != 1 for pair of "
+            f"length difference {diff}"
         )
-    if 2 * len(coeffs) > diff + 1:
-        raise KLDefectError(
-            f"degree {poly.degree} exceeds bound for length difference {diff}"
-        )
+    if len(coeffs) > 1 and 2 * len(coeffs) - 2 >= diff:
+        return f"degree {len(coeffs) - 1} exceeds bound for length difference {diff}"
     if min(coeffs) < 0:
-        raise KLDefectError(f"negative coefficient in {coeffs}")
+        return f"negative coefficient in {coeffs}"
+    return None
 
 
 def build_table(system: CoxeterSystem) -> KLTable:
@@ -246,8 +295,9 @@ def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
         index = {format_word(system.word(u)): u for u in system.elements()}
         length = [system.length(u) for u in system.elements()]
         downsets = system.downsets()
-        # coefficient text -> (its polynomial, twice its degree)
-        polys: dict[str, tuple[Poly, int]] = {}
+        # coefficient text -> (its polynomial, the length differences at
+        # which entry_defect passed it)
+        polys: dict[str, tuple[Poly, set]] = {}
         for line in body.decode().splitlines():
             x_text, w_text, coeff_text = line.split(";")
             x, w = index[x_text], index[w_text]
@@ -264,13 +314,13 @@ def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
                 # trailing zeros; the file must hold what save_table writes
                 if coeff_text != ",".join(map(str, poly.coeffs)):
                     return None
-                if poly.coeff(0) != 1 or any(c < 0 for c in poly.coeffs):
+                got = polys[coeff_text] = (poly, set())
+            poly, passed = got
+            diff = length[w] - length[x]
+            if diff not in passed:
+                if entry_defect(poly.coeffs, diff):
                     return None
-                got = polys[coeff_text] = (poly, 2 * poly.degree)
-            poly, twice_degree = got
-            # the degree bound of a nonconstant entry; it leaves 1 on the diagonal
-            if twice_degree and twice_degree >= length[w] - length[x]:
-                return None
+                passed.add(diff)
             col[x] = poly
     except (OSError, ValueError, KeyError):
         return None

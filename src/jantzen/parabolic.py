@@ -217,9 +217,6 @@ def parabolic_layers_dual_path(
 
 @dataclass
 class CharCheckResult:
-    pblock: ParabolicBlock
-    w: int
-    depth: int
     passed: bool
     rows: tuple[tuple[tuple[int, ...], int], ...]  # (beta, dim)
 
@@ -261,9 +258,7 @@ def parabolic_character_check(
     )
     rows = _character_rows(block.rs, depth, shifts)
     passed = all(dim >= 0 for _, dim in rows)
-    return CharCheckResult(
-        pblock=pblock, w=w, depth=depth, passed=passed, rows=rows
-    )
+    return CharCheckResult(passed=passed, rows=rows)
 
 
 @cache

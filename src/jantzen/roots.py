@@ -2,13 +2,14 @@
 
 All arithmetic is exact.  Roots and coroots are integer vectors in the
 simple-root and simple-coroot bases; a weight is a vector of rationals in
-the pairing basis, ``coords[i] = <lambda, alpha_i^vee>``, held in one
-integer form: ``den``, the least common denominator of the coordinates,
-and the integer numerators ``num = den * coords``.  Pairings and
-reflections are integer arithmetic on ``num`` over the same ``den`` (a
-reflection is an integer matrix with an integer inverse, so it keeps
-``den``).  ``Fraction``s appear only at the edges: parsing, ``coords`` and
-``serialize``.
+the pairing basis, ``coords[i] = <lambda, alpha_i^vee>``, held as a plain
+record (``Weight``) of one integer form: ``den``, the least common
+denominator of the coordinates, and the integer numerators
+``num = den * coords``.  Weights carry no arithmetic of their own:
+pairings and reflections are integer arithmetic on ``num`` over the same
+``den`` (a reflection is an integer matrix with an integer inverse, so it
+keeps ``den``).  ``Fraction``s appear only at the edges: parsing,
+``coords`` and ``serialize``.
 Bourbaki numbering fixes the Cartan matrices, with the convention
 ``cartan[i][j] = <alpha_j, alpha_i^vee>``, so ``rho`` is the all-ones
 weight and the reflection in ``alpha_i`` subtracts ``coords[i]`` times the
@@ -66,13 +67,13 @@ class LieType:
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
+        """One letter and ASCII digits ("B3", "g2"), spaces around them
+        stripped."""
         text = text.strip()
-        if len(text) < 2:
+        digits = text[1:]
+        if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse Lie type {text!r}")
-        try:
-            return cls(text[0].upper(), int(text[1:]))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse Lie type {text!r}") from exc
+        return cls(text[0].upper(), int(digits))
 
     def __str__(self) -> str:
         return f"{self.series}{self.rank}"
@@ -221,28 +222,18 @@ def build_root_system(lie_type: LieType) -> RootSystem:
     return RootSystem(lie_type)
 
 
-# Weight refuses attribute assignment; its constructors write through this.
-_assign = object.__setattr__
-
-
+@dataclass(frozen=True, slots=True)
 class Weight:
     """A weight in the pairing basis: coords[i] = <lambda, alpha_i^vee>.
 
-    Held as ``den``, the least common denominator of the coordinates, and
-    the integer numerators ``num = den * coords``; this form is unique, so
-    two weights are equal iff their forms are.  ``coords`` is built from
-    it on first use.  Weights are immutable; equality and hash are those
-    of the integer form ``(den, num)``.
+    A record of ``den``, the least common denominator of the coordinates,
+    and the integer numerators ``num = den * coords``.  ``of``, ``parse``
+    and ``scaled`` build it in this unique form, so two weights are equal,
+    and hash equal, iff their fields are; ``coords`` is derived on read.
     """
 
-    __slots__ = ("den", "num", "_coords", "_hash")
-
-    def __init__(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
-        den = math.lcm(*(c.denominator for c in coords))
-        _assign(self, "den", den)
-        _assign(self, "num", tuple(c.numerator * (den // c.denominator) for c in coords))
-        _assign(self, "_coords", coords)
+    den: int
+    num: tuple[int, ...]
 
     @classmethod
     def scaled(cls, den: int, num: tuple) -> "Weight":
@@ -250,69 +241,40 @@ class Weight:
         g = math.gcd(den, *num)
         if g != 1:
             den, num = den // g, tuple(n // g for n in num)
-        w = object.__new__(cls)
-        _assign(w, "den", den)
-        _assign(w, "num", num)
-        return w
+        return cls(den, num)
 
     @classmethod
     def of(cls, *values) -> "Weight":
-        return cls(values)
+        """The weight of these coordinates: ints, Fractions or their texts."""
+        coords = [Fraction(c) for c in values]
+        den = math.lcm(*(c.denominator for c in coords))
+        return cls(den, tuple(c.numerator * (den // c.denominator) for c in coords))
 
     @classmethod
     def parse(cls, text: str) -> "Weight":
+        """The weight of comma-separated rationals such as "1,-1/2"."""
         try:
-            return cls(Fraction(p.strip()) for p in text.split(","))
+            return cls.of(*(p.strip() for p in plain_text(text).split(",")))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse weight {text!r}") from exc
 
     @property
     def coords(self) -> tuple[Fraction, ...]:
-        try:
-            return self._coords
-        except AttributeError:
-            d = self.den
-            coords = tuple(Fraction(n, d) for n in self.num)
-            _assign(self, "_coords", coords)
-            return coords
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     def serialize(self) -> str:
         return ",".join(str(c) for c in self.coords)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.den == other.den and self.num == other.num
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.den, self.num))
-            _assign(self, "_hash", h)
-            return h
+def plain_text(text: str) -> str:
+    """text if it is ASCII and holds no "_"; ValueError otherwise.
 
-    def __repr__(self):
-        return f"Weight(coords={self.coords!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: Weight is immutable")
-
-    def __reduce__(self):
-        return Weight.scaled, (self.den, self.num)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "Weight") -> "Weight":
-        return self._combine(other, -1)
-
-    def _combine(self, other: "Weight", sign: int) -> "Weight":
-        """self + sign * other over the least common multiple of the two
-        denominators."""
-        d = math.lcm(self.den, other.den)
-        a, b = d // self.den, sign * (d // other.den)
-        return Weight.scaled(d, tuple(a * x + b * y for x, y in zip(self.num, other.num)))
+    ``int`` and ``Fraction`` also read digit group underscores and the
+    digits and spaces of other scripts, which no input form of the
+    package uses; parsers pass their input through this first."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} holds '_' or a non-ASCII character")
+    return text
 
 
 def pairing_numerator(v, coroot) -> int:

@@ -491,7 +491,6 @@ def jantzen_dims(exps) -> tuple:
 @dataclass
 class OracleReport:
     lie_type: LieType
-    nu: Weight
     depth: int
     passed: bool
     spaces: int
@@ -586,7 +585,6 @@ def oracle_compare(rs: RootSystem, nu: Weight, depth: int | None = None) -> Orac
             )
     return OracleReport(
         lie_type=lt,
-        nu=nu,
         depth=depth,
         passed=not failures,
         spaces=len(kostant),

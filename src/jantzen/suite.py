@@ -55,7 +55,7 @@ def suite_weights(rs: RootSystem, seed: int = 0) -> tuple:
         coords = tuple(rng.choice(_POOL) for _ in range(n))
         if all(c.denominator == 1 for c in coords) or coords in seen:
             continue
-        out.append(("nonintegral-seeded", Weight(coords)))
+        out.append(("nonintegral-seeded", Weight.of(*coords)))
         break
     for label, w in out:
         if not is_antidominant(rs, w):

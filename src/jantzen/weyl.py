@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from jantzen.roots import RootSystem, pairing_numerator, reflect_vector
+from jantzen.roots import RootSystem, pairing_numerator, plain_text, reflect_vector
 
 MAX_GROUP_ORDER = 1152
 
@@ -400,7 +400,7 @@ def parse_word(text: str) -> tuple[int, ...]:
     if text in ("", "e"):
         return ()
     try:
-        out = tuple(int(p) - 1 for p in text.split())
+        out = tuple(int(p) - 1 for p in plain_text(text).split())
     except ValueError as exc:
         raise ValueError(f"cannot parse word {text!r}") from exc
     if any(i < 0 for i in out):

@@ -6,11 +6,103 @@ of the root lattice gets its root coordinates by an exact solve against
 the simple roots' weight coordinates.  Partition counts over any set of
 positive roots come from explicit multiplicities, and the axioms of a
 reflection subsystem are checked as stated.  A positive root's index is
-its place in the root list, and a pairing is a sum of Fraction products."""
+its place in the root list, and a pairing is a sum of Fraction products.
+Weight sums and differences are taken coordinate by coordinate in
+Fractions, and ``QPoly`` is a general polynomial ring over the rationals,
+against which the package's integer coefficient lists are checked."""
 
 from fractions import Fraction
+from itertools import zip_longest
+from operator import add, sub
 
-from jantzen.roots import boxes, reflect
+from jantzen.roots import Weight, boxes, reflect
+
+
+class QPoly:
+    """Immutable polynomial over Q; ``coeffs[k]`` multiplies x**k.
+
+    Coefficients are ints or Fractions, never floats, with trailing zeros
+    stripped, so the zero polynomial has an empty coefficient tuple.
+    Sums, differences and products take QPolys, ints and Fractions; two
+    QPolys are equal iff their coefficient tuples are."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = list(coeffs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def const(cls, c) -> "QPoly":
+        return cls((c,))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def coeff(self, k: int):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    @property
+    def valuation(self) -> int:
+        """Order of vanishing at 0; -1 for the zero polynomial."""
+        return next((k for k, c in enumerate(self.coeffs) if c), -1)
+
+    def shift(self, k: int) -> "QPoly":
+        """Multiply by x**k."""
+        return QPoly((0,) * k + self.coeffs) if self.coeffs else self
+
+    def __add__(self, other):
+        other = _as_qpoly(other)
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return QPoly([a + b for a, b in pairs])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-_as_qpoly(other))
+
+    def __mul__(self, other):
+        other = _as_qpoly(other)
+        if not self.coeffs or not other.coeffs:
+            return QPoly()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return QPoly(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, QPoly):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __repr__(self):
+        return f"QPoly({self.coeffs})"
+
+
+def _as_qpoly(value) -> QPoly:
+    if isinstance(value, QPoly):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return QPoly((value,))
+    raise TypeError(f"cannot treat {value!r} as a polynomial")
+
+
+def weight_add(a, b):
+    """a + b, coordinate by coordinate."""
+    return Weight.of(*map(add, a.coords, b.coords))
+
+
+def weight_sub(a, b):
+    """a - b, coordinate by coordinate."""
+    return Weight.of(*map(sub, a.coords, b.coords))
 
 
 def word_apply(sys, w, lam):

@@ -5,6 +5,7 @@ pass/fail/usage, flag-value handling for weights with a leading minus,
 and the disk-cache controls.
 """
 
+import argparse
 import dataclasses
 import json
 import os
@@ -393,6 +394,62 @@ def test_usage_errors(capsys):
         code = main(argv)
         capsys.readouterr()
         assert code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["block", "--type", "A2_0", "--weight", "0,0"], "cannot parse Lie type 'A2_0'"),
+        (["block", "--type", "A 2", "--weight", "0,0"], "cannot parse Lie type 'A 2'"),
+        (["block", "--type", "A2", "--weight", "1_0,0"], "cannot parse weight '1_0,0'"),
+        (["kl", "--type", "A2", "--x", "e", "--w", "1_0"], "cannot parse word '1_0'"),
+        (["parabolic", "--type", "A2", "--weight", "-1,-1", "--I", "1_0"],
+         "cannot parse I list '1_0'"),
+    ],
+    ids=["type", "type-space", "weight", "word", "I"],
+)
+def test_lenient_number_forms_are_usage_errors(capsys, argv, message):
+    # int() and Fraction() read "A2_0" as A20, "A 2" as A2, "1_0" as 10
+    code = main(argv)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+# a minimal valid command line per subcommand, every required option set
+_MINIMAL = {
+    "block": ["--weight", "0,0"],
+    "kl": ["--x", "e", "--w", "e"],
+    "layers": ["--weight", "0,0"],
+    "sumcheck": ["--weight", "0,0"],
+    "conjecture": ["--weight", "0,0"],
+    "parabolic": ["--I", "1", "--weight", "0,0"],
+    "oracle": ["--weight", "0,0"],
+}
+
+
+def test_every_value_option_takes_a_leading_minus():
+    # each value option of each subcommand, given "-..." as its next
+    # token, reads that token as its value
+    parser = cli.build_parser()
+    flags = cli._value_flags(parser)
+    subcommands = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert set(subcommands) == set(_MINIMAL)
+    seen = set()
+    for name, sub in subcommands.items():
+        for action in sub._actions:
+            if action.nargs == 0:
+                continue
+            for flag in action.option_strings:
+                value = "-1" if action.type is int else "-1/2,0"
+                argv = [name, "--type", "A2", *_MINIMAL[name], flag, value]
+                merged = cli._merge_flag_values(argv, flags)
+                assert f"{flag}={value}" in merged
+                args = parser.parse_args(merged)
+                assert getattr(args, action.dest) == (action.type or str)(value), flag
+                seen.add(flag)
+    assert seen == flags >= {"--type", "--weight", "--I", "--depth", "--seed", "--cache"}
 
 
 def test_weight_leading_minus_without_equals(capsys):

@@ -216,6 +216,10 @@ def test_parse_and_format_word():
         parse_word("0 1")
     with pytest.raises(ValueError):
         parse_word("x")
+    # int() reads "1_0" as 10 and other scripts' digits as digits
+    for bad in ("1_0", "2 1_0", "\u0661 2", "1\u20032"):
+        with pytest.raises(ValueError, match="cannot parse word"):
+            parse_word(bad)
 
 
 def test_descents():
