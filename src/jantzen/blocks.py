@@ -17,7 +17,7 @@ coordinates (``_orbit``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from operator import sub
 
 from jantzen.kl import KLTable
@@ -29,7 +29,7 @@ from jantzen.roots import (
     reflect,
     reflect_vector,
 )
-from jantzen.weyl import CoxeterSystem, DefectError, subsystem
+from jantzen.weyl import CoxeterSystem, DefectError, set_bits, subsystem
 
 
 def _integral_positive_indices(rs: RootSystem, w: Weight) -> tuple[int, ...]:
@@ -66,9 +66,18 @@ class Block:
     def column(self, w: int, table: KLTable) -> dict:
         """{z: Q(z, w)} over the z in W^J with z <= w, in (length, word)
         order: the graded multiplicities of the simples L(z mu) in M(w mu).
-        One read of ``table`` per (system, J, w, table), kept until
-        clear_caches(); callers read it and must not change it."""
+        The z are the set bits of one AND of w's Bruhat downset and the
+        W^J bitmask, and Q(z, w) is read as P(w0 w, w0 z).  One read of
+        ``table`` per (system, J, w, table), kept until clear_caches();
+        callers read it and must not change it."""
         return _column(self.system, self.J, w, table)
+
+    @cached_property
+    def layer_rows(self) -> dict:
+        """table -> w -> the radical layer rows of M(w mu), filled by
+        ``filtration.layers``: they live exactly as long as this Block,
+        and clear_caches() does not reach them."""
+        return {}
 
     def apply(self, w: int) -> Weight:
         """The weight w(mu): one ``_orbit`` entry, kept until clear_caches()."""
@@ -93,12 +102,16 @@ class Block:
 
 
 @cache
+def _rep_mask(system: CoxeterSystem, J: tuple[int, ...]) -> int:
+    """The bitmask of W^J: bit w is set iff w is minimal in w W_J."""
+    return sum(1 << w for w in system.min_coset_reps(J))
+
+
+@cache
 def _column(system: CoxeterSystem, J: tuple[int, ...], w: int, table: KLTable) -> dict:
-    return {
-        z: table.inverse_polynomial(z, w)
-        for z in system.bruhat_interval_below(w)
-        if system.is_min_coset_rep(z, J)
-    }
+    below = system.downsets()[w] & _rep_mask(system, J)
+    w0w = system.longest_times(w)
+    return {z: table.polynomial(w0w, system.longest_times(z)) for z in set_bits(below)}
 
 
 @cache

@@ -100,7 +100,11 @@ class LayerTable(LayerRows):
 
 
 def layers(block: Block, w: int, table: KLTable | None = None) -> LayerTable:
-    """Radical layer table of M(w mu) for w in W^J."""
+    """Radical layer table of M(w mu) for w in W^J.
+
+    The rows are kept per (table, w) in ``block.layer_rows`` for as long as
+    the block lives, so the tables of one block share them; callers read
+    them and must not change them."""
     sys = block.system
     if not block.is_rep(w):
         raise ValueError(
@@ -109,9 +113,13 @@ def layers(block: Block, w: int, table: KLTable | None = None) -> LayerTable:
         )
     if table is None:
         table = table_for(sys)
-    lengths = sys.lengths
-    column = block.column(w, table)
-    rows = graded_rows(lengths[w], [(z, lengths[z], q.coeffs) for z, q in column.items()])
+    memo = block.layer_rows.setdefault(table, {})
+    rows = memo.get(w)
+    if rows is None:
+        lengths = sys.lengths
+        column = block.column(w, table)
+        rows = graded_rows(lengths[w], [(z, lengths[z], q.coeffs) for z, q in column.items()])
+        memo[w] = rows
     return LayerTable(block=block, w=w, rows=rows)
 
 

@@ -21,12 +21,15 @@ coefficient tuples of the columns' Q, with l(z), w_I z and the signs
 (-1)^l(u) read from the parabolic block, where enumerate_IWJ keeps them;
 it lists W_I once per parabolic block.  The layers are
 validated by a signed superposition of ordinary layer tables with
-grading shifts, and the character of each module by an exact weight
-count: the alternating sum over W_I of ordinary Verma characters, whose
-multiplicities must all be nonnegative.  Those counts depend only on the
-type, the depth and the signed shift list (+-1, lam - u lam), which many
-modules share, so they are memoised per shift list until clear_caches();
-the Levi-dominance check and the verdict are made on every call.
+grading shifts; those tables recur across the modules of a block, and
+``filtration.layers`` keeps their rows on the block, so each is built
+once per block.  The character of each module is checked
+by an exact weight count: the alternating sum over W_I of ordinary
+Verma characters, whose multiplicities must all be nonnegative.  Those
+counts depend only on the type, the depth and the signed shift list
+(+-1, lam - u lam), which many modules share, so they are memoised per
+shift list until clear_caches(), together with the verdict that they
+are all nonnegative; the Levi-dominance check is made on every call.
 """
 
 from __future__ import annotations
@@ -63,6 +66,11 @@ class ParabolicBlock:
     def reps(self) -> tuple[int, ...]:
         """{}^I W^J in (length, word) order."""
         return tuple(self.lifted)
+
+    @cached_property
+    def unlifted(self) -> dict:
+        """w_I z -> z for z in {}^I W^J: the inverse of ``lifted``."""
+        return {wIz: z for z, (_, wIz) in self.lifted.items()}
 
     def lift(self, w: int) -> tuple[int, int]:
         """(l(w), w_I w) for w in {}^I W^J; ValueError for any other w."""
@@ -173,13 +181,15 @@ def parabolic_layers_dual_path(
     at u w_I w, placed at radical offset l(u) with sign (-1)^l(u).  The
     superposition must be supported on layers 0..l(w) and on columns w_I z
     with z in {}^I W^J, with everything else cancelling; violations raise,
-    which makes this an independent cross-check of parabolic_layers.
+    which makes this an independent cross-check of parabolic_layers.  The
+    ordinary tables come from ``layers``, which keeps their rows on the
+    block, and a surviving column w_I z maps back to z through
+    ``pblock.unlifted``.
     """
     block = pblock.block
     sys = block.system
     lw, wIw = pblock.lift(w)
-    wI = pblock.wI
-    span = lw + sys.length(wI)
+    span = lw + sys.length(pblock.wI)
     acc: list[dict] = [dict() for _ in range(span + 1)]
     for u, sign in pblock.signed_levi:
         shift = sys.length(u)
@@ -202,8 +212,8 @@ def parabolic_layers_dual_path(
                 raise ConventionDefectError(
                     "uncancelled contribution beyond the layer range"
                 )
-            z = sys.mul(wI, x)
-            if z not in pblock.lifted:
+            z = pblock.unlifted.get(x)
+            if z is None:
                 raise ConventionDefectError(
                     "uncancelled multiplicity outside the parabolic column set"
                 )
@@ -256,14 +266,15 @@ def parabolic_character_check(
         (sign, block.offset(wIw, block.system.mul(u, wIw)))
         for u, sign in pblock.signed_levi
     )
-    rows = _character_rows(block.rs, depth, shifts)
-    passed = all(dim >= 0 for _, dim in rows)
+    rows, passed = _character_rows(block.rs, depth, shifts)
     return CharCheckResult(passed=passed, rows=rows)
 
 
 @cache
 def _character_rows(rs: RootSystem, depth: int, shifts: tuple) -> tuple:
-    """((beta, sum of sign * P(beta - d)) over the signed shifts (sign, d))
-    on every box of height <= depth: the rows of a character check, kept
-    per shift list until clear_caches()."""
-    return tuple(shifted_sum(partition_table(rs, depth), shifts).items())
+    """(rows, passed): rows are ((beta, sum of sign * P(beta - d)) over the
+    signed shifts (sign, d)) on every box of height <= depth, and passed
+    says every one of them is nonnegative.  Kept per shift list until
+    clear_caches()."""
+    rows = tuple(shifted_sum(partition_table(rs, depth), shifts).items())
+    return rows, all(dim >= 0 for _, dim in rows)

@@ -252,9 +252,15 @@ class Weight:
 
     @classmethod
     def parse(cls, text: str) -> "Weight":
-        """The weight of comma-separated rationals such as "1,-1/2"."""
+        """The weight of comma-separated rationals such as "1,-1/2": each
+        an optional sign, ASCII digits and an optional "/" with ASCII
+        digits, spaces around it stripped.  Decimal and exponent forms
+        ("0.5", "1e1"), which ``Fraction`` would read, are refused."""
         try:
-            return cls.of(*(p.strip() for p in plain_text(text).split(",")))
+            parts = [p.strip() for p in plain_text(text).split(",")]
+            if not all(map(_is_rational, parts)):
+                raise ValueError("a coordinate is not an integer or a fraction")
+            return cls.of(*parts)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"cannot parse weight {text!r}") from exc
 
@@ -264,6 +270,14 @@ class Weight:
 
     def serialize(self) -> str:
         return ",".join(str(c) for c in self.coords)
+
+
+def _is_rational(text: str) -> bool:
+    """text, which is ASCII, is an optional sign, digits and an optional
+    "/" with digits: a weight coordinate as Weight.parse reads it."""
+    body = text[1:] if text[:1] in ("+", "-") else text
+    num, slash, den = body.partition("/")
+    return num.isdigit() and (den.isdigit() or not slash)
 
 
 def plain_text(text: str) -> str:

@@ -277,8 +277,7 @@ class CoxeterSystem:
 
     def bruhat_interval_below(self, w: int) -> list[int]:
         """All x <= w, in index order."""
-        bits = bin(self.downsets()[w])[:1:-1]  # bit x is character x
-        return [x for x, c in enumerate(bits) if c == "1"]
+        return set_bits(self.downsets()[w])
 
     # -- cosets ---------------------------------------------------------------
 
@@ -318,6 +317,12 @@ class CoxeterSystem:
             if not self.is_min_coset_rep(u, J):
                 return False
         return True
+
+
+def set_bits(mask: int) -> list[int]:
+    """The elements of a bitmask of elements, in index order."""
+    bits = bin(mask)[:1:-1]  # bit x is character x
+    return [x for x, c in enumerate(bits) if c == "1"]
 
 
 # -- interned subsystems -------------------------------------------------------

@@ -9,7 +9,9 @@ reflection subsystem are checked as stated.  A positive root's index is
 its place in the root list, and a pairing is a sum of Fraction products.
 Weight sums and differences are taken coordinate by coordinate in
 Fractions, and ``QPoly`` is a general polynomial ring over the rationals,
-against which the package's integer coefficient lists are checked."""
+against which the package's integer coefficient lists are checked.  A
+block's multiplicity column is filtered element by element from the
+Bruhat interval."""
 
 from fractions import Fraction
 from itertools import zip_longest
@@ -223,3 +225,15 @@ def is_simple_system(rs, simple_idx, pos_idx) -> bool:
             if tuple(x - p * g for x, g in zip(v, gamma)) not in signed:
                 return False
     return True
+
+
+def column(block, w, table):
+    """{z: Q(z, w)} over the z in W^J below w, in index order: the Bruhat
+    interval below w, each z tested for minimality in z W_J, and Q read
+    by ``KLTable.inverse_polynomial``."""
+    sys = block.system
+    return {
+        z: table.inverse_polynomial(z, w)
+        for z in sys.bruhat_interval_below(w)
+        if sys.is_min_coset_rep(z, block.J)
+    }

@@ -14,6 +14,7 @@ from jantzen.roots import LieType, Weight, build_root_system
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
 from jantzen.weyl import weyl_group
 from reference import (
+    column as reference_column,
     kostant_counts,
     phi_plus_count,
     root_coords,
@@ -200,25 +201,33 @@ def test_normalize_and_sum_formula_on_drawn_weights(weights):
         assert len(res.reflected) == _ref_positive_integral(rs, nu.coords)
 
 
+def _assert_columns_match(block, table, elements):
+    # the bitmask column is the reference's interval filter entry for entry,
+    # in the same (length, word) order, which is index order
+    for w in elements:
+        col = block.column(w, table)
+        assert list(col.items()) == list(reference_column(block, w, table).items()), w
+        assert list(col) == sorted(col)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("name", ACCEPTANCE_TYPES)
 def test_column_matches_direct_reads(name, seed):
-    # column(w) is Q(z, w) read pair by pair over the W^J part of [e, w],
-    # in (length, word) order, which is index order
     rs = _rs(name)
     for label, mu in suite_weights(rs, seed):
         block = integral_block(rs, mu)
-        sys = block.system
-        table = table_for(sys)
-        for w in sys.elements():
-            col = block.column(w, table)
-            want = {
-                z: table.inverse_polynomial(z, w)
-                for z in sys.bruhat_interval_below(w)
-                if block.is_rep(z)
-            }
-            assert col == want, (name, label, w)
-            assert list(col) == sorted(col)
+        _assert_columns_match(block, table_for(block.system), block.system.elements())
+
+
+@pytest.mark.parametrize("mu", [(-1, -1, -1, -1), (0, -1, 0, -1)], ids=["regular", "singular"])
+def test_column_matches_the_reference_on_f4(mu):
+    # every 37th element of the 1152 and w0: columns up to the whole group
+    rs = _rs("F4")
+    block = integral_block(rs, Weight.of(*mu))
+    sys = block.system
+    assert sys.order() == 1152 and len(block.J) == 2 * (mu[0] == 0)
+    elements = [*range(0, sys.order(), 37), sys.order() - 1]
+    _assert_columns_match(block, table_for(sys), elements)
 
 
 def test_column_is_memoised_per_block_shape():

@@ -402,14 +402,16 @@ def test_usage_errors(capsys):
         (["block", "--type", "A2_0", "--weight", "0,0"], "cannot parse Lie type 'A2_0'"),
         (["block", "--type", "A 2", "--weight", "0,0"], "cannot parse Lie type 'A 2'"),
         (["block", "--type", "A2", "--weight", "1_0,0"], "cannot parse weight '1_0,0'"),
+        (["block", "--type", "A2", "--weight", "1e1,0.5"], "cannot parse weight '1e1,0.5'"),
         (["kl", "--type", "A2", "--x", "e", "--w", "1_0"], "cannot parse word '1_0'"),
         (["parabolic", "--type", "A2", "--weight", "-1,-1", "--I", "1_0"],
          "cannot parse I list '1_0'"),
     ],
-    ids=["type", "type-space", "weight", "word", "I"],
+    ids=["type", "type-space", "weight", "weight-decimal", "word", "I"],
 )
 def test_lenient_number_forms_are_usage_errors(capsys, argv, message):
-    # int() and Fraction() read "A2_0" as A20, "A 2" as A2, "1_0" as 10
+    # int() and Fraction() read "A2_0" as A20, "A 2" as A2, "1_0" as 10,
+    # and Fraction() reads "1e1,0.5" as 10,1/2
     code = main(argv)
     assert code == 2
     assert message in capsys.readouterr().err

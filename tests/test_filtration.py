@@ -1,13 +1,15 @@
 """Radical filtrations of Verma modules and the sum-formula oracle."""
 
+import gc
 import importlib
 import pkgutil
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import jantzen
-from jantzen import clear_caches, kl
+from jantzen import clear_caches, filtration, kl
 from jantzen.blocks import DefectError, integral_block, normalize
 from jantzen.filtration import (
     LayerTable,
@@ -181,6 +183,43 @@ def test_layers_rejects_non_representative():
     assert not block.is_rep(s1)
     with pytest.raises(ValueError):
         layers(block, s1)
+
+
+def test_layer_rows_are_kept_per_block(monkeypatch):
+    # a second layers call on one (block, w) reads the rows the first one
+    # built and builds none; a block equal to it but not the same object
+    # starts from an empty memo and builds equal rows
+    rs = _rs("A3")
+    block = integral_block(rs, Weight.of(-1, -1, -1))
+    table = table_for(block.system)
+    first = [layers(block, w, table).rows for w in block.coset_reps()]
+
+    def no_rows(*args, **kwargs):
+        raise AssertionError("layer rows rebuilt")
+
+    monkeypatch.setattr(filtration, "graded_rows", no_rows)
+    again = [layers(block, w, table).rows for w in block.coset_reps()]
+    assert again == first and all(a is b for a, b in zip(again, first))
+    monkeypatch.undo()
+    other = integral_block(rs, Weight.of(-1, -1, -1))
+    assert other == block and other.layer_rows == {}
+    assert [layers(other, w, table).rows for w in other.coset_reps()] == first
+
+
+def test_normalized_block_keeps_rows_only_while_it_lives():
+    rs = _rs("B2")
+    nu = Weight.of(1, 1)
+    block, w = normalize(rs, nu)
+    rows = layers(block, w).rows
+    assert block.layer_rows[table_for(block.system)][w] is rows
+    ref = weakref.ref(block)
+    del block
+    gc.collect()
+    assert ref() is None
+    # normalize builds a new block, whose memo starts empty
+    block, w = normalize(rs, nu)
+    assert block.layer_rows == {}
+    assert layers(block, w).rows == rows
 
 
 def test_layer_table_validate_errors():
@@ -450,6 +489,7 @@ def test_clear_caches_empties_every_memo():
     assert {
         "blocks._column",
         "blocks._orbit",
+        "blocks._rep_mask",
         "filtration.simple_weight_dims",
         "parabolic._character_rows",
         "roots.partition_table",

@@ -104,17 +104,25 @@ def test_b2_maximal_parabolics():
 
 
 def test_dual_path_agreement():
-    for name in ("A2", "A3", "B2", "G2"):
-        rs = _rs(name)
-        block = integral_block(rs, Weight.of(*[-1] * rs.rank))
-        n = block.system.num_gens
-        for r in range(n + 1):
-            for I in itertools.combinations(range(n), r):
-                pb = enumerate_IWJ(block, I)
-                for w in pb.reps:
-                    direct = parabolic_layers(pb, w)
-                    dual = parabolic_layers_dual_path(pb, w)
-                    assert direct.rows == dual.rows, (name, I, block.system.word(w))
+    # every module of the parabolic-suite benchmark at seeds 0 and 1: each
+    # suite block of the acceptance types, every I of its block-simple
+    # ambient simple roots; unlifted inverts the lift of every rep
+    modules = 0
+    for seed in (0, 1):
+        for name in ACCEPTANCE_TYPES:
+            rs = _rs(name)
+            for label, mu in suite_weights(rs, seed):
+                block = integral_block(rs, mu)
+                table = table_for(block.system)
+                for I in _block_simple_subsets(rs, block):
+                    pb = enumerate_IWJ(block, I)
+                    assert {pb.lift(z)[1]: z for z in pb.reps} == pb.unlifted
+                    for w in pb.reps:
+                        direct = parabolic_layers(pb, w, table)
+                        dual = parabolic_layers_dual_path(pb, w, table)
+                        assert dual.rows == direct.rows, (seed, name, label, I, w)
+                        modules += 1
+    assert modules == 1169 + 1182
 
 
 def test_singular_parabolic_restricts_regular():

@@ -405,11 +405,17 @@ def test_weight_parse_serialize():
         Weight.parse("1,,2")
     with pytest.raises(ValueError):
         Weight.parse("a,b")
-    # int() and Fraction() read these; no input form of the package does
-    for bad in ("1_0,0", "1/2_0,0", "\u0661,0", "1,\u00bd", "1\u00a0,0"):
+    # int() and Fraction() read these, the last ones as decimal and
+    # exponent forms; a coordinate is an optional sign, ASCII digits and
+    # an optional "/" with ASCII digits
+    for bad in (
+        "1_0,0", "1/2_0,0", "\u0661,0", "1,\u00bd", "1\u00a0,0",
+        "1e1,0.5", "0.5,1", ".5,1", "1.,0", "1E1,0", "1/2e1,0", "1 /2,0", "+-1,0",
+    ):
         with pytest.raises(ValueError, match="cannot parse weight"):
             Weight.parse(bad)
     assert Weight.parse(" 1 , -1/2 ") == Weight.of(1, Fraction(-1, 2))
+    assert Weight.parse("+1,-3/6,007") == Weight.of(1, Fraction(-1, 2), 7)
 
 
 def test_lie_type_parse():
