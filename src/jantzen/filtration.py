@@ -233,7 +233,6 @@ def domination_check(tx: LayerTable, tw: LayerTable) -> DominationResult:
     return DominationResult(passed=not violations, violations=tuple(violations))
 
 
-@cache
 def simple_weight_dims(block: Block, z: int, depth: int) -> dict:
     """Weight multiplicities of L(z mu) at offsets from its highest weight.
 
@@ -242,21 +241,27 @@ def simple_weight_dims(block: Block, z: int, depth: int) -> dict:
     ch L(z mu) = sum_{x <= z} (-1)^(l(z)-l(x)) P(x, z)(1) ch M(x mu) over
     the whole integral Weyl group; x mu = v mu for v the W^J part of x, and
     each ch M(v mu) is expanded by the Kostant partition function.  Results
-    are memoised per (block, z, depth) until clear_caches(); callers read
-    them and must not change them.
+    are memoised per (system, J, mu, z, depth), so the memo keeps no block
+    alive, until clear_caches(); callers read them and must not change
+    them.
     """
-    sys = block.system
     if not block.is_rep(z):
         raise ValueError("z must be a minimal-length coset representative")
+    return _simple_weight_dims(block.system, block.J, block.mu, z, depth)
+
+
+@cache
+def _simple_weight_dims(sys, J, mu, z: int, depth: int) -> dict:
+    block = Block(sys.rs, mu, sys, J)  # for its offsets, read from _orbit
     table = table_for(sys)
     lz = sys.length(z)
     coeffs: dict[int, int] = {}
     for x in sys.bruhat_interval_below(z):
-        v = sys.coset_rep(x, block.J)
+        v = sys.coset_rep(x, J)
         sign = -1 if (lz - sys.length(x)) % 2 else 1
         coeffs[v] = coeffs.get(v, 0) + sign * sum(table.polynomial(x, z).coeffs)
     terms = [(c, block.offset(z, v)) for v, c in coeffs.items()]
-    out = shifted_sum(partition_table(block.rs, depth), terms)
+    out = shifted_sum(partition_table(sys.rs, depth), terms)
     if any(d < 0 for d in out.values()):
         raise DefectError("negative simple weight multiplicity")
     return out

@@ -2,21 +2,25 @@
 
 A table is one column per element w: the map x -> P(x, w) over the x
 below w, so "x <= w" is "x is a key of column w".  As in du Cloux's
-Coxeter (Experiment. Math. 11, 2002), column w is built whole from column
-v = ws, s the first right descent of w, by the classical recursion
+Coxeter (Experiment. Math. 11, 2002), column w is built whole, x
+descending, and most entries are copies by the descent rule of Kazhdan
+and Lusztig (Invent. Math. 53, 1979, (2.3.g)): P(x, w) = P(xr, w) for a
+right descent r of w with xr > x, and P(x, w) = P(rx, w) for a left
+descent r of w with rx > x; xr and rx lie below w, one step above x.
+Only the extremal x, which have every descent of w, take the recursion
+from column v = ws, s the first right descent of w:
 
-    P(x, w) = q^(1-c) P(xs, v) + q^c P(x, v)
-              - sum_z mu(z, v) q^((l(w)-l(z))/2) P(x, z)
+    P(x, w) = q P(x, v) + P(xs, v) - sum_z mu(z, v) q^((l(w)-l(z))/2) P(x, z)
 
-where c = 1 if xs < x else 0 and z runs over the mu-list of v: the z with
-zs < z and nonvanishing mu(z, v) (the coefficient of q^((l(v)-l(z)-1)/2)
-in P(z, v)), read off column v while column w is built.  The x below w
-are the u and us for u below v.  Everything is exact integer arithmetic:
-each P(x, w) is formed in one list of integer coefficients, and a table
-keeps one ``Poly``, the entry type, per distinct coefficient tuple.  A
-build verifies the degree bound, constant term 1 and coefficient
-nonnegativity on every entry (``entry_defect``, which the cache reader
-shares) and treats violations as hard defects.
+where z runs over the mu-list of v: the z with zs < z and nonvanishing
+mu(z, v) (the coefficient of q^((l(v)-l(z)-1)/2) in P(z, v)), read off
+column v while column w is built.  The x below w are the u and us for u
+below v; the column lists them ascending.  Everything is exact integer
+arithmetic: each P(x, w) is formed in one list of integer coefficients,
+and a table keeps one ``Poly``, the entry type, per distinct coefficient
+tuple.  A build verifies the degree bound, constant term 1 and
+coefficient nonnegativity on every entry (``entry_defect``, which the
+cache reader shares) and treats violations as hard defects.
 Inverse polynomials Q(x, w) = P(w0 w, w0 x) are exposed alongside P;
 in the antidominant normalization they, not the plain P, carry the
 module multiplicities, satisfying the alternating inversion identity
@@ -136,7 +140,7 @@ class KLTable:
             col = self._cols[w] = {w: _ONE}
             return col
         t = sys._tables()
-        length, right, descents = t.length, t.right, t.descents
+        length, right, descents, inverse = t.length, t.right, t.descents, t.inverse
         v = right[w][s]
         below = self._column(v)
         lw = length[w]
@@ -148,42 +152,49 @@ class KLTable:
                 m = p.coeff((d - 1) // 2)
                 if m:
                     mus.append((self._column(z), m, (d + 1) // 2))
+        rd, ld = descents[w], descents[inverse[w]]
         polys = self._polys
         col = {}
-        for x in sorted({u for y in below for u in (y, right[y][s])}):
+        for x in sorted({u for y in below for u in (y, right[y][s])}, reverse=True):
             diff = lw - length[x]
             if diff <= 2:
                 # degree <= (diff-1)/2 < 1 forces the constant polynomial 1
                 col[x] = _ONE
                 continue
-            # the coefficients of P(x, w): the shifted sum, then each
-            # mu-term subtracted in place
-            xs = right[x][s]
-            if descents[x] >> s & 1:
-                plain, shifted = below[xs], below.get(x)
+            if r := rd & ~descents[x]:
+                # w has a right descent r that x lacks: P(x, w) = P(xr, w)
+                p = col[right[x][(r & -r).bit_length() - 1]]
+            elif r := ld & ~descents[inverse[x]]:
+                # w has a left descent r that x lacks: P(x, w) = P(rx, w)
+                p = col[inverse[right[inverse[x]][(r & -r).bit_length() - 1]]]
             else:
-                plain, shifted = below[x], below.get(xs)
-            acc = [0] * (diff // 2 + 1)
-            acc[: len(plain.coeffs)] = plain.coeffs
-            if shifted is not None:
-                for k, c in enumerate(shifted.coeffs, 1):
-                    acc[k] += c
-            for cz, m, k in mus:
-                pz = cz.get(x)
-                if pz is not None:
-                    for j, c in enumerate(pz.coeffs, k):
-                        acc[j] -= m * c
-            while acc and not acc[-1]:
-                acc.pop()
-            key = tuple(acc)
-            p = polys.get(key)
-            if p is None:
-                p = polys[key] = Poly(key)
-            defect = entry_defect(key, diff)
+                # x has every descent of w, so xs < x: the coefficients of
+                # P(x, w) are q P(x, v) + P(xs, v) with each mu-term
+                # subtracted in place
+                acc = [0] * (diff // 2 + 1)
+                plain = below[right[x][s]].coeffs
+                acc[: len(plain)] = plain
+                shifted = below.get(x)
+                if shifted is not None:
+                    for k, c in enumerate(shifted.coeffs, 1):
+                        acc[k] += c
+                for cz, m, k in mus:
+                    pz = cz.get(x)
+                    if pz is not None:
+                        for j, c in enumerate(pz.coeffs, k):
+                            acc[j] -= m * c
+                while acc and not acc[-1]:
+                    acc.pop()
+                key = tuple(acc)
+                p = polys.get(key)
+                if p is None:
+                    p = polys[key] = Poly(key)
+            defect = entry_defect(p.coeffs, diff)
             if defect:
                 raise KLDefectError(defect)
             col[x] = p
-        self._cols[w] = col
+        # filled downward, listed with x ascending
+        col = self._cols[w] = dict(reversed(col.items()))
         return col
 
     def build(self) -> "KLTable":
@@ -212,10 +223,11 @@ def entry_defect(coeffs: tuple, diff: int) -> str | None:
             f"constant term {coeffs[0] if coeffs else 0} != 1 for pair of "
             f"length difference {diff}"
         )
-    if len(coeffs) > 1 and 2 * len(coeffs) - 2 >= diff:
-        return f"degree {len(coeffs) - 1} exceeds bound for length difference {diff}"
-    if min(coeffs) < 0:
-        return f"negative coefficient in {coeffs}"
+    if len(coeffs) > 1:
+        if 2 * len(coeffs) - 2 >= diff:
+            return f"degree {len(coeffs) - 1} exceeds bound for length difference {diff}"
+        if min(coeffs) < 0:
+            return f"negative coefficient in {coeffs}"
     return None
 
 

@@ -194,11 +194,12 @@ def parabolic_layers_dual_path(
     for u, sign in pblock.signed_levi:
         shift = sys.length(u)
         target = sys.mul(u, wIw)
-        if not sys.is_min_coset_rep(target, block.J):
+        try:
+            tab = layers(block, target, table)
+        except ValueError:  # the one W^J test of target, that of layers
             raise DefectError(
                 "composite parameter is not minimal in its coset modulo W_J"
-            )
-        tab = layers(block, target, table)
+            ) from None
         for j2, row in enumerate(tab.rows):
             j = j2 + shift
             for x, c in row.items():

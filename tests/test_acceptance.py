@@ -9,7 +9,7 @@ criteria are computed once per block and shared.
 The weight suite (jantzen.suite) covers, per type: the regular integral
 block, one singular integral block for every nonempty subset of simple
 roots, and three nonintegral blocks.  Types: A1 A2 A3 B2 B3 C3 G2; the
-KL sanity criterion also checks the full A4, D4 and B4 tables.
+KL sanity criterion also checks the full A4, D4, B4 and F4 tables.
 """
 
 import hashlib
@@ -196,12 +196,13 @@ def test_criterion_5_kl_sanity(tmp_path):
     # invariants on every entry of every table, and at rank 4 the Bruhat
     # pair counts of the full groups and the SHA-256 of the saved cache
     # body, so a change to the KL core must reproduce these tables byte for
-    # byte
-    pair_counts = {"A4": 3781, "D4": 9817, "B4": 40249}
+    # byte; F4 is the group whose build copies most entries along descents
+    pair_counts = {"A4": 3781, "D4": 9817, "B4": 40249, "F4": 396809}
     body_sha256 = {
         "A4": "0d59b7061bc7a5bfd7a3c3284cac2642892095f8a4fd917689734c524ef4d4ec",
         "D4": "6063095aa2c5b09bc1ce4328998c877a74127383bdfdeee2a15fc33b08bdad56",
         "B4": "97d49d0c71826c96f236ef6a0b1962a6b720ef932f8c844dc8f61558da133c8e",
+        "F4": "0487a4b6937eac99877acbbb19e77a49f337228ac9789e850a3456a31bf90dd5",
     }
     types = ACCEPTANCE_TYPES + tuple(pair_counts)
     for name in types:

@@ -428,6 +428,22 @@ def test_simple_weight_dims_memo_keys_on_mu():
     assert simple_weight_dims(a, s1, 3) == dims_a
 
 
+def test_simple_weight_dims_keeps_no_block_alive():
+    # the memo is keyed by the block's system, J and mu: a block that
+    # normalize built for one call is freed with its layer rows, and an
+    # equal block reads the same entry
+    rs = _rs("B2")
+    block, w = normalize(rs, Weight.of(1, 1))
+    layers(block, w)
+    dims = simple_weight_dims(block, w, 2)
+    ref = weakref.ref(block)
+    del block
+    gc.collect()
+    assert ref() is None
+    block, w = normalize(rs, Weight.of(1, 1))
+    assert simple_weight_dims(block, w, 2) is dims
+
+
 def _simple_dims_by_back_substitution(block, z, depth):
     """ch L(z mu) the long way: invert the unitriangular matrix
     [M(u mu) : L(v mu)] = Q(v, u)(1) over W^J below z by back-substitution,
@@ -490,7 +506,7 @@ def test_clear_caches_empties_every_memo():
         "blocks._column",
         "blocks._orbit",
         "blocks._rep_mask",
-        "filtration.simple_weight_dims",
+        "filtration._simple_weight_dims",
         "parabolic._character_rows",
         "roots.partition_table",
         "weyl._subsystem",

@@ -344,20 +344,44 @@ def test_build_matches_poly_arithmetic(name):
     assert [(x, w, p.coeffs) for x, w, p in build_table(sys).entries()] == want
 
 
-@pytest.mark.parametrize("name", ["A3", "B3"])
+def _descents(sys, u):
+    """The right and the left descents of u, as two sets of generators."""
+    lu, gens = sys.length(u), range(sys.num_gens)
+    return (
+        {i for i in gens if sys.length(sys.right_mul(u, i)) < lu},
+        {i for i in gens if sys.length(sys.left_mul(i, u)) < lu},
+    )
+
+
+def _extremal(sys, x, w):
+    """Whether x has every right and every left descent of w: the pairs
+    whose P(x, w) the build forms by the recursion, not as a copy."""
+    (rx, lx), (rw, lw) = _descents(sys, x), _descents(sys, w)
+    return rw <= rx and lw <= lx
+
+
+@pytest.mark.parametrize("name", ["B3", "D4"])
 def test_mu_term_is_scaled_by_mu(name):
     # Every group under the cap has mu in {0, 1}, so plant mu(s, v) = 2 in
-    # a built column v = w s, s the first right descent of w and l(v) even:
-    # the top coefficient of P(s, v) that the degree bound allows becomes
-    # 2.  Column w then subtracts 2 q^k P(x, s) at x in {e, s}, the only
-    # x below s, where the planted coefficient enters the plain part
-    # q P(s, v) at the same q^k; so the column keeps every KL invariant and
-    # equals the true one only if the mu-term is scaled by mu.
+    # a built column v = w s, w of odd length whose one right and one left
+    # descent is s: the top coefficient of P(s, v) that the degree bound
+    # allows becomes 2.  Column w then subtracts 2 q^k P(x, s) at x in
+    # {e, s}, the only x below s, where the planted coefficient enters the
+    # plain part q P(s, v) at the same q^k; so the column keeps every KL
+    # invariant and equals the true one only if the mu-term is scaled by
+    # mu.  The build forms P(s, w) by the recursion, s having every descent
+    # of w, and copies P(e, w) = P(s, w).
     sys = _system(name)
     lengths = [sys.length(u) for u in sys.elements()]
-    w = max(u for u in sys.elements() if lengths[u] % 2 and lengths[u] >= 5)
+
+    def one_descent(u):
+        right, left = _descents(sys, u)
+        return len(right) == 1 and right == left
+
+    w = max(u for u in sys.elements() if lengths[u] % 2 and lengths[u] >= 5 and one_descent(u))
     s = sys.first_right_descent(w)
     v, gen = sys.right_mul(w, s), sys.gens[s]
+    assert _extremal(sys, gen, w) and not _extremal(sys, sys.identity, w)
     true = _poly_columns(sys)
     top = (lengths[v] - lengths[gen] - 1) // 2
     coeffs = true[v][gen].coeffs + (0,) * top
@@ -637,12 +661,17 @@ def test_one_entry_invariant_for_build_and_load():
     assert entry_defect((1, 1), 2) == "degree 1 exceeds bound for length difference 2"
     assert entry_defect((1, 1), 0) == "degree 1 exceeds bound for length difference 0"
     assert entry_defect((1, -1), 3) == "negative coefficient in (1, -1)"
+    # s2 has every descent of w = s2 s1 s3 s2, so the build forms
+    # P(s2, w) = q P(s2, v) + P(e, v), v = w s2, by the recursion: a
+    # planted P(e, v) = 1 - 5q makes it 1 - 4q
     sys = _system("A3")
-    w = sys.longest_times(sys.identity)
-    v = sys.right_mul(w, sys.first_right_descent(w))
+    w = sys.element_from_word((1, 0, 2, 1))
+    s = sys.first_right_descent(w)
+    v, x = sys.right_mul(w, s), sys.gens[s]
+    assert _extremal(sys, x, w)
     table = KLTable(sys)
-    table._cols[v] = {x: Poly((1, -5)) for x in table._column(v)}
-    with pytest.raises(KLDefectError, match=r"^negative coefficient in \(1, -5, 5\)$"):
+    table._cols[v] = {**table._column(v), sys.identity: Poly((1, -5))}
+    with pytest.raises(KLDefectError, match=r"^negative coefficient in \(1, -4\)$"):
         table._column(w)
 
 

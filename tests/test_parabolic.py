@@ -470,6 +470,22 @@ def test_character_check_rows_match_per_beta_counts(name):
         assert parabolic._character_rows.cache_info().hits > hits
 
 
+def test_dual_path_refuses_a_target_outside_w_j():
+    # a planted lift w_I w outside W^J makes the composite parameter of
+    # u = e leave W^J: the dual path reports a defect, not the usage error
+    # that layers gives a caller for such a w
+    block = integral_block(_rs("A2"), Weight.of(0, -1))
+    sys = block.system
+    pb = enumerate_IWJ(block, ())
+    w = pb.reps[0]
+    outside = next(x for x in sys.elements() if not block.is_rep(x))
+    planted = dataclasses.replace(pb, lifted={w: (sys.length(w), outside)})
+    with pytest.raises(DefectError, match="^composite parameter is not minimal"):
+        parabolic_layers_dual_path(planted, w)
+    with pytest.raises(ValueError, match="^w is not a minimal-length coset"):
+        layers(block, outside)
+
+
 def test_parabolic_paths_reflect_each_weight_once(monkeypatch):
     # enumerate_IWJ enumerates the group and the first pass builds the
     # orbit entries w(mu), the two steps that reflect; a second pass walks
