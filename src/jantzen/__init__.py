@@ -9,8 +9,6 @@ form, deformed over Q[t] and reduced over the local ring Q[t]_(t).
 
 import sys
 
-from jantzen import kl
-
 __version__ = "0.1.0"
 
 __all__ = ["clear_caches"]
@@ -20,10 +18,10 @@ _CONSTANTS = ("build_root_system", "chevalley_basis")
 
 
 def clear_caches() -> None:
-    """Forget every in-memory KL table, interned Coxeter system, truncated
-    partition table, per-block orbit entry (w(mu), w(mu) - mu), per-block
-    multiplicity column {z: Q(z, w)} (``Block.column``) with its W^J
-    bitmask, simple character, parabolic character rows per shift list
+    """Forget every KL table (``kl._table``), interned Coxeter system,
+    truncated partition table, per-block orbit entry (w(mu), w(mu) - mu),
+    per-block multiplicity column {z: Q(z, w)} (``Block.column``) with its
+    W^J bitmask, simple character, parabolic character rows per shift list
     with their verdict (``parabolic._character_rows``) and generic Verma
     module per type (``shapovalov._generic_verma``, with its Z[lambda]
     action memo and its Gram matrices per offset): every memo of the
@@ -32,8 +30,7 @@ def clear_caches() -> None:
     (``Block.layer_rows``), which live exactly as long as their block.
 
     The memos are the functools caches of the submodules loaded so far;
-    one not yet imported has filled none.  Disk caches are untouched."""
-    kl._registry.clear()
+    one not yet imported has filled none."""
     for name, mod in list(sys.modules.items()):
         if name.startswith("jantzen."):
             for attr, value in vars(mod).items():

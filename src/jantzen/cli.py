@@ -1,4 +1,4 @@
-"""Command-line surface: reports, verification commands, cache control.
+"""Command-line surface: reports and verification commands.
 
 Subcommands
     block       normalize a weight and describe its integral block
@@ -12,6 +12,7 @@ Subcommands
 Weights are comma-separated rationals in the pairing basis ("1,-1/2").
 Words are space-separated 1-based generator indices of the block's
 integral system ("2 1"), with "e" or the empty string for the identity.
+Kazhdan-Lusztig tables are built in memory by ``kl.table_for``.
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage or input error,
 3 internal error (the program broke; no verdict).
 """
@@ -64,16 +65,20 @@ def _weight(rs: RootSystem, text: str) -> Weight:
     return w
 
 
+def _integer(text: str) -> int:
+    """An option's integer, read as strictly as every other number."""
+    try:
+        return int(plain_text(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse integer {text!r}") from None
+
+
 def _element(sys: CoxeterSystem, text: str):
     return sys.element_from_word(parse_word(text))
 
 
 def _word_str(sys: CoxeterSystem, w) -> str:
     return format_word(sys.word(w)) or "e"
-
-
-def _prime_table(sys: CoxeterSystem, args):
-    return table_for(sys, cache_dir=args.cache, use_disk=not args.no_cache)
 
 
 def _normalized(args):
@@ -159,7 +164,7 @@ def cmd_kl(args) -> int:
         sys_ = block.system
     else:
         sys_ = weyl_group(rs)
-    table = _prime_table(sys_, args)
+    table = table_for(sys_)
     x = _element(sys_, args.x)
     w = _element(sys_, args.w)
     poly = table.polynomial(x, w)
@@ -180,7 +185,6 @@ def cmd_kl(args) -> int:
 
 def cmd_layers(args) -> int:
     nu, block, w = _normalized(args)
-    _prime_table(block.system, args)
     sum_res = sum_formula_check(block.rs, nu)
     table = sum_res.table
     table.validate()
@@ -213,7 +217,6 @@ def cmd_layers(args) -> int:
 def cmd_sumcheck(args) -> int:
     if args.weight is not None:
         nu, block, _ = _normalized(args)
-        _prime_table(block.system, args)
         res = sum_formula_check(block.rs, nu)
         report = {
             **_head(nu, block),
@@ -235,7 +238,6 @@ def cmd_sumcheck(args) -> int:
     all_passed = True
     for label, mu in suite_weights(rs, seed=args.seed):
         block, _ = normalize(rs, mu)
-        _prime_table(block.system, args)
         checked = 0
         failed = []
         for w in block.coset_reps():
@@ -273,7 +275,7 @@ def cmd_sumcheck(args) -> int:
 
 def cmd_conjecture(args) -> int:
     nu, block, _ = _normalized(args)
-    table = _prime_table(block.system, args)
+    table = table_for(block.system)
     sys_ = block.system
     reps = block.coset_reps()
     tables = {w: layers(block, w, table) for w in reps}
@@ -317,7 +319,7 @@ def cmd_parabolic(args) -> int:
         raise UsageError(f"depth must be nonnegative, got {args.depth}")
     nu, block, _ = _normalized(args)
     check_box_limit(block.rs, args.depth)  # even when no module asks for a table
-    table = _prime_table(block.system, args)
+    table = table_for(block.system)
     sys_ = block.system
     try:
         ambient_I = sorted(
@@ -374,7 +376,6 @@ def cmd_parabolic(args) -> int:
 
 def cmd_oracle(args) -> int:
     nu, block, _ = _normalized(args)
-    _prime_table(block.system, args)
     rep = oracle_compare(block.rs, nu, args.depth)
     report = {
         "type": str(rep.lie_type),
@@ -399,12 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--json", action="store_true", help="emit a JSON report instead of text"
-    )
-    common.add_argument(
-        "--cache", metavar="PATH", default=None, help="KL cache directory"
-    )
-    common.add_argument(
-        "--no-cache", action="store_true", help="do not read or write the disk cache"
     )
     common.add_argument("--type", required=True)
 
@@ -434,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--weight")
     group.add_argument("--suite", action="store_true")
-    p.add_argument("--seed", type=int, default=0, help="suite generation seed")
+    p.add_argument("--seed", type=_integer, default=0, help="suite generation seed")
     p.set_defaults(func=cmd_sumcheck)
 
     p = sub.add_parser(
@@ -450,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated 1-based ambient simple indices")
     p.add_argument("--weight", required=True)
     p.add_argument("--w", default=None, help="single double-coset word")
-    p.add_argument("--depth", type=int, default=4,
+    p.add_argument("--depth", type=_integer, default=4,
                    help="height bound for the character check")
     p.set_defaults(func=cmd_parabolic)
 
@@ -458,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle", parents=[common], help="contravariant-form dimension check"
     )
     p.add_argument("--weight", required=True)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=_integer, default=None)
     p.set_defaults(func=cmd_oracle)
     return parser
 
@@ -505,7 +500,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # UsageError and unusable cache paths
+    except (ValueError, OSError) as exc:  # bad input, or an OSError of the host
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DefectError as exc:

@@ -20,22 +20,22 @@ arithmetic: each P(x, w) is formed in one list of integer coefficients,
 and a table keeps one ``Poly``, the entry type, per distinct coefficient
 tuple.  A build verifies the degree bound, constant term 1 and
 coefficient nonnegativity on every entry (``entry_defect``, which the
-cache reader shares) and treats violations as hard defects.
+file reader shares) and treats violations as hard defects.
 Inverse polynomials Q(x, w) = P(w0 w, w0 x) are exposed alongside P;
 in the antidominant normalization they, not the plain P, carry the
 module multiplicities, satisfying the alternating inversion identity
 sum_z (-1)^(l(z)-l(x)) P(x, z) Q(z, w) = delta(x, w).
 
-Completed tables persist to disk keyed by a canonical hash of the Coxeter
-matrix, so isomorphic blocks (e.g. an integral subsystem of one type that
-matches the full group of another) share cache files.  The header of a
-cache file carries the SHA-256 of its body.  A file is a cache miss, and
-the table is rebuilt, when its version or digest does not match, when a
-line is not ``x;w;coefficients`` with x and w the canonical words of two
-elements (1-based letters, the identity empty), when a line names a pair
-with x not below w or a pair already read, when an entry breaks a KL
-invariant (constant term 1, nonnegative coefficients, the degree bound),
-or when the pairs read are fewer than the Bruhat pairs of the group.
+``table_for`` builds the table of an interned system once and keeps it
+until ``clear_caches()``.  Only a caller that asks writes or reads a
+completed table as a ``.kl`` file (``save_table``, ``load_table``), named
+by a hash of the Coxeter matrix and headed by the SHA-256 of its body.
+``load_table`` refuses a file whose version or digest does not match, a
+line that is not ``x;w;coefficients`` with x and w the canonical words of
+two elements (1-based letters, the identity empty), a pair with x not
+below w or read twice, an entry that breaks a KL invariant (constant term
+1, nonnegative coefficients, the degree bound), and fewer pairs than the
+Bruhat pairs of the group.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from functools import cache
 
 from jantzen import weyl
 from jantzen.weyl import CoxeterSystem, DefectError, format_word
@@ -95,8 +96,6 @@ class Poly:
 CACHE_VERSION = "KLCACHE v2"
 _ONE = Poly((1,))
 _ZERO = Poly()
-# interned CoxeterSystem -> its complete KLTable
-_registry: dict = {}
 
 
 class KLDefectError(DefectError):
@@ -235,20 +234,24 @@ def build_table(system: CoxeterSystem) -> KLTable:
     return KLTable(system).build()
 
 
-# -- disk cache --------------------------------------------------------------
+def table_for(system: CoxeterSystem) -> KLTable:
+    """The complete table of the interned system with the same root set
+    (``weyl.subsystem``), built once: its ``system`` is the one blocks carry."""
+    return _table(weyl.subsystem(system.rs, system.pos_idx))
+
+
+# keyed by interned systems only, so a twin built directly shares the table
+@cache
+def _table(system: CoxeterSystem) -> KLTable:
+    return build_table(system)
+
+
+# -- .kl files ----------------------------------------------------------------
 
 
 def cache_key(coxeter_matrix) -> str:
     text = ";".join(",".join(str(v) for v in row) for row in coxeter_matrix)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def default_cache_dir() -> str:
-    env = os.environ.get("JANTZEN_CACHE")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
-    return os.path.join(base, "jantzen")
 
 
 def cache_path(system: CoxeterSystem, cache_dir: str) -> str:
@@ -284,7 +287,7 @@ def save_table(table: KLTable, cache_dir: str) -> str:
 
 
 def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
-    """Load a table if a valid complete cache exists; None otherwise.
+    """Load a table if a valid complete file exists; None otherwise.
 
     A file of another version, whose body does not match the digest in its
     header, whose lines are not exactly the Bruhat pairs of the group, each
@@ -339,30 +342,3 @@ def load_table(system: CoxeterSystem, cache_dir: str) -> KLTable | None:
     if sum(map(len, cols.values())) != table.expected_pair_count():
         return None
     return table
-
-
-def table_for(
-    system: CoxeterSystem,
-    cache_dir: str | None = None,
-    use_disk: bool = False,
-) -> KLTable:
-    """Complete table for a system, via the in-memory registry and optional disk cache.
-
-    The table is built on the interned system with the same root set
-    (``weyl.subsystem``), so its ``system`` is the one blocks carry.
-    """
-    system = weyl.subsystem(system.rs, system.pos_idx)
-    got = _registry.get(system)
-    if got is not None:
-        return got
-    table = None
-    directory = cache_dir or default_cache_dir()
-    if use_disk:
-        table = load_table(system, directory)
-    if table is None:
-        table = build_table(system)
-        if use_disk:
-            save_table(table, directory)
-    _registry[system] = table
-    return table
-

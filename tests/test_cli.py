@@ -1,8 +1,8 @@
 """Command-line surface, exercised in process through main(argv).
 
 Checks cover the report JSON shapes, the text renderings, exit codes for
-pass/fail/usage, flag-value handling for weights with a leading minus,
-and the disk-cache controls.
+pass/fail/usage and flag-value handling for weights with a leading
+minus, and that no command writes under the user's cache directory.
 """
 
 import argparse
@@ -22,6 +22,9 @@ from jantzen.kl import KLDefectError
 from jantzen.parabolic import ConventionDefectError
 from jantzen.roots import Weight
 from jantzen.shapovalov import DegenerateFormError
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def _run(capsys, argv):
@@ -52,7 +55,7 @@ _TRANSCRIPTS = _readme_transcripts()
     "argv, expected", _TRANSCRIPTS, ids=[argv[0] for argv, _ in _TRANSCRIPTS]
 )
 def test_readme_transcript(argv, expected, capsys):
-    code, out = _run(capsys, argv + ["--no-cache"])
+    code, out = _run(capsys, argv)
     assert code == 0
     assert out == expected
 
@@ -252,7 +255,7 @@ def test_parabolic_validates_its_table(broken, message, monkeypatch, capsys):
     monkeypatch.setattr(cli, "parabolic_layers", parabolic_layers)
     code = main(
         ["parabolic", "--type", "A2", "--weight", "-1,-1", "--I", "1",
-         "--w", "2", "--no-cache"]
+         "--w", "2"]
     )
     err = capsys.readouterr().err
     assert code == cli.EXIT_CHECK_FAILED
@@ -260,7 +263,7 @@ def test_parabolic_validates_its_table(broken, message, monkeypatch, capsys):
 
 
 def test_kl_word_out_of_range_is_usage_error(capsys):
-    code = main(["kl", "--type", "A2", "--x", "e", "--w", "1 3", "--no-cache"])
+    code = main(["kl", "--type", "A2", "--x", "e", "--w", "1 3"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -297,7 +300,7 @@ def test_oracle_depth_over_cap_is_usage_error(capsys):
     ids=["oracle", "parabolic", "parabolic-no-parameters"],
 )
 def test_negative_depth_is_usage_error(argv, capsys):
-    code = main(argv + ["--no-cache"])
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -310,7 +313,7 @@ def test_parabolic_depth_over_box_limit_is_usage_error(capsys):
     for name, coords in (("A3", "-1,-1,-1"), ("A2", "0,0")):
         code = main(
             ["parabolic", "--type", name, "--weight", coords, "--I", "1",
-             "--depth", "100000", "--no-cache"]
+             "--depth", "100000"]
         )
         captured = capsys.readouterr()
         assert code == 2, name
@@ -321,27 +324,19 @@ def test_parabolic_depth_over_box_limit_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "A3", "G2"])
-def test_block_builds_no_kl_table(name, monkeypatch, capsys, tmp_path):
+def test_block_builds_no_kl_table(name, monkeypatch, capsys):
     # block reports the group order and the coset count; neither needs KL
-    golden = pathlib.Path(__file__).resolve().parent / "golden"
-    index = json.loads((golden / "index.json").read_text())
+    index = json.loads((GOLDEN / "index.json").read_text())
 
     def no_table(*args, **kwargs):
-        raise AssertionError("block built or loaded a KL table")
+        raise AssertionError("block built a KL table")
 
     monkeypatch.setattr(kl, "build_table", no_table)
-    monkeypatch.setattr(kl, "load_table", no_table)
     for case in (f"block-{name}", f"block-{name}-json"):
         clear_caches()
         code, out = _run(capsys, index[case]["argv"])
         assert code == 0
-        assert out == (golden / f"{case}.out").read_text()
-    # with the disk cache on, nothing is read or written either
-    argv = [a for a in index[f"block-{name}"]["argv"] if a != "--no-cache"]
-    clear_caches()
-    code, _ = _run(capsys, argv + ["--cache", str(tmp_path)])
-    assert code == 0
-    assert os.listdir(tmp_path) == []
+        assert out == (GOLDEN / f"{case}.out").read_text()
     clear_caches()
 
 
@@ -371,7 +366,7 @@ def test_layers_builds_one_layer_table(monkeypatch, capsys):
     monkeypatch.setattr(filtration, "layers", count_layers(filtration.layers))
     for module in (cli, filtration):
         monkeypatch.setattr(module, "normalize", count_normalize(module.normalize))
-    argv = ["layers", "--type", "B2", "--weight", "1,1", "--no-cache"]
+    argv = ["layers", "--type", "B2", "--weight", "1,1"]
     code, out = _run(capsys, argv)
     assert code == 0
     assert "sum formula: pass" in out
@@ -406,12 +401,20 @@ def test_usage_errors(capsys):
         (["kl", "--type", "A2", "--x", "e", "--w", "1_0"], "cannot parse word '1_0'"),
         (["parabolic", "--type", "A2", "--weight", "-1,-1", "--I", "1_0"],
          "cannot parse I list '1_0'"),
+        (["oracle", "--type", "A1", "--weight", "1", "--depth", "1_0"],
+         "argument --depth: cannot parse integer '1_0'"),
+        (["oracle", "--type", "A1", "--weight", "1", "--depth", "\u0662"],
+         "argument --depth: cannot parse integer '\u0662'"),
+        (["sumcheck", "--type", "A1", "--suite", "--seed", "1_0"],
+         "argument --seed: cannot parse integer '1_0'"),
     ],
-    ids=["type", "type-space", "weight", "weight-decimal", "word", "I"],
+    ids=["type", "type-space", "weight", "weight-decimal", "word", "I", "depth",
+         "depth-arabic-indic", "seed"],
 )
 def test_lenient_number_forms_are_usage_errors(capsys, argv, message):
     # int() and Fraction() read "A2_0" as A20, "A 2" as A2, "1_0" as 10,
-    # and Fraction() reads "1e1,0.5" as 10,1/2
+    # int() reads the Arabic-Indic digit two as 2, and Fraction() reads
+    # "1e1,0.5" as 10,1/2
     code = main(argv)
     assert code == 2
     assert message in capsys.readouterr().err
@@ -444,14 +447,14 @@ def test_every_value_option_takes_a_leading_minus():
             if action.nargs == 0:
                 continue
             for flag in action.option_strings:
-                value = "-1" if action.type is int else "-1/2,0"
+                value = "-1" if action.type is cli._integer else "-1/2,0"
                 argv = [name, "--type", "A2", *_MINIMAL[name], flag, value]
                 merged = cli._merge_flag_values(argv, flags)
                 assert f"{flag}={value}" in merged
                 args = parser.parse_args(merged)
                 assert getattr(args, action.dest) == (action.type or str)(value), flag
                 seen.add(flag)
-    assert seen == flags >= {"--type", "--weight", "--I", "--depth", "--seed", "--cache"}
+    assert seen == flags >= {"--type", "--weight", "--I", "--depth", "--seed"}
 
 
 def test_weight_leading_minus_without_equals(capsys):
@@ -460,51 +463,21 @@ def test_weight_leading_minus_without_equals(capsys):
     assert code == 0
 
 
-def test_cache_flag_writes_table(tmp_path, capsys):
-    clear_caches()
-    code = main(
-        ["kl", "--type", "B2", "--x", "1", "--w", "2 1", "--cache", str(tmp_path)]
-    )
+def test_cli_leaves_the_user_cache_directory_alone(tmp_path, monkeypatch, capsys):
+    # every golden command line runs with HOME and XDG_CACHE_HOME at an
+    # empty directory, and nothing is written there; --cache and
+    # --no-cache are not options
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    for case in json.loads((GOLDEN / "index.json").read_text()).values():
+        clear_caches()
+        assert main(case["argv"]) == case["exit"], case["argv"]
+    kl_argv = ["kl", "--type", "B2", "--x", "1", "--w", "2 1"]
+    assert main(kl_argv + ["--cache", str(tmp_path)]) == cli.EXIT_USAGE
+    assert main(kl_argv + ["--no-cache"]) == cli.EXIT_USAGE
     capsys.readouterr()
-    assert code == 0
-    assert any(name.endswith(".kl") for name in os.listdir(tmp_path))
     clear_caches()
-
-
-def test_no_cache_writes_nothing(tmp_path, capsys):
-    clear_caches()
-    code = main(
-        ["kl", "--type", "B2", "--x", "1", "--w", "2 1", "--cache", str(tmp_path),
-         "--no-cache"]
-    )
-    capsys.readouterr()
-    assert code == 0
     assert os.listdir(tmp_path) == []
-    clear_caches()
-
-
-def test_cache_env_var(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("JANTZEN_CACHE", str(tmp_path))
-    clear_caches()
-    code = main(["layers", "--type", "A2", "--weight", "1,1"])
-    capsys.readouterr()
-    assert code == 0
-    assert any(name.endswith(".kl") for name in os.listdir(tmp_path))
-    clear_caches()
-
-
-def test_unusable_cache_dir_is_input_error(tmp_path, capsys):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    clear_caches()
-    code = main(
-        ["layers", "--type", "A2", "--weight", "0,1", "--cache", str(blocker / "sub")]
-    )
-    err = capsys.readouterr().err
-    assert code == cli.EXIT_USAGE == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-    clear_caches()
 
 
 def _raising(exc):
@@ -532,10 +505,12 @@ def test_defect_exits_1(exc, monkeypatch, capsys):
 
 
 def test_value_error_exits_2(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "cmd_block", _raising(ValueError("bad input")))
-    code = main(["block", "--type", "A1", "--weight", "1"])
-    assert capsys.readouterr().err == "error: bad input\n"
-    assert code == cli.EXIT_USAGE == 2
+    # an OSError of the host is an input error too, never a traceback
+    for exc in (ValueError("bad input"), OSError("bad input")):
+        monkeypatch.setattr(cli, "cmd_block", _raising(exc))
+        code = main(["block", "--type", "A1", "--weight", "1"])
+        assert capsys.readouterr().err == "error: bad input\n"
+        assert code == cli.EXIT_USAGE == 2
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import jantzen
-from jantzen import clear_caches, filtration, kl
+from jantzen import clear_caches, filtration
 from jantzen.blocks import DefectError, integral_block, normalize
 from jantzen.filtration import (
     LayerTable,
@@ -507,24 +507,23 @@ def test_clear_caches_empties_every_memo():
         "blocks._orbit",
         "blocks._rep_mask",
         "filtration._simple_weight_dims",
+        "kl._table",
         "parabolic._character_rows",
         "roots.partition_table",
         "weyl._subsystem",
     } <= set(memos)
     for name, memo in memos.items():
         assert memo.cache_info().currsize, name
-    # the KL registry is the one memo that is a dict, not a cache: a hit
-    # must ignore cache_dir and use_disk
+    # every memo is a functools cache: no module keeps a dict of its own
     dicts = [
         name
         for name, attr, value in _module_attrs()
         if isinstance(value, dict) and attr[:1] == "_" and attr[1:2].islower()
     ]
-    assert dicts == ["kl._registry"] and kl._registry
+    assert dicts == []
     sizes = [c.cache_info().currsize for c in (build_root_system, chevalley_basis)]
     clear_caches()
     assert {name for name, memo in memos.items() if memo.cache_info().currsize} == set()
-    assert not kl._registry
     assert [c.cache_info().currsize for c in (build_root_system, chevalley_basis)] == sizes
 
 

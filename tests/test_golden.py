@@ -35,7 +35,7 @@ _TYPES = {
 def _cases() -> dict:
     cases = {}
     for t, (weight, x, w) in _TYPES.items():
-        common = ["--type", t, "--no-cache"]
+        common = ["--type", t]
         per_command = {
             "block": ["--weight", weight],
             "kl": ["--x", x, "--w", w],

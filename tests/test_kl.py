@@ -1,4 +1,4 @@
-"""Kazhdan-Lusztig polynomial tables and the disk cache.
+"""Kazhdan-Lusztig polynomial tables and their ``.kl`` file format.
 
 The main correctness test recomputes every polynomial through the Hecke
 algebra: B_w = sum_x P(x, w) T_x satisfies B_w = B_v B_s - sum_z mu(z, v)
@@ -14,7 +14,6 @@ import pathlib
 
 import pytest
 
-from jantzen import clear_caches
 from jantzen.blocks import integral_block
 from jantzen.kl import (
     CACHE_VERSION,
@@ -450,32 +449,6 @@ def test_cache_rejects_corruption(tmp_path):
     assert load_table(sys, str(tmp_path)) is None
 
 
-def test_table_for_disk_cache(tmp_path):
-    clear_caches()
-    sys = _system("B2")
-    path = cache_path(sys, str(tmp_path))
-    assert not os.path.exists(path)
-    t1 = table_for(sys, cache_dir=str(tmp_path), use_disk=True)
-    assert os.path.exists(path)
-    with open(path, "rb") as fh:
-        first = fh.read()
-    # a second, fresh process-level lookup reuses the file
-    clear_caches()
-    t2 = table_for(sys, cache_dir=str(tmp_path), use_disk=True)
-    with open(path, "rb") as fh:
-        second = fh.read()
-    assert first == second
-    for x, w, p in t1.entries():
-        assert t2.polynomial(x, w) == p
-    # a corrupt cache is rebuilt, not trusted
-    clear_caches()
-    with open(path, "w") as fh:
-        fh.write("garbage\n")
-    t3 = table_for(sys, cache_dir=str(tmp_path), use_disk=True)
-    for x, w, p in t1.entries():
-        assert t3.polynomial(x, w) == p
-
-
 def test_cache_key_distinguishes_systems():
     keys = {
         cache_key(_system(name).coxeter_matrix())
@@ -509,10 +482,9 @@ def test_cache_rejects_tampered_entry(tmp_path):
     assert load_table(sys, str(tmp_path)) is None
 
 
-def test_cache_v1_file_is_rebuilt(tmp_path):
+def test_cache_v1_file_is_refused(tmp_path):
     sys = _system("B2")
-    table = build_table(sys)
-    path = save_table(table, str(tmp_path))
+    path = save_table(build_table(sys), str(tmp_path))
     with open(path) as fh:
         lines = fh.read().split("\n")
     # the previous format: version and key, no digest
@@ -520,13 +492,6 @@ def test_cache_v1_file_is_rebuilt(tmp_path):
     with open(path, "w") as fh:
         fh.write("\n".join(lines))
     assert load_table(sys, str(tmp_path)) is None
-    clear_caches()
-    rebuilt = table_for(sys, cache_dir=str(tmp_path), use_disk=True)
-    for x, w, p in table.entries():
-        assert rebuilt.polynomial(x, w) == p
-    with open(path) as fh:
-        assert fh.readline().startswith(CACHE_VERSION + " ")
-    assert load_table(sys, str(tmp_path)) is not None
 
 
 def test_table_for_uses_interned_system():
@@ -635,8 +600,7 @@ def test_cache_with_valid_digest_fails_closed(tmp_path, corrupt):
     sys = _system("A3")
     path = save_table(build_table(sys), str(tmp_path))
     with open(path, "rb") as fh:
-        good = fh.read()
-    lines = good.decode().splitlines()[1:]
+        lines = fh.read().decode().splitlines()[1:]
     # the digest is recomputed correctly: the unchanged lines load
     _write_cache(path, sys, lines)
     assert load_table(sys, str(tmp_path)) is not None
@@ -644,12 +608,6 @@ def test_cache_with_valid_digest_fails_closed(tmp_path, corrupt):
     assert bad != lines
     _write_cache(path, sys, bad)
     assert load_table(sys, str(tmp_path)) is None
-    # table_for rebuilds the table and rewrites the file
-    clear_caches()
-    rebuilt = table_for(_system("A3"), cache_dir=str(tmp_path), use_disk=True)
-    assert len(list(rebuilt.entries())) == rebuilt.expected_pair_count()
-    with open(path, "rb") as fh:
-        assert fh.read() == good
 
 
 def test_one_entry_invariant_for_build_and_load():
