@@ -20,14 +20,12 @@ _CONSTANTS = ("build_root_system", "chevalley_basis")
 def clear_caches() -> None:
     """Forget every KL table (``kl._table``), interned Coxeter system,
     truncated partition table, per-block orbit entry (w(mu), w(mu) - mu),
-    per-block multiplicity column {z: Q(z, w)} (``Block.column``) with its
-    W^J bitmask, simple character, parabolic character rows per shift list
-    with their verdict (``parabolic._character_rows``) and generic Verma
-    module per type (``shapovalov._generic_verma``, with its Z[lambda]
-    action memo and its Gram matrices per offset): every memo of the
-    package but the per-type constants ``build_root_system`` and
-    ``chevalley_basis``, and the layer rows a ``Block`` keeps
-    (``Block.layer_rows``), which live exactly as long as their block.
+    W^J bitmask, module's layer rows (``filtration._layer_rows``), simple
+    character, parabolic character rows per shift list with their verdict
+    (``parabolic._character_rows``) and generic Verma module per type
+    (``shapovalov._generic_verma``, with its Z[lambda] action memo and its
+    Gram matrices per offset): every memo of the package but the per-type
+    constants ``build_root_system`` and ``chevalley_basis``.
 
     The memos are the functools caches of the submodules loaded so far;
     one not yet imported has filled none."""

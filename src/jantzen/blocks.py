@@ -11,16 +11,17 @@ representative modulo W_J.
 A block parametrises its weights by w -> w(mu) on the indices of W_mu: the
 entry of w is built from that of s_i w, i the first letter of w's
 canonical word, by one reflection of the weight and one step of its root
-coordinates (``_orbit``).
+coordinates (``_orbit``).  The W^J of a (system, J) is kept as one
+bitmask (``_rep_mask``), which ``filtration`` ANDs with a Bruhat downset
+to list the simples of a module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from operator import sub
 
-from jantzen.kl import KLTable
 from jantzen.roots import (
     RootSystem,
     Weight,
@@ -29,7 +30,7 @@ from jantzen.roots import (
     reflect,
     reflect_vector,
 )
-from jantzen.weyl import CoxeterSystem, DefectError, set_bits, subsystem
+from jantzen.weyl import CoxeterSystem, DefectError, subsystem
 
 
 def _integral_positive_indices(rs: RootSystem, w: Weight) -> tuple[int, ...]:
@@ -63,22 +64,6 @@ class Block:
     def is_rep(self, w: int) -> bool:
         return self.system.is_min_coset_rep(w, self.J)
 
-    def column(self, w: int, table: KLTable) -> dict:
-        """{z: Q(z, w)} over the z in W^J with z <= w, in (length, word)
-        order: the graded multiplicities of the simples L(z mu) in M(w mu).
-        The z are the set bits of one AND of w's Bruhat downset and the
-        W^J bitmask, and Q(z, w) is read as P(w0 w, w0 z).  One read of
-        ``table`` per (system, J, w, table), kept until clear_caches();
-        callers read it and must not change it."""
-        return _column(self.system, self.J, w, table)
-
-    @cached_property
-    def layer_rows(self) -> dict:
-        """table -> w -> the radical layer rows of M(w mu), filled by
-        ``filtration.layers``: they live exactly as long as this Block,
-        and clear_caches() does not reach them."""
-        return {}
-
     def apply(self, w: int) -> Weight:
         """The weight w(mu): one ``_orbit`` entry, kept until clear_caches()."""
         return _orbit(self.system, self.mu, w)[0]
@@ -105,13 +90,6 @@ class Block:
 def _rep_mask(system: CoxeterSystem, J: tuple[int, ...]) -> int:
     """The bitmask of W^J: bit w is set iff w is minimal in w W_J."""
     return sum(1 << w for w in system.min_coset_reps(J))
-
-
-@cache
-def _column(system: CoxeterSystem, J: tuple[int, ...], w: int, table: KLTable) -> dict:
-    below = system.downsets()[w] & _rep_mask(system, J)
-    w0w = system.longest_times(w)
-    return {z: table.polynomial(w0w, system.longest_times(z)) for z in set_bits(below)}
 
 
 @cache

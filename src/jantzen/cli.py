@@ -216,6 +216,8 @@ def cmd_layers(args) -> int:
 
 def cmd_sumcheck(args) -> int:
     if args.weight is not None:
+        if args.seed is not None:
+            raise UsageError("--seed applies only to --suite")
         nu, block, _ = _normalized(args)
         res = sum_formula_check(block.rs, nu)
         report = {
@@ -236,7 +238,7 @@ def cmd_sumcheck(args) -> int:
     rs = build_root_system(LieType.parse(args.type))
     cases = []
     all_passed = True
-    for label, mu in suite_weights(rs, seed=args.seed):
+    for label, mu in suite_weights(rs, seed=args.seed or 0):
         block, _ = normalize(rs, mu)
         checked = 0
         failed = []
@@ -322,9 +324,9 @@ def cmd_parabolic(args) -> int:
     table = table_for(block.system)
     sys_ = block.system
     try:
-        ambient_I = sorted(
-            {int(part) - 1 for part in plain_text(args.I).split(",") if part.strip()}
-        )
+        # "" (or spaces) is the empty set; no item of a list may be empty
+        parts = plain_text(args.I).split(",")
+        ambient_I = sorted({int(part) - 1 for part in parts}) if args.I.strip() else []
     except ValueError:
         raise UsageError(f"cannot parse I list {args.I!r}") from None
     pb = enumerate_IWJ(block, ambient_I)
@@ -429,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--weight")
     group.add_argument("--suite", action="store_true")
-    p.add_argument("--seed", type=_integer, default=0, help="suite generation seed")
+    p.add_argument("--seed", type=_integer, help="suite generation seed (default 0)")
     p.set_defaults(func=cmd_sumcheck)
 
     p = sub.add_parser(

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from jantzen.blocks import Block, DefectError, normalize
+from jantzen.blocks import Block, DefectError, _rep_mask, normalize
 from jantzen.kl import KLTable, table_for
 from jantzen.roots import (
     RootSystem,
@@ -39,6 +39,7 @@ from jantzen.roots import (
     shifted_sum,
 )
 from jantzen.roots import partition_count  # noqa: F401  (hooked by bench/layertrace.py)
+from jantzen.weyl import set_bits
 
 
 class LayerRows:
@@ -102,9 +103,9 @@ class LayerTable(LayerRows):
 def layers(block: Block, w: int, table: KLTable | None = None) -> LayerTable:
     """Radical layer table of M(w mu) for w in W^J.
 
-    The rows are kept per (table, w) in ``block.layer_rows`` for as long as
-    the block lives, so the tables of one block share them; callers read
-    them and must not change them."""
+    The rows are those of ``_layer_rows``, kept per (system, J, w, table)
+    until clear_caches(), so equal blocks share them; callers read them
+    and must not change them."""
     sys = block.system
     if not block.is_rep(w):
         raise ValueError(
@@ -113,14 +114,21 @@ def layers(block: Block, w: int, table: KLTable | None = None) -> LayerTable:
         )
     if table is None:
         table = table_for(sys)
-    memo = block.layer_rows.setdefault(table, {})
-    rows = memo.get(w)
-    if rows is None:
-        lengths = sys.lengths
-        column = block.column(w, table)
-        rows = graded_rows(lengths[w], [(z, lengths[z], q.coeffs) for z, q in column.items()])
-        memo[w] = rows
-    return LayerTable(block=block, w=w, rows=rows)
+    return LayerTable(block=block, w=w, rows=_layer_rows(sys, block.J, w, table))
+
+
+@cache
+def _layer_rows(sys, J, w: int, table: KLTable) -> tuple[dict, ...]:
+    """The graded layer rows of M(w mu) from the Q(z, w) over the z in W^J
+    with z <= w: the set bits of one AND of w's Bruhat downset and the W^J
+    bitmask, each Q(z, w) read from ``table`` as P(w0 w, w0 z)."""
+    lengths = sys.lengths
+    w0w = sys.longest_times(w)
+    graded = [
+        (z, lengths[z], table.polynomial(w0w, sys.longest_times(z)).coeffs)
+        for z in set_bits(sys.downsets()[w] & _rep_mask(sys, J))
+    ]
+    return graded_rows(lengths[w], graded)
 
 
 def graded_rows(lw: int, graded, defect=DefectError) -> tuple[dict, ...]:
@@ -180,8 +188,10 @@ def sum_formula_check(rs: RootSystem, nu: Weight) -> SumFormulaResult:
         if block.apply(v) != reflect(rs, nu, alpha):
             raise DefectError("reflected parameter does not reproduce s_alpha nu")
         reflected.append((alpha, v))
-        for z, q in block.column(v, table).items():
-            rhs[z] = rhs.get(z, 0) + sum(q.coeffs)
+        # each coefficient of Q(z, v) fills one row: z's entries sum to Q(z, v)(1)
+        for row in _layer_rows(sys, block.J, v, table):
+            for z, m in row.items():
+                rhs[z] = rhs.get(z, 0) + m
 
     # sum_{i>0} [M^i : L(z mu)] = sum_j j [Rad_j : L(z mu)]
     lhs: dict[int, int] = {}

@@ -19,8 +19,9 @@ below v; the column lists them ascending.  Everything is exact integer
 arithmetic: each P(x, w) is formed in one list of integer coefficients,
 and a table keeps one ``Poly``, the entry type, per distinct coefficient
 tuple.  A build verifies the degree bound, constant term 1 and
-coefficient nonnegativity on every entry (``entry_defect``, which the
-file reader shares) and treats violations as hard defects.
+coefficient nonnegativity on every entry the recursion forms
+(``entry_defect``, which the file reader shares) and treats violations
+as hard defects; a copy inherits the check of the entry it copies.
 Inverse polynomials Q(x, w) = P(w0 w, w0 x) are exposed alongside P;
 in the antidominant normalization they, not the plain P, carry the
 module multiplicities, satisfying the alternating inversion identity
@@ -113,7 +114,7 @@ class KLTable:
         self._polys: dict[tuple[int, ...], Poly] = {_ONE.coeffs: _ONE}
 
     def polynomial(self, x: int, w: int) -> Poly:
-        return self._column(w).get(x, _ZERO)
+        return self.column(w).get(x, _ZERO)
 
     def inverse_polynomial(self, x: int, w: int) -> Poly:
         """Inverse polynomial Q(x, w) = P(w0 w, w0 x), w0 the longest element.
@@ -129,7 +130,9 @@ class KLTable:
         sys = self.system
         return self.polynomial(sys.longest_times(w), sys.longest_times(x))
 
-    def _column(self, w: int) -> dict[int, Poly]:
+    def column(self, w: int) -> dict[int, Poly]:
+        """{x: P(x, w)} over the x <= w, x ascending, built on first use and
+        kept in the table; callers read it and must not change it."""
         col = self._cols.get(w)
         if col is not None:
             return col
@@ -141,7 +144,7 @@ class KLTable:
         t = sys._tables()
         length, right, descents, inverse = t.length, t.right, t.descents, t.inverse
         v = right[w][s]
-        below = self._column(v)
+        below = self.column(v)
         lw = length[w]
         # the mu-list of v, as (column z, mu(z, v), (l(w) - l(z)) / 2)
         mus = []
@@ -150,7 +153,7 @@ class KLTable:
             if d % 2 and descents[z] >> s & 1:
                 m = p.coeff((d - 1) // 2)
                 if m:
-                    mus.append((self._column(z), m, (d + 1) // 2))
+                    mus.append((self.column(z), m, (d + 1) // 2))
         rd, ld = descents[w], descents[inverse[w]]
         polys = self._polys
         col = {}
@@ -188,9 +191,13 @@ class KLTable:
                 p = polys.get(key)
                 if p is None:
                     p = polys[key] = Poly(key)
-            defect = entry_defect(p.coeffs, diff)
-            if defect:
-                raise KLDefectError(defect)
+                # only a formed entry is checked: 1 passes at every length
+                # difference, and a copy is an entry of this column one step
+                # closer to w that passed; the check depends on the difference
+                # only through the degree bound, which only loosens
+                defect = entry_defect(p.coeffs, diff)
+                if defect:
+                    raise KLDefectError(defect)
             col[x] = p
         # filled downward, listed with x ascending
         col = self._cols[w] = dict(reversed(col.items()))
@@ -198,7 +205,7 @@ class KLTable:
 
     def build(self) -> "KLTable":
         for w in self.system.elements():
-            self._column(w)
+            self.column(w)
         return self
 
     def entries(self):

@@ -17,25 +17,25 @@ the inverse Kazhdan-Lusztig polynomial (the multiplicity polynomial of
 the ordinary radical filtration), with layer j of the module at w
 reading the coefficient of q^((l(w) - l(z) - j)/2).  Any negative
 coefficient is a hard convention defect.  The sum runs on the integer
-coefficient tuples of the columns' Q, with l(z), w_I z and the signs
-(-1)^l(u) read from the parabolic block, where enumerate_IWJ keeps them;
-it lists W_I once per parabolic block.  The layers are
-validated by a signed superposition of ordinary layer tables with
-grading shifts; those tables recur across the modules of a block, and
-``filtration.layers`` keeps their rows on the block, so each is built
-once per block.  The character of each module is checked
-by an exact weight count: the alternating sum over W_I of ordinary
-Verma characters, whose multiplicities must all be nonnegative.  Those
-counts depend only on the type, the depth and the signed shift list
-(+-1, lam - u lam), which many modules share, so they are memoised per
-shift list until clear_caches(), together with the verdict that they
-are all nonnegative; the Levi-dominance check is made on every call.
+coefficient tuples of the P(w0 u w_I w, w0 w_I z), read from the KL
+table's column w0 w_I z once per z, with l(z), w_I z and the signs
+(-1)^l(u) read from the parabolic block, where enumerate_IWJ keeps them.
+The layers are validated by a signed superposition of ordinary layer
+tables (``filtration.layers``) with grading shifts; the two paths share
+only the KL table, so a fault in either reader shows.  The character of
+each module is checked by an exact weight count: the alternating sum
+over W_I of ordinary Verma characters, whose multiplicities must all be
+nonnegative.  Those counts depend only on the type, the depth and the
+signed shift list (+-1, lam - u lam), which many modules share, so they
+are memoised per shift list until clear_caches(), together with the
+verdict that they are all nonnegative; the Levi-dominance check is made
+on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 from jantzen.blocks import Block, DefectError
 from jantzen.filtration import LayerRows, graded_rows, layers
@@ -56,21 +56,14 @@ class ParabolicBlock:
     ambient_I: tuple[int, ...]  # 0-based ambient simple indices
     I: tuple[int, ...]  # generator indices in the block system
     wI: int
-    # z -> (l(z), w_I z) for z in {}^I W^J, in (length, word) order, and
-    # (u, (-1)^l(u)) for every u in W_I, in index order; both are
-    # determined by the fields above, which alone give equality and hash
+    # z -> (l(z), w_I z) for z in {}^I W^J, in (length, word) order; its
+    # keys ({}^I W^J) and its inverse (w_I z -> z); and (u, (-1)^l(u)) for
+    # every u in W_I, in index order.  All are determined by the fields
+    # above, which alone give equality and hash
     lifted: dict = field(compare=False)
+    reps: tuple[int, ...] = field(compare=False)
+    unlifted: dict = field(compare=False)
     signed_levi: tuple = field(compare=False)
-
-    @cached_property
-    def reps(self) -> tuple[int, ...]:
-        """{}^I W^J in (length, word) order."""
-        return tuple(self.lifted)
-
-    @cached_property
-    def unlifted(self) -> dict:
-        """w_I z -> z for z in {}^I W^J: the inverse of ``lifted``."""
-        return {wIz: z for z, (_, wIz) in self.lifted.items()}
 
     def lift(self, w: int) -> tuple[int, int]:
         """(l(w), w_I w) for w in {}^I W^J; ValueError for any other w."""
@@ -113,9 +106,8 @@ def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
     # parabolic_layers looks w_I z up in columns over W^J
     if not all(sys.is_min_coset_rep(wIz, block.J) for _, wIz in lifted.values()):
         raise DefectError("w_I z is not minimal in its coset modulo W_J")
-    return ParabolicBlock(
-        block=block, ambient_I=ambient_I, I=I, wI=wI, lifted=lifted, signed_levi=signed_levi
-    )
+    unlifted = {wIz: z for z, (_, wIz) in lifted.items()}
+    return ParabolicBlock(block, ambient_I, I, wI, lifted, tuple(lifted), unlifted, signed_levi)
 
 
 @dataclass
@@ -148,24 +140,22 @@ def parabolic_layers(
     lw, wIw = pblock.lift(w)
     if table is None:
         table = table_for(sys)
-    targets = [
-        (block.column(sys.mul(u, wIw), table), sign) for u, sign in pblock.signed_levi
-    ]
+    w0x = sys.longest_times
+    # Q(w_I z, u w_I w) = P(w0 u w_I w, w0 w_I z) is the entry at w0 u w_I w
+    # of the column w0 w_I z, absent when w_I z is not below u w_I w.  Only
+    # z in {}^I W^J survive translation onto the singular weight; lifted
+    # lists them in (length, word) order, which the rows keep
+    targets = [(w0x(sys.mul(u, wIw)), sign) for u, sign in pblock.signed_levi]
     graded = []
-    # only columns in {}^I W^J survive translation onto the singular weight;
-    # lifted is in (length, word) order, so the rows keep that order.  Each
-    # w_I z lies in W^J (enumerate_IWJ checks it), so Q(w_I z, target) is
-    # its entry in the target's column, absent when w_I z is not below
     for z, (lz, wIz) in pblock.lifted.items():
         if lz > lw:
             break
+        col = table.column(w0x(wIz))
         n = []
-        for col, sign in targets:
-            q = col.get(wIz)
-            if q is not None:
-                cs = q.coeffs
-                n.extend([0] * (len(cs) - len(n)))
-                for k, c in enumerate(cs):
+        for x, sign in targets:
+            if (q := col.get(x)) is not None:
+                n.extend([0] * (len(q.coeffs) - len(n)))
+                for k, c in enumerate(q.coeffs):
                     n[k] += sign * c
         graded.append((z, lz, n))
     rows = graded_rows(lw, graded, ConventionDefectError)
@@ -182,8 +172,8 @@ def parabolic_layers_dual_path(
     superposition must be supported on layers 0..l(w) and on columns w_I z
     with z in {}^I W^J, with everything else cancelling; violations raise,
     which makes this an independent cross-check of parabolic_layers.  The
-    ordinary tables come from ``layers``, which keeps their rows on the
-    block, and a surviving column w_I z maps back to z through
+    ordinary tables come from ``layers``, whose rows are memoised per
+    module, and a surviving column w_I z maps back to z through
     ``pblock.unlifted``.
     """
     block = pblock.block

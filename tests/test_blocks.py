@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jantzen import blocks
+from jantzen import blocks, clear_caches, filtration
 from jantzen.blocks import DefectError, integral_block, normalize
-from jantzen.filtration import sum_formula_check
+from jantzen.filtration import layers, sum_formula_check
 from jantzen.kl import table_for
 from jantzen.roots import LieType, Weight, build_root_system
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
@@ -201,13 +201,30 @@ def test_normalize_and_sum_formula_on_drawn_weights(weights):
         assert len(res.reflected) == _ref_positive_integral(rs, nu.coords)
 
 
+def _graded(rows, lengths, w):
+    """{z: coefficients of Q(z, w)} read back from the layer rows of the
+    module at w: z's entry in row j multiplies q^((l(w) - l(z) - j) / 2)."""
+    out = {}
+    for j, row in enumerate(rows):
+        for z, m in row.items():
+            k, odd = divmod(lengths[w] - lengths[z] - j, 2)
+            assert not odd and m > 0, (z, j)
+            cs = out.setdefault(z, [])
+            cs.extend([0] * (k + 1 - len(cs)))
+            cs[k] = m
+    return {z: tuple(out[z]) for z in sorted(out)}
+
+
 def _assert_columns_match(block, table, elements):
-    # the bitmask column is the reference's interval filter entry for entry,
-    # in the same (length, word) order, which is index order
+    # the layer rows built from the bitmask read are the reference's
+    # interval filter entry for entry, each row in (length, word) order,
+    # which is index order
+    sys = block.system
     for w in elements:
-        col = block.column(w, table)
-        assert list(col.items()) == list(reference_column(block, w, table).items()), w
-        assert list(col) == sorted(col)
+        rows = filtration._layer_rows(sys, block.J, w, table)
+        want = {z: q.coeffs for z, q in reference_column(block, w, table).items()}
+        assert _graded(rows, sys.lengths, w) == want, w
+        assert all(list(row) == sorted(row) for row in rows), w
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -231,14 +248,21 @@ def test_column_matches_the_reference_on_f4(mu):
 
 
 def test_column_is_memoised_per_block_shape():
+    # a block with the same system and J reads the same rows object, kept
+    # per (system, J, w, table) until clear_caches()
     rs = _rs("B2")
     block = integral_block(rs, Weight.of(0, -1))
     other = integral_block(rs, Weight.of(0, -2))
-    assert other.system is block.system and other.J == block.J
+    assert other.system is block.system and other.J == block.J and other != block
     table = table_for(block.system)
-    for w in block.coset_reps():
-        # a block with the same system and J reads the same column object
-        assert other.column(w, table) is block.column(w, table)
+    kept = {w: layers(block, w, table).rows for w in block.coset_reps()}
+    for w, rows in kept.items():
+        assert layers(other, w, table).rows is rows
+        assert filtration._layer_rows(block.system, block.J, w, table) is rows
+    clear_caches()
+    for w, rows in kept.items():
+        again = layers(other, w, table).rows
+        assert again == rows and again is not rows
 
 
 def test_block_apply():

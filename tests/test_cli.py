@@ -420,6 +420,41 @@ def test_lenient_number_forms_are_usage_errors(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+_PARABOLIC_A2 = ["parabolic", "--type", "A2", "--weight=-1,-1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sumcheck", "--type", "A2", "--weight", "1,1", "--seed", "5"],
+         "--seed applies only to --suite"),
+        (["sumcheck", "--type", "A2", "--weight", "1,1", "--seed", "0"],
+         "--seed applies only to --suite"),
+        ([*_PARABOLIC_A2, "--I", "1,,2"], "cannot parse I list '1,,2'"),
+        ([*_PARABOLIC_A2, "--I", ",1"], "cannot parse I list ',1'"),
+        ([*_PARABOLIC_A2, "--I", "1,"], "cannot parse I list '1,'"),
+        ([*_PARABOLIC_A2, "--I", ","], "cannot parse I list ','"),
+    ],
+    ids=["seed-without-suite", "seed-0-without-suite", "I-inner-empty", "I-leading-empty",
+         "I-trailing-empty", "I-only-comma"],
+)
+def test_ignored_input_is_a_usage_error(capsys, argv, message):
+    # an option the command would ignore, or an empty item it would
+    # drop, is refused rather than read as something else
+    code = main(argv)
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_empty_I_is_the_empty_set_and_seed_goes_with_suite(capsys):
+    code, empty = _run_json(capsys, [*_PARABOLIC_A2, "--I", "", "--json"])
+    assert code == 0 and empty["I"] == []
+    code, spaced = _run_json(capsys, [*_PARABOLIC_A2, "--I", " 2 , 1 ", "--json"])
+    assert code == 0 and spaced["I"] == [1, 2]
+    code, out = _run(capsys, ["sumcheck", "--type", "A1", "--suite", "--seed", "5"])
+    assert code == 0 and out.endswith("overall: pass\n")
+
+
 # a minimal valid command line per subcommand, every required option set
 _MINIMAL = {
     "block": ["--weight", "0,0"],

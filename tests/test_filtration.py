@@ -1,7 +1,9 @@
 """Radical filtrations of Verma modules and the sum-formula oracle."""
 
+import ast
 import gc
 import importlib
+import pathlib
 import pkgutil
 import weakref
 from fractions import Fraction
@@ -187,8 +189,8 @@ def test_layers_rejects_non_representative():
 
 def test_layer_rows_are_kept_per_block(monkeypatch):
     # a second layers call on one (block, w) reads the rows the first one
-    # built and builds none; a block equal to it but not the same object
-    # starts from an empty memo and builds equal rows
+    # built and builds none, and so does a block equal to it but not the
+    # same object; after clear_caches() the rows are built anew, equal
     rs = _rs("A3")
     block = integral_block(rs, Weight.of(-1, -1, -1))
     table = table_for(block.system)
@@ -198,27 +200,35 @@ def test_layer_rows_are_kept_per_block(monkeypatch):
         raise AssertionError("layer rows rebuilt")
 
     monkeypatch.setattr(filtration, "graded_rows", no_rows)
-    again = [layers(block, w, table).rows for w in block.coset_reps()]
-    assert again == first and all(a is b for a, b in zip(again, first))
-    monkeypatch.undo()
     other = integral_block(rs, Weight.of(-1, -1, -1))
-    assert other == block and other.layer_rows == {}
-    assert [layers(other, w, table).rows for w in other.coset_reps()] == first
+    assert other == block and other is not block
+    for b in (block, other):
+        again = [layers(b, w, table).rows for w in b.coset_reps()]
+        assert again == first and all(a is b for a, b in zip(again, first))
+    monkeypatch.undo()
+    clear_caches()
+    again = [layers(other, w, table).rows for w in other.coset_reps()]
+    assert again == first and not any(a is b for a, b in zip(again, first))
 
 
-def test_normalized_block_keeps_rows_only_while_it_lives():
+def test_normalized_block_leaves_its_rows_until_clear_caches():
+    # the memo is keyed by the block's system and J, not by the block: a
+    # block that normalize built for one call is freed, and the next one
+    # reads its rows until clear_caches()
     rs = _rs("B2")
     nu = Weight.of(1, 1)
     block, w = normalize(rs, nu)
-    rows = layers(block, w).rows
-    assert block.layer_rows[table_for(block.system)][w] is rows
+    table = table_for(block.system)
+    rows = layers(block, w, table).rows
+    assert filtration._layer_rows(block.system, block.J, w, table) is rows
     ref = weakref.ref(block)
     del block
     gc.collect()
     assert ref() is None
-    # normalize builds a new block, whose memo starts empty
     block, w = normalize(rs, nu)
-    assert block.layer_rows == {}
+    assert layers(block, w, table).rows is rows
+    clear_caches()
+    assert filtration._layer_rows.cache_info().currsize == 0
     assert layers(block, w).rows == rows
 
 
@@ -449,13 +459,21 @@ def _simple_dims_by_back_substitution(block, z, depth):
     [M(u mu) : L(v mu)] = Q(v, u)(1) over W^J below z by back-substitution,
     then expand each ch M(v mu) by the Kostant partition function."""
     table = table_for(block.system)
-    below = tuple(block.column(z, table))
+
+    def q_at_1(u):  # {v: Q(v, u)(1)}: v's entries summed over the rows of u
+        out = {}
+        for row in filtration._layer_rows(block.system, block.J, u, table):
+            for v, m in row.items():
+                out[v] = out.get(v, 0) + m
+        return out
+
+    below = tuple(sorted(q_at_1(z)))
     index = {v: i for i, v in enumerate(below)}
     size = len(below)
     mult = [[0] * size for _ in range(size)]
     for col, u in enumerate(below):
-        for v, q in block.column(u, table).items():
-            mult[index[v]][col] = sum(q.coeffs)
+        for v, m in q_at_1(u).items():
+            mult[index[v]][col] = m
     # the z-column of the inverse: ch L(z mu) = sum_v coeffs[v] ch M(v mu)
     coeffs = [0] * size
     zi = index[z]
@@ -490,6 +508,17 @@ def _module_attrs():
             yield f"{info.name}.{attr}", attr, value
 
 
+def _uses_cached_property(text):
+    """Whether the source names cached_property: as a name, an attribute
+    or an imported name (``ast.Name.id``, ``ast.Attribute.attr``,
+    ``ast.alias.name``)."""
+    return any(
+        getattr(node, field, None) == "cached_property"
+        for node in ast.walk(ast.parse(text))
+        for field in ("id", "attr", "name")
+    )
+
+
 def test_clear_caches_empties_every_memo():
     rs = _rs("B2")
     sum_formula_check(rs, Weight.of(1, 1))
@@ -503,9 +532,9 @@ def test_clear_caches_empties_every_memo():
         if hasattr(value, "cache_info") and attr not in _CONSTANTS
     }
     assert {
-        "blocks._column",
         "blocks._orbit",
         "blocks._rep_mask",
+        "filtration._layer_rows",
         "filtration._simple_weight_dims",
         "kl._table",
         "parabolic._character_rows",
@@ -521,6 +550,12 @@ def test_clear_caches_empties_every_memo():
         if isinstance(value, dict) and attr[:1] == "_" and attr[1:2].islower()
     ]
     assert dicts == []
+    # and no object keeps one: a cached_property lives on its instance,
+    # out of clear_caches()'s reach
+    src = pathlib.Path(jantzen.__file__).parent
+    assert _uses_cached_property("from functools import cached_property")
+    assert _uses_cached_property("import functools as f\nf.cached_property")
+    assert [p.name for p in sorted(src.glob("*.py")) if _uses_cached_property(p.read_text())] == []
     sizes = [c.cache_info().currsize for c in (build_root_system, chevalley_basis)]
     clear_caches()
     assert {name for name, memo in memos.items() if memo.cache_info().currsize} == set()
@@ -547,7 +582,7 @@ def test_passed_table_is_never_ignored():
     with pytest.raises(DefectError):
         layers(block, w0, bad)
     pb = enumerate_IWJ(block, (0,))
-    # the module at w with w_I w = w0 reads the warm column of w0
+    # the module at w with w_I w = w0, whose rows the warm table gives
     w = next(w for w in pb.reps if sys.mul(pb.wI, w) == w0)
     parabolic_layers(pb, w, table_for(sys))
     with pytest.raises(DefectError):

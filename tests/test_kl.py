@@ -386,10 +386,10 @@ def test_mu_term_is_scaled_by_mu(name):
     coeffs = true[v][gen].coeffs + (0,) * top
     planted = coeffs[:top] + (2,)
     table = KLTable(sys)
-    table._cols[v] = {**table._column(v), gen: Poly(planted)}
+    table._cols[v] = {**table.column(v), gen: Poly(planted)}
     ref = dict(true)
     ref[v] = {**true[v], gen: QPoly(planted)}
-    got = {x: p.coeffs for x, p in table._column(w).items()}
+    got = {x: p.coeffs for x, p in table.column(w).items()}
     assert table.polynomial(gen, v).coeff(top) == 2
     assert got == _coeffs(_poly_column(sys, ref, w)) == _coeffs(true[w])
 
@@ -628,9 +628,9 @@ def test_one_entry_invariant_for_build_and_load():
     v, x = sys.right_mul(w, s), sys.gens[s]
     assert _extremal(sys, x, w)
     table = KLTable(sys)
-    table._cols[v] = {**table._column(v), sys.identity: Poly((1, -5))}
+    table._cols[v] = {**table.column(v), sys.identity: Poly((1, -5))}
     with pytest.raises(KLDefectError, match=r"^negative coefficient in \(1, -4\)$"):
-        table._column(w)
+        table.column(w)
 
 
 def test_cache_format_golden(tmp_path):

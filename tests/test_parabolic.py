@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from jantzen import blocks, parabolic, weyl
+from jantzen import blocks, clear_caches, filtration, parabolic, weyl
 from jantzen.blocks import DefectError, integral_block
 from jantzen.filtration import layers
 from jantzen.kl import table_for
@@ -123,6 +123,34 @@ def test_dual_path_agreement():
                         assert dual.rows == direct.rows, (seed, name, label, I, w)
                         modules += 1
     assert modules == 1169 + 1182
+
+
+def test_dual_path_sees_a_fault_in_the_ordinary_reader(monkeypatch):
+    # drop s1 s2 from the W^J bitmask that the ordinary layer rows read:
+    # parabolic_layers reads the KL table directly, so the comparison of
+    # the two paths must catch the fault on some module of A3's regular
+    # block (30 modules over I = {1}, {2}, {1, 3})
+    rs = _rs("A3")
+    block = integral_block(rs, Weight.of(-1, -1, -1))
+    sys = block.system
+    dropped = sys.element_from_word((0, 1))
+    mask = blocks._rep_mask
+    clear_caches()
+    monkeypatch.setattr(filtration, "_rep_mask", lambda s, J: mask(s, J) & ~(1 << dropped))
+    modules = caught = 0
+    try:
+        for I in [(0,), (1,), (0, 2)]:
+            pb = enumerate_IWJ(block, I)
+            for w in pb.reps:
+                modules += 1
+                direct = parabolic_layers(pb, w)
+                try:
+                    caught += parabolic_layers_dual_path(pb, w).rows != direct.rows
+                except DefectError:
+                    caught += 1
+    finally:
+        clear_caches()  # no faulty rows outlive the plant
+    assert modules == 30 and caught >= 1
 
 
 def test_singular_parabolic_restricts_regular():
