@@ -12,8 +12,9 @@ A block parametrises its weights by w -> w(mu) on the indices of W_mu: the
 entry of w is built from that of s_i w, i the first letter of w's
 canonical word, by one reflection of the weight and one step of its root
 coordinates (``_orbit``).  The W^J of a (system, J) is kept as one
-bitmask (``_rep_mask``), which ``filtration`` ANDs with a Bruhat downset
-to list the simples of a module.
+bitmask (``_rep_mask``), which ``Block.coset_reps`` and ``Block.is_rep``
+read and ``filtration`` ANDs with a Bruhat downset to list the simples
+of a module.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from jantzen.roots import (
     reflect,
     reflect_vector,
 )
-from jantzen.weyl import CoxeterSystem, DefectError, subsystem
+from jantzen.weyl import CoxeterSystem, DefectError, set_bits, subsystem
 
 
 def _integral_positive_indices(rs: RootSystem, w: Weight) -> tuple[int, ...]:
@@ -59,10 +60,10 @@ class Block:
         return self.system.simple_roots
 
     def coset_reps(self) -> tuple[int, ...]:
-        return self.system.min_coset_reps(self.J)
+        return tuple(set_bits(_rep_mask(self.system, self.J)))
 
     def is_rep(self, w: int) -> bool:
-        return self.system.is_min_coset_rep(w, self.J)
+        return bool(_rep_mask(self.system, self.J) >> w & 1)
 
     def apply(self, w: int) -> Weight:
         """The weight w(mu): one ``_orbit`` entry, kept until clear_caches()."""

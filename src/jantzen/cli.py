@@ -173,7 +173,7 @@ def cmd_kl(args) -> int:
         "block_of": args.block_of,
         "x_word": _word_str(sys_, x),
         "w_word": _word_str(sys_, w),
-        "polynomial": poly.render("q"),
+        "polynomial": poly.render(),
         "value_at_1": sum(poly.coeffs),
     }
     return _emit(

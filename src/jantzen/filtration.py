@@ -47,6 +47,11 @@ class LayerRows:
     column to its multiplicity in layer j of the module at ``w``."""
 
     @property
+    def loewy_length(self) -> int:
+        """The last nonempty layer + 1."""
+        return max((j for j, row in enumerate(self.rows) if row), default=-1) + 1
+
+    @property
     def columns(self) -> tuple[int, ...]:
         """Every column with a nonzero entry in some row, by (length, word)."""
         return tuple(sorted({z for row in self.rows for z in row}))
@@ -76,10 +81,6 @@ class LayerTable(LayerRows):
     block: Block
     w: int
     rows: tuple[dict, ...]
-
-    @property
-    def loewy_length(self) -> int:
-        return len(self.rows)
 
     def level_multiplicities(self) -> tuple[dict, ...]:
         """M^i as multiplicity vectors, i = 0..loewy_length (suffix sums)."""
@@ -121,11 +122,10 @@ def layers(block: Block, w: int, table: KLTable | None = None) -> LayerTable:
 def _layer_rows(sys, J, w: int, table: KLTable) -> tuple[dict, ...]:
     """The graded layer rows of M(w mu) from the Q(z, w) over the z in W^J
     with z <= w: the set bits of one AND of w's Bruhat downset and the W^J
-    bitmask, each Q(z, w) read from ``table`` as P(w0 w, w0 z)."""
+    bitmask, each Q(z, w) read by ``table.inverse_polynomial``."""
     lengths = sys.lengths
-    w0w = sys.longest_times(w)
     graded = [
-        (z, lengths[z], table.polynomial(w0w, sys.longest_times(z)).coeffs)
+        (z, lengths[z], table.inverse_polynomial(z, w).coeffs)
         for z in set_bits(sys.downsets()[w] & _rep_mask(sys, J))
     ]
     return graded_rows(lengths[w], graded)

@@ -71,7 +71,7 @@ class Poly:
             return self.coeffs[k]
         return 0
 
-    def render(self, var: str = "q") -> str:
+    def render(self) -> str:
         if not self.coeffs:
             return "0"
         parts = []
@@ -82,7 +82,7 @@ class Poly:
                 parts.append(str(c))
             else:
                 head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                parts.append(f"{head}{var}" + (f"^{k}" if k > 1 else ""))
+                parts.append(f"{head}q" + (f"^{k}" if k > 1 else ""))
         return " + ".join(parts).replace("+ -", "- ")
 
     def __eq__(self, other):

@@ -104,7 +104,7 @@ def enumerate_IWJ(block: Block, ambient_I) -> ParabolicBlock:
         if sys.upper_coset_membership(w, I, block.J)
     }
     # parabolic_layers looks w_I z up in columns over W^J
-    if not all(sys.is_min_coset_rep(wIz, block.J) for _, wIz in lifted.values()):
+    if not all(block.is_rep(wIz) for _, wIz in lifted.values()):
         raise DefectError("w_I z is not minimal in its coset modulo W_J")
     unlifted = {wIz: z for z, (_, wIz) in lifted.items()}
     return ParabolicBlock(block, ambient_I, I, wI, lifted, tuple(lifted), unlifted, signed_levi)
@@ -121,11 +121,6 @@ class ParabolicLayerTable(LayerRows):
     pblock: ParabolicBlock
     w: int
     rows: tuple[dict, ...]
-
-    @property
-    def loewy_length(self) -> int:
-        last = max((j for j, row in enumerate(self.rows) if row), default=-1)
-        return last + 1
 
     def validate(self) -> None:
         self._check_head(self.pblock.block.system)

@@ -34,24 +34,16 @@ from functools import cache
 from itertools import islice
 from operator import add, mul, sub
 
-_VALID_RANK = {
-    "A": lambda n: n >= 1,
-    "B": lambda n: n >= 2,
-    "C": lambda n: n >= 2,
-    "D": lambda n: n >= 3,
-    "E": lambda n: n in (6, 7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
-}
-
+# series -> rank -> its number of positive roots, None for a rank the
+# series lacks
 _POSITIVE_COUNT = {
-    "A": lambda n: n * (n + 1) // 2,
-    "B": lambda n: n * n,
-    "C": lambda n: n * n,
-    "D": lambda n: n * (n - 1),
-    "E": lambda n: {6: 36, 7: 63, 8: 120}[n],
-    "F": lambda n: 24,
-    "G": lambda n: 6,
+    "A": lambda n: n * (n + 1) // 2 if n >= 1 else None,
+    "B": lambda n: n * n if n >= 2 else None,
+    "C": lambda n: n * n if n >= 2 else None,
+    "D": lambda n: n * (n - 1) if n >= 3 else None,
+    "E": {6: 36, 7: 63, 8: 120}.get,
+    "F": {4: 24}.get,
+    "G": {2: 6}.get,
 }
 
 
@@ -61,8 +53,8 @@ class LieType:
     rank: int
 
     def __post_init__(self):
-        check = _VALID_RANK.get(self.series)
-        if check is None or not isinstance(self.rank, int) or not check(self.rank):
+        count = _POSITIVE_COUNT.get(self.series)
+        if count is None or not isinstance(self.rank, int) or count(self.rank) is None:
             raise ValueError(f"invalid Lie type {self.series}{self.rank}")
 
     @classmethod

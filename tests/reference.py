@@ -115,14 +115,15 @@ def word_apply(sys, w, lam):
     return lam
 
 
-def pairing(nu, coroot) -> Fraction:
-    """<nu, alpha^vee> for a coroot in simple-coroot coordinates."""
-    return sum((c * x for c, x in zip(nu.coords, coroot)), Fraction(0))
+def pairing(coords, coroot) -> Fraction:
+    """<nu, alpha^vee> for nu's coordinates and a coroot in simple-coroot
+    coordinates."""
+    return sum((c * x for c, x in zip(coords, coroot)), Fraction(0))
 
 
 def phi_plus_count(rs, nu) -> int:
     """|{alpha > 0 : <nu, alpha^vee> is a positive integer}|."""
-    pairings = (pairing(nu, coroot) for coroot in rs.coroots)
+    pairings = (pairing(nu.coords, coroot) for coroot in rs.coroots)
     return sum(1 for p in pairings if p > 0 and p.denominator == 1)
 
 
@@ -227,7 +228,7 @@ def is_simple_system(rs, simple_idx, pos_idx) -> bool:
     return True
 
 
-def column(block, w, table):
+def multiplicity_column(block, w, table):
     """{z: Q(z, w)} over the z in W^J below w, in index order: the Bruhat
     interval below w, each z tested for minimality in z W_J, and Q read
     by ``KLTable.inverse_polynomial``."""

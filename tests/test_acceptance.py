@@ -25,26 +25,20 @@ from jantzen.parabolic import (
     parabolic_layers,
     parabolic_layers_dual_path,
 )
-from jantzen.roots import LieType, Weight, build_root_system
+from jantzen.roots import Weight
 from jantzen.shapovalov import oracle_compare
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
+from helpers import root_system
 from reference import phi_plus_count, solve_square
 
-_RS = {}
 _SUITE = {}
 _TABLES = {}
-
-
-def _rs(name):
-    if name not in _RS:
-        _RS[name] = build_root_system(LieType.parse(name))
-    return _RS[name]
 
 
 def _suite(name):
     # (label, mu, block) per suite weight; blocks are shared across criteria.
     if name not in _SUITE:
-        rs = _rs(name)
+        rs = root_system(name)
         _SUITE[name] = tuple(
             (label, mu, integral_block(rs, mu)) for label, mu in suite_weights(rs)
         )
@@ -74,7 +68,7 @@ def test_criterion_1_sum_formula_exactness():
     checks = 0
     blocks = 0
     for name in ACCEPTANCE_TYPES:
-        rs = _rs(name)
+        rs = root_system(name)
         for label, mu, block in _suite(name):
             blocks += 1
             for w in block.coset_reps():
@@ -106,7 +100,7 @@ def test_criterion_2_shapovalov_oracle():
     modules = 0
     comparisons = 0
     for name, wanted, depth in cases:
-        rs = _rs(name)
+        rs = root_system(name)
         block = next(b for label, _, b in _suite(name) if label == wanted)
         for w in block.coset_reps():
             nu = block.apply(w)
@@ -150,7 +144,8 @@ def test_criterion_3_layer_domination():
 
 def test_criterion_4_rigidity():
     # Every layer table has exactly l(w) + 1 nonzero layers, with simple
-    # head L(w mu) and simple socle L(mu).
+    # head L(w mu) and simple socle L(mu), and its Loewy length (the last
+    # nonempty layer + 1) is its number of rows.
     failures = []
     count = 0
     for name in ACCEPTANCE_TYPES:
@@ -166,6 +161,7 @@ def test_criterion_4_rigidity():
                     continue
                 if (
                     len(lt.rows) != sys.length(w) + 1
+                    or lt.loewy_length != len(lt.rows)
                     or any(not row for row in lt.rows)
                     or lt.rows[0] != {w: 1}
                     or lt.rows[-1] != {sys.identity: 1}
@@ -179,14 +175,14 @@ def test_criterion_5_kl_sanity(tmp_path):
     entries = 0
     # rank <= 2 systems have only trivial polynomials
     for name in ("A1", "A2", "B2", "G2"):
-        rs = _rs(name)
+        rs = root_system(name)
         block = integral_block(rs, Weight.of(*([-1] * rs.rank)))
         table = table_for(block.system).build()
         for x, w, poly in table.entries():
             if poly != Poly((1,)):
                 failures.append((name, "nontrivial dihedral entry"))
     # first nontrivial polynomial: x = s2 under w = s2 s1 s3 s2 in A3
-    a3 = integral_block(_rs("A3"), Weight.of(-1, -1, -1))
+    a3 = integral_block(root_system("A3"), Weight.of(-1, -1, -1))
     sys3 = a3.system
     p = table_for(sys3).polynomial(
         sys3.element_from_word((1,)), sys3.element_from_word((1, 0, 2, 1))
@@ -206,7 +202,7 @@ def test_criterion_5_kl_sanity(tmp_path):
     }
     types = ACCEPTANCE_TYPES + tuple(pair_counts)
     for name in types:
-        rs = _rs(name)
+        rs = root_system(name)
         block = integral_block(rs, Weight.of(*([-1] * rs.rank)))
         sys = block.system
         table = table_for(sys).build()
@@ -240,7 +236,7 @@ def test_criterion_6_integral_length():
     failures = []
     count = 0
     for name in ACCEPTANCE_TYPES:
-        rs = _rs(name)
+        rs = root_system(name)
         for label, mu, block in _suite(name):
             sys = block.system
             for w in block.coset_reps():
@@ -292,7 +288,7 @@ def test_criterion_7_parabolic_consistency():
     modules = 0
     restricted = 0
     for name in ACCEPTANCE_TYPES:
-        rs = _rs(name)
+        rs = root_system(name)
         for label, mu, block in _suite(name):
             sys = block.system
             table = table_for(sys)

@@ -22,9 +22,7 @@ from jantzen.kl import KLDefectError
 from jantzen.parabolic import ConventionDefectError
 from jantzen.roots import Weight
 from jantzen.shapovalov import DegenerateFormError
-
-
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+from helpers import GOLDEN
 
 
 def _run(capsys, argv):

@@ -27,7 +27,6 @@ from jantzen.parabolic import (
     parabolic_layers,
 )
 from jantzen.roots import (
-    LieType,
     Weight,
     build_root_system,
     partition_count,
@@ -37,11 +36,8 @@ from jantzen.roots import (
 )
 from jantzen.shapovalov import chevalley_basis, oracle_compare
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
+from helpers import root_system
 from reference import phi_plus_count, root_coords, weight_sub, word_apply
-
-
-def _rs(name):
-    return build_root_system(LieType.parse(name))
 
 
 def _named_rows(table):
@@ -59,7 +55,7 @@ def _filtration(rs, nu):
 
 
 def test_sl2_regular():
-    rs = _rs("A1")
+    rs = root_system("A1")
     block, w, table = _filtration(rs, Weight.of(1))
     assert block.mu == Weight.of(-1)
     assert table.loewy_length == 2
@@ -74,7 +70,7 @@ def test_sl2_regular():
 
 
 def test_sl2_antidominant():
-    rs = _rs("A1")
+    rs = root_system("A1")
     block, w, table = _filtration(rs, Weight.of(-3))
     assert w == block.system.identity
     assert _named_rows(table) == [{"e": 1}]
@@ -82,7 +78,7 @@ def test_sl2_antidominant():
 
 
 def test_sl2_singular():
-    rs = _rs("A1")
+    rs = root_system("A1")
     block, _, table = _filtration(rs, Weight.of(0))
     assert block.J == (0,)
     assert table.loewy_length == 1
@@ -90,7 +86,7 @@ def test_sl2_singular():
 
 
 def test_sl2_nonintegral():
-    rs = _rs("A1")
+    rs = root_system("A1")
     block, _, table = _filtration(rs, Weight.of(Fraction(-1, 2)))
     assert block.system.order() == 1
     assert table.loewy_length == 1
@@ -100,7 +96,7 @@ def test_sl2_nonintegral():
 def test_a2_regular_full_orbit():
     # All Kazhdan-Lusztig polynomials are 1 in A2, so layer j of M(w mu)
     # collects exactly the z <= w with l(w) - l(z) = j, each once.
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     sys = block.system
     for w in block.coset_reps():
@@ -117,7 +113,7 @@ def test_a2_regular_full_orbit():
 
 
 def test_a2_longest_element_table():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     w0 = block.system.longest_times(block.system.identity)
     named = _named_rows(layers(block, w0))
@@ -130,7 +126,7 @@ def test_a2_longest_element_table():
 
 
 def test_a2_singular_tables():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(0, -1))
     reps = block.coset_reps()
     assert [len(block.system.word(w)) for w in reps] == [0, 1, 2]
@@ -147,7 +143,7 @@ def test_singular_table_is_restricted_regular_table():
     # Columns of the singular table are the regular table's columns that
     # survive translation to the wall.
     for name, mu in (("A2", Weight.of(0, -1)), ("B2", Weight.of(-1, 0))):
-        rs = _rs(name)
+        rs = root_system(name)
         singular = integral_block(rs, mu)
         regular = integral_block(rs, Weight.of(*[-1] * rs.rank))
         keep = set(singular.coset_reps())
@@ -159,9 +155,32 @@ def test_singular_table_is_restricted_regular_table():
                 assert srow == {z: m for z, m in rrow.items() if z in keep}
 
 
+@pytest.mark.parametrize(
+    "g2, a2",
+    [((-1, Fraction(-1, 3)), (-1, -1)), ((0, Fraction(-1, 3)), (0, -1))],
+    ids=["regular", "singular-J1"],
+)
+def test_isomorphic_integral_systems_give_the_same_tables(g2, a2):
+    # Soergel (JAMS 3, 1990): a block's layer tables depend only on its
+    # integral Coxeter system and J.  The G2 block's integral roots are
+    # the short roots (1,0), (1,1) and (2,1), an A2; the elements of the
+    # two blocks are matched by canonical word
+    pair = [
+        integral_block(root_system(name), Weight.of(*mu)) for name, mu in (("G2", g2), ("A2", a2))
+    ]
+    g2_sys, a2_sys = (b.system for b in pair)
+    assert [g2_sys.rs.positive_roots[i] for i in g2_sys.pos_idx] == [(1, 0), (1, 1), (2, 1)]
+    assert g2_sys.coxeter_matrix() == a2_sys.coxeter_matrix()
+    assert pair[0].J == pair[1].J
+    tables = [
+        {b.system.word(w): _named_rows(layers(b, w)) for w in b.coset_reps()} for b in pair
+    ]
+    assert tables[0] == tables[1]
+
+
 def test_b2_regular_tables():
     # B2 is dihedral, so every table is one simple per layer downward.
-    rs = _rs("B2")
+    rs = root_system("B2")
     block = integral_block(rs, Weight.of(-1, -1))
     sys = block.system
     for w in block.coset_reps():
@@ -179,7 +198,7 @@ def test_b2_regular_tables():
 
 
 def test_layers_rejects_non_representative():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(0, -1))
     s1 = block.system.gens[0]
     assert not block.is_rep(s1)
@@ -191,7 +210,7 @@ def test_layer_rows_are_kept_per_block(monkeypatch):
     # a second layers call on one (block, w) reads the rows the first one
     # built and builds none, and so does a block equal to it but not the
     # same object; after clear_caches() the rows are built anew, equal
-    rs = _rs("A3")
+    rs = root_system("A3")
     block = integral_block(rs, Weight.of(-1, -1, -1))
     table = table_for(block.system)
     first = [layers(block, w, table).rows for w in block.coset_reps()]
@@ -215,7 +234,7 @@ def test_normalized_block_leaves_its_rows_until_clear_caches():
     # the memo is keyed by the block's system and J, not by the block: a
     # block that normalize built for one call is freed, and the next one
     # reads its rows until clear_caches()
-    rs = _rs("B2")
+    rs = root_system("B2")
     nu = Weight.of(1, 1)
     block, w = normalize(rs, nu)
     table = table_for(block.system)
@@ -233,7 +252,7 @@ def test_normalized_block_leaves_its_rows_until_clear_caches():
 
 
 def test_layer_table_validate_errors():
-    rs = _rs("A1")
+    rs = root_system("A1")
     block = integral_block(rs, Weight.of(-1))
     sys = block.system
     w = sys.gens[0]
@@ -251,7 +270,7 @@ def test_layer_table_validate_errors():
 
 
 def test_level_multiplicities_are_suffix_sums():
-    rs = _rs("B2")
+    rs = root_system("B2")
     block = integral_block(rs, Weight.of(-1, -1))
     w0 = block.system.longest_times(block.system.identity)
     table = layers(block, w0)
@@ -273,7 +292,7 @@ def test_level_multiplicities_are_suffix_sums():
 def test_sum_formula_lhs_is_weighted_layer_count(name):
     # the left side sum_{i>0} [M^i : L(z mu)] is sum_j j [Rad_j : L(z mu)],
     # and every column of the layer table appears in per_column
-    rs = _rs(name)
+    rs = root_system(name)
     for label, mu in suite_weights(rs):
         block = integral_block(rs, mu)
         for w in block.coset_reps():
@@ -285,7 +304,7 @@ def test_sum_formula_lhs_is_weighted_layer_count(name):
 
 
 def test_sum_formula_a2_values():
-    rs = _rs("A2")
+    rs = root_system("A2")
     res = sum_formula_check(rs, Weight.of(1, 1))
     assert res.passed
     assert len(res.reflected) == phi_plus_count(rs, Weight.of(1, 1)) == 3
@@ -300,7 +319,7 @@ def test_sum_formula_a2_values():
 
 
 def test_sum_formula_antidominant_is_empty():
-    rs = _rs("A2")
+    rs = root_system("A2")
     res = sum_formula_check(rs, Weight.of(-1, -1))
     assert res.passed
     assert res.reflected == ()
@@ -309,7 +328,7 @@ def test_sum_formula_antidominant_is_empty():
 
 def test_sum_formula_across_small_suites():
     for name in ("A1", "A2", "B2"):
-        rs = _rs(name)
+        rs = root_system(name)
         for label, mu in suite_weights(rs):
             block = integral_block(rs, mu)
             for w in block.coset_reps():
@@ -321,7 +340,7 @@ def test_sum_formula_reflected_parameters_match_normalize():
     # sum_formula_check reads v_alpha as the W^J part of t_alpha w; the
     # reference normalizes s_alpha nu from scratch.
     for name in ACCEPTANCE_TYPES:
-        rs = _rs(name)
+        rs = root_system(name)
         for label, mu in suite_weights(rs, 0):
             block = integral_block(rs, mu)
             for w in block.coset_reps():
@@ -334,7 +353,7 @@ def test_sum_formula_reflected_parameters_match_normalize():
 
 
 def test_domination_a2():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     sys = block.system
     table = table_for(sys)
@@ -356,7 +375,7 @@ def test_domination_a2():
 def test_domination_shift_is_tight():
     # For x = e inside w = w0 in A2, layer 0 of M(mu) meets layer r of
     # M(w0 mu) exactly (multiplicity 1 against 1).
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     sys = block.system
     e, w0 = sys.identity, sys.longest_times(sys.identity)
@@ -368,7 +387,7 @@ def test_domination_shift_is_tight():
 
 
 def test_simple_weight_dims_sl2():
-    rs = _rs("A1")
+    rs = root_system("A1")
     block = integral_block(rs, Weight.of(-1))
     sys = block.system
     # L(s mu) is the trivial module; L(mu) is the antidominant Verma.
@@ -380,7 +399,7 @@ def test_simple_weight_dims_sl2():
 
 
 def test_simple_weight_dims_a2():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     sys = block.system
     w0 = sys.longest_times(sys.identity)
@@ -408,7 +427,7 @@ def test_simple_weight_dims_a2():
 
 
 def test_simple_weight_dims_depth_zero():
-    rs = _rs("A1")
+    rs = root_system("A1")
     block = integral_block(rs, Weight.of(-1))
     assert simple_weight_dims(block, block.system.identity, 0) == {(0,): 1}
     assert simple_weight_dims(block, block.system.identity, -1) == {}
@@ -421,7 +440,7 @@ def test_simple_weight_dims_depth_zero():
 def test_simple_weight_dims_memo_keys_on_mu():
     # both blocks are regular and integral, so they share the interned
     # full Weyl group; L(s1 mu) sits 1 and 2 alpha_1 above mu respectively
-    rs = _rs("A2")
+    rs = root_system("A2")
     clear_caches()
     a = integral_block(rs, Weight.of(-1, -1))
     b = integral_block(rs, Weight.of(-2, -1))
@@ -442,7 +461,7 @@ def test_simple_weight_dims_keeps_no_block_alive():
     # the memo is keyed by the block's system, J and mu: a block that
     # normalize built for one call is freed with its layer rows, and an
     # equal block reads the same entry
-    rs = _rs("B2")
+    rs = root_system("B2")
     block, w = normalize(rs, Weight.of(1, 1))
     layers(block, w)
     dims = simple_weight_dims(block, w, 2)
@@ -489,7 +508,7 @@ def _simple_dims_by_back_substitution(block, z, depth):
 @pytest.mark.parametrize("name", ACCEPTANCE_TYPES)
 def test_simple_weight_dims_match_back_substitution(name):
     # P by inversion (simple_weight_dims) against Q by back-substitution
-    rs = _rs(name)
+    rs = root_system(name)
     for label, mu in suite_weights(rs, 0):
         block = integral_block(rs, mu)
         for z in block.coset_reps():
@@ -520,7 +539,7 @@ def _uses_cached_property(text):
 
 
 def test_clear_caches_empties_every_memo():
-    rs = _rs("B2")
+    rs = root_system("B2")
     sum_formula_check(rs, Weight.of(1, 1))
     oracle_compare(rs, Weight.of(1, 0), 2)
     pb = enumerate_IWJ(integral_block(rs, Weight.of(-1, -1)), (0,))
@@ -573,7 +592,7 @@ def _all_ones_minus_q(sys):
 
 def test_passed_table_is_never_ignored():
     # a warm column must not stand in for the table a caller passes
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     sys = block.system
     w0 = sys.longest_times(sys.identity)
@@ -591,7 +610,7 @@ def test_passed_table_is_never_ignored():
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_block_offsets_match_root_offset(name):
-    rs = _rs(name)
+    rs = root_system(name)
     for label, mu in suite_weights(rs):
         block = integral_block(rs, mu)
         sys = block.system
@@ -609,7 +628,7 @@ def test_block_offsets_match_root_offset(name):
 
 
 def test_block_offset_rejects_a_negative_difference():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     s1 = block.system.gens[0]
     assert block.offset(s1, block.system.identity) == (1, 0)
@@ -619,7 +638,7 @@ def test_block_offset_rejects_a_negative_difference():
 
 
 def test_filtration_report_loewy_length():
-    rs = _rs("B2")
+    rs = root_system("B2")
     for nu, expected in (
         (Weight.of(1, 1), 5),
         (Weight.of(0, 1), 4),  # nu = s2 s1 s2 mu for mu = (0, -1)

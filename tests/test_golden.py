@@ -13,15 +13,13 @@ them only for an intended change of output, and review the diff.
 import contextlib
 import io
 import json
-import pathlib
 import sys
 
 import pytest
 
 from jantzen import clear_caches
 from jantzen.cli import main
-
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+from helpers import GOLDEN
 
 # type -> (weight, kl lower word, kl upper word)
 _TYPES = {

@@ -29,16 +29,13 @@ from jantzen.kl import (
     table_for,
 )
 from jantzen.roots import LieType, Weight, build_root_system
-from jantzen.weyl import CoxeterSystem, format_word, weyl_group
+from jantzen.weyl import CoxeterSystem, format_word
+from helpers import group_of
 from reference import QPoly, word_apply
 
 
-def _system(name):
-    return weyl_group(build_root_system(LieType.parse(name)))
-
-
 def _table(name):
-    return table_for(_system(name))
+    return table_for(group_of(name))
 
 
 def _mul_by_gen(sys, vec, i):
@@ -97,7 +94,7 @@ def _hecke_oracle(sys):
 
 def test_hecke_algebra_oracle():
     for name in ("A2", "B2", "G2", "A3", "B3", "A4", "D4"):
-        sys = _system(name)
+        sys = group_of(name)
         table = table_for(sys)
         oracle = _hecke_oracle(sys)
         for w in sys.elements():
@@ -110,7 +107,7 @@ def test_hecke_algebra_oracle():
 def test_dihedral_polynomials_all_one():
     one = Poly((1,))
     for name in ("A1", "A2", "B2", "C2", "G2"):
-        sys = _system(name)
+        sys = group_of(name)
         table = table_for(sys)
         for w in sys.elements():
             for x in sys.elements():
@@ -122,7 +119,7 @@ def test_dihedral_polynomials_all_one():
 
 
 def test_a3_nontrivial_polynomial():
-    sys = _system("A3")
+    sys = group_of("A3")
     table = _table("A3")
     x = sys.element_from_word((1,))
     w = sys.element_from_word((1, 0, 2, 1))
@@ -135,7 +132,7 @@ def test_a3_nontrivial_pairs():
     # S4 has exactly six Bruhat pairs with a nonconstant polynomial, all
     # equal to 1 + q: x in {e, s2} under s2 s1 s3 s2, and x in
     # {e, s1, s3, s1 s3} under s1 s2 s3 s2 s1.
-    sys = _system("A3")
+    sys = group_of("A3")
     table = _table("A3")
     nontrivial = {
         (sys.word(x), sys.word(w)): table.polynomial(x, w)
@@ -161,7 +158,7 @@ def test_inverse_polynomial_agrees_on_dihedral():
     # every P on a dihedral interval is constant 1, so Q(x, w) =
     # P(w0 w, w0 x) collapses to P(x, w) there
     for name in ("A2", "B2", "G2"):
-        sys = _system(name)
+        sys = group_of(name)
         table = _table(name)
         for w in sys.elements():
             for x in sys.elements():
@@ -173,7 +170,7 @@ def test_inverse_polynomial_a3_differs():
     # factors sit in the modules at s2 s1 s3 s2 and above it, with the
     # doubled simples at s2 and s1 s3, not at the identity as plain P
     # would have it.
-    sys = _system("A3")
+    sys = group_of("A3")
     table = _table("A3")
     e = sys.identity
     w0 = sys.longest_times(sys.identity)
@@ -196,7 +193,7 @@ def test_alternating_inversion_identity():
     # simples (Q) must invert each other.  A2 cannot tell P from Q; A3
     # can, and plain P in the second slot fails this identity there.
     for name in ("A2", "A3"):
-        sys = _system(name)
+        sys = group_of(name)
         table = _table(name)
         els = sys.elements()
         for x in els:
@@ -216,7 +213,7 @@ def test_alternating_inversion_identity():
 
 def test_invariants_small_groups():
     for name in ("A3", "G2", "B3"):
-        sys = _system(name)
+        sys = group_of(name)
         table = _table(name)
         for w in sys.elements():
             assert table.polynomial(w, w) == Poly((1,))
@@ -231,7 +228,7 @@ def test_invariants_small_groups():
 
 def test_inverse_symmetry():
     for name in ("A3", "B2", "G2"):
-        sys = _system(name)
+        sys = group_of(name)
         table = _table(name)
         for w in sys.elements():
             for x in sys.bruhat_interval_below(w):
@@ -241,7 +238,7 @@ def test_inverse_symmetry():
 
 
 def test_not_comparable_gives_zero():
-    sys = _system("A2")
+    sys = group_of("A2")
     table = _table("A2")
     s1, s2 = sys.gens
     assert table.polynomial(s1, s2).coeffs == ()
@@ -252,7 +249,7 @@ def test_mu_values():
     # mu(x, w), the coefficient of q^((l(w)-l(x)-1)/2) in P(x, w), is 1
     # whenever l(w) - l(x) = 1, and is read from a zero polynomial (so is
     # 0) whenever x is not below w
-    sys = _system("A3")
+    sys = group_of("A3")
     table = _table("A3")
     for w in sys.elements():
         for x in sys.elements():
@@ -273,7 +270,7 @@ def test_columns_reached_out_of_order(name):
     # still match a full build on a separate system
     rs = build_root_system(LieType.parse(name))
     ref = build_table(CoxeterSystem(rs, rs.simple_indices, range(len(rs.positive_roots))))
-    sys = _system(name)
+    sys = group_of(name)
     lazy = KLTable(sys)
     e, w0 = sys.identity, sys.longest_times(sys.identity)
     assert lazy.polynomial(e, w0) == ref.polynomial(e, w0)
@@ -337,7 +334,7 @@ def _coeffs(col) -> dict:
 
 @pytest.mark.parametrize("name", ["B4", "C4"])
 def test_build_matches_poly_arithmetic(name):
-    sys = _system(name)
+    sys = group_of(name)
     ref = _poly_columns(sys)
     want = [(x, w, p.coeffs) for w in sorted(ref) for x, p in ref[w].items()]
     assert [(x, w, p.coeffs) for x, w, p in build_table(sys).entries()] == want
@@ -370,7 +367,7 @@ def test_mu_term_is_scaled_by_mu(name):
     # invariant and equals the true one only if the mu-term is scaled by
     # mu.  The build forms P(s, w) by the recursion, s having every descent
     # of w, and copies P(e, w) = P(s, w).
-    sys = _system(name)
+    sys = group_of(name)
     lengths = [sys.length(u) for u in sys.elements()]
 
     def one_descent(u):
@@ -395,7 +392,7 @@ def test_mu_term_is_scaled_by_mu(name):
 
 
 def test_build_table_pair_count():
-    sys = _system("B2")
+    sys = group_of("B2")
     table = build_table(sys)
     entries = list(table.entries())
     assert len(entries) == table.expected_pair_count()
@@ -407,7 +404,7 @@ def test_build_table_pair_count():
 
 
 def test_cache_round_trip(tmp_path):
-    sys = _system("B2")
+    sys = group_of("B2")
     table = build_table(sys)
     path = save_table(table, str(tmp_path))
     assert os.path.exists(path)
@@ -426,7 +423,7 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_cache_rejects_corruption(tmp_path):
-    sys = _system("A2")
+    sys = group_of("A2")
     table = build_table(sys)
     path = save_table(table, str(tmp_path))
     with open(path) as fh:
@@ -451,18 +448,18 @@ def test_cache_rejects_corruption(tmp_path):
 
 def test_cache_key_distinguishes_systems():
     keys = {
-        cache_key(_system(name).coxeter_matrix())
+        cache_key(group_of(name).coxeter_matrix())
         for name in ("A1", "A2", "A3", "B2", "B3", "G2")
     }
     assert len(keys) == 6
     # same Coxeter matrix -> same key (C3 and B3 share one)
-    assert cache_key(_system("B3").coxeter_matrix()) == cache_key(
-        _system("C3").coxeter_matrix()
+    assert cache_key(group_of("B3").coxeter_matrix()) == cache_key(
+        group_of("C3").coxeter_matrix()
     )
 
 
 def test_registry_reuse():
-    sys = _system("G2")
+    sys = group_of("G2")
     t1 = table_for(sys)
     t2 = table_for(sys)
     assert t1 is t2
@@ -471,7 +468,7 @@ def test_registry_reuse():
 def test_cache_rejects_tampered_entry(tmp_path):
     # One coefficient changed from 1,1 to 1,7 keeps the degree bound and
     # positivity, so only the body digest in the header can catch it.
-    sys = _system("A3")
+    sys = group_of("A3")
     path = save_table(build_table(sys), str(tmp_path))
     with open(path) as fh:
         lines = fh.read().split("\n")
@@ -483,7 +480,7 @@ def test_cache_rejects_tampered_entry(tmp_path):
 
 
 def test_cache_v1_file_is_refused(tmp_path):
-    sys = _system("B2")
+    sys = group_of("B2")
     path = save_table(build_table(sys), str(tmp_path))
     with open(path) as fh:
         lines = fh.read().split("\n")
@@ -495,7 +492,7 @@ def test_cache_v1_file_is_refused(tmp_path):
 
 
 def test_table_for_uses_interned_system():
-    sys = _system("B3")
+    sys = group_of("B3")
     assert table_for(sys).system is sys
     # a system built directly is replaced by its interned twin
     twin = CoxeterSystem(sys.rs, sys.simple_idx, sys.pos_idx)
@@ -504,7 +501,7 @@ def test_table_for_uses_interned_system():
 
 def test_longest_times_matches_weight_action():
     for name in ("A1", "A2", "A3", "B2", "B3", "C3", "G2", "A4"):
-        sys = _system(name)
+        sys = group_of(name)
         w0 = sys.longest_times(sys.identity)
         block = integral_block(sys.rs, Weight.of(*[-1] * sys.rs.rank))
         for x in sys.elements():
@@ -597,7 +594,7 @@ def _non_canonical_coefficient(label, text):
     ],
 )
 def test_cache_with_valid_digest_fails_closed(tmp_path, corrupt):
-    sys = _system("A3")
+    sys = group_of("A3")
     path = save_table(build_table(sys), str(tmp_path))
     with open(path, "rb") as fh:
         lines = fh.read().decode().splitlines()[1:]
@@ -622,7 +619,7 @@ def test_one_entry_invariant_for_build_and_load():
     # s2 has every descent of w = s2 s1 s3 s2, so the build forms
     # P(s2, w) = q P(s2, v) + P(e, v), v = w s2, by the recursion: a
     # planted P(e, v) = 1 - 5q makes it 1 - 4q
-    sys = _system("A3")
+    sys = group_of("A3")
     w = sys.element_from_word((1, 0, 2, 1))
     s = sys.first_right_descent(w)
     v, x = sys.right_mul(w, s), sys.gens[s]
@@ -637,7 +634,7 @@ def test_cache_format_golden(tmp_path):
     # a B3 cache file written by an earlier version of this module: saving
     # reproduces it byte for byte, and it reads back as a fresh build
     golden = pathlib.Path(__file__).resolve().parent / "golden" / "klcache-B3.kl"
-    sys = _system("B3")
+    sys = group_of("B3")
     fresh = build_table(sys)
     path = save_table(fresh, str(tmp_path))
     with open(path, "rb") as fh:

@@ -17,13 +17,10 @@ from jantzen.parabolic import (
     parabolic_layers,
     parabolic_layers_dual_path,
 )
-from jantzen.roots import LieType, Weight, boxes, build_root_system, partition_count
+from jantzen.roots import Weight, boxes, partition_count
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
+from helpers import root_system
 from reference import kostant_counts, root_coords, weight_add, weight_sub, word_apply
-
-
-def _rs(name):
-    return build_root_system(LieType.parse(name))
 
 
 def _highest_weight(pb, w):
@@ -40,7 +37,7 @@ def _named_rows(pblock, table):
 
 
 def test_a2_maximal_parabolic():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     pb = enumerate_IWJ(block, (0,))
     sys = block.system
@@ -66,7 +63,7 @@ def test_a2_maximal_parabolic():
 
 
 def test_a2_empty_I_degenerates_to_ordinary():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     pb = enumerate_IWJ(block, ())
     assert pb.wI == block.system.identity
@@ -76,7 +73,7 @@ def test_a2_empty_I_degenerates_to_ordinary():
 
 
 def test_a2_full_I_leaves_identity():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     pb = enumerate_IWJ(block, (0, 1))
     assert pb.reps == (block.system.identity,)
@@ -85,7 +82,7 @@ def test_a2_full_I_leaves_identity():
 
 
 def test_b2_maximal_parabolics():
-    rs = _rs("B2")
+    rs = root_system("B2")
     block = integral_block(rs, Weight.of(-1, -1))
     sys = block.system
     pb = enumerate_IWJ(block, (1,))
@@ -110,7 +107,7 @@ def test_dual_path_agreement():
     modules = 0
     for seed in (0, 1):
         for name in ACCEPTANCE_TYPES:
-            rs = _rs(name)
+            rs = root_system(name)
             for label, mu in suite_weights(rs, seed):
                 block = integral_block(rs, mu)
                 table = table_for(block.system)
@@ -130,7 +127,7 @@ def test_dual_path_sees_a_fault_in_the_ordinary_reader(monkeypatch):
     # parabolic_layers reads the KL table directly, so the comparison of
     # the two paths must catch the fault on some module of A3's regular
     # block (30 modules over I = {1}, {2}, {1, 3})
-    rs = _rs("A3")
+    rs = root_system("A3")
     block = integral_block(rs, Weight.of(-1, -1, -1))
     sys = block.system
     dropped = sys.element_from_word((0, 1))
@@ -154,7 +151,7 @@ def test_dual_path_sees_a_fault_in_the_ordinary_reader(monkeypatch):
 
 
 def test_singular_parabolic_restricts_regular():
-    rs = _rs("A2")
+    rs = root_system("A2")
     singular = integral_block(rs, Weight.of(0, -1))
     regular = integral_block(rs, Weight.of(-1, -1))
     # I must avoid the wall: alpha2 stays dominant-regular on I
@@ -174,7 +171,7 @@ def test_singular_wall_interacts_with_I():
     # mu on the alpha1 wall of A2 with I = {alpha1}: only w = s2 makes the
     # translate dominant regular on the Levi.  The module is simple: its
     # bottom layer is empty, so the Loewy length is 1, not l(w) + 1.
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(0, -1))
     pb = enumerate_IWJ(block, (0,))
     sys = block.system
@@ -189,7 +186,7 @@ def test_singular_wall_interacts_with_I():
 def test_most_singular_wall_inside_I_gives_no_modules():
     # For the most singular A1 weight, no translate is dominant regular on
     # I = {alpha1}, so the parametrizing set is empty.
-    rs = _rs("A1")
+    rs = root_system("A1")
     block = integral_block(rs, Weight.of(0))
     pb = enumerate_IWJ(block, (0,))
     assert pb.reps == ()
@@ -199,7 +196,7 @@ def test_highest_weight_levi_dominance():
     # <(wI w) mu, alpha_i^vee> >= 1 for i in I: the Levi sees a dominant
     # integral highest weight (after the rho shift).
     for name in ("A2", "B2", "B3"):
-        rs = _rs(name)
+        rs = root_system(name)
         block = integral_block(rs, Weight.of(*[-1] * rs.rank))
         n = block.system.num_gens
         for r in range(1, n + 1):
@@ -217,7 +214,7 @@ def test_wI_is_longest_involution():
     # its generators; the longest element of W_I is the involution of W_I
     # whose length is the number of positive roots supported on I
     for name in ACCEPTANCE_TYPES:
-        rs = _rs(name)
+        rs = root_system(name)
         block = integral_block(rs, Weight.of(*([-1] * rs.rank)))
         sys = block.system
         for r in range(rs.rank + 1):
@@ -234,7 +231,7 @@ def test_wI_is_longest_involution():
 
 
 def test_character_check_values():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     pb = enumerate_IWJ(block, (0,))
     for w in pb.reps:
@@ -254,7 +251,7 @@ def test_character_check_fails_on_a_flipped_sign():
     # A2, I = {1, 2}, w = e: M_I is the trivial module.  With the sign of
     # s1 s2 flipped the alternating sum is no character; it has negative
     # multiplicities, and the check must fail on them
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     pb = enumerate_IWJ(block, (0, 1))
     w = pb.reps[0]
@@ -273,7 +270,7 @@ def test_character_check_fails_on_a_flipped_sign():
 
 def test_character_check_rejects_negative_depth():
     # a negative depth has no rows, so the check would pass vacuously
-    rs = _rs("A2")
+    rs = root_system("A2")
     pb = enumerate_IWJ(integral_block(rs, Weight.of(-1, -1)), (0,))
     with pytest.raises(ValueError, match="nonnegative"):
         parabolic_character_check(pb, pb.reps[0], -1)
@@ -282,7 +279,7 @@ def test_character_check_rejects_negative_depth():
 def test_character_check_adjoint_levi():
     # A2, I = {1}, w = e: the parabolic Verma induced from the trivial
     # Levi character: dim at offset beta counts sl3/p weight vectors.
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     pb = enumerate_IWJ(block, (0,))
     res = parabolic_character_check(pb, pb.reps[0], 3)
@@ -297,7 +294,7 @@ def test_character_check_adjoint_levi():
 
 
 def test_nonintegral_ambient_I_rejected():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(Fraction(-1, 2), Fraction(-1, 2)))
     with pytest.raises(ValueError):
         enumerate_IWJ(block, (0,))
@@ -308,7 +305,7 @@ def test_nonintegral_ambient_I_rejected():
 
 def test_nonintegral_ambient_I_allowed_when_integral():
     # B2 at (-1/2, -1): alpha2 is integral and simple in the block.
-    rs = _rs("B2")
+    rs = root_system("B2")
     block = integral_block(rs, Weight.of(Fraction(-1, 2), -1))
     pb = enumerate_IWJ(block, (1,))
     for w in pb.reps:
@@ -319,7 +316,7 @@ def test_nonintegral_ambient_I_allowed_when_integral():
 
 
 def test_enumerate_rejects_bad_indices():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     with pytest.raises(ValueError):
         enumerate_IWJ(block, (5,))
@@ -332,7 +329,7 @@ def test_enumerate_rejects_wI_z_outside_WJ(monkeypatch):
     # enumerate_IWJ must refuse a z in {}^I W^J with w_I z outside W^J.
     # With membership forced true, z = e gives w_I = s1, which lies in
     # the coset s1 W_J of the wall J = {s1}.
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(0, -1))
     assert block.J == (0,)
     monkeypatch.setattr(
@@ -343,7 +340,7 @@ def test_enumerate_rejects_wI_z_outside_WJ(monkeypatch):
 
 
 def test_parabolic_layers_rejects_non_rep():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     pb = enumerate_IWJ(block, (0,))
     s1 = block.system.gens[0]
@@ -353,7 +350,7 @@ def test_parabolic_layers_rejects_non_rep():
 
 
 def test_validate_errors():
-    rs = _rs("A2")
+    rs = root_system("A2")
     block = integral_block(rs, Weight.of(-1, -1))
     pb = enumerate_IWJ(block, (0,))
     w = pb.reps[1]
@@ -369,7 +366,7 @@ def test_validate_errors():
 
 
 def test_loewy_length_ignores_trailing_empty_layers():
-    rs = _rs("B2")
+    rs = root_system("B2")
     block = integral_block(rs, Weight.of(-1, -1))
     pb = enumerate_IWJ(block, (1,))
     w = pb.reps[3]  # length 3
@@ -382,7 +379,7 @@ def test_loewy_length_ignores_trailing_empty_layers():
 
 
 def test_g2_parabolic_tables():
-    rs = _rs("G2")
+    rs = root_system("G2")
     block = integral_block(rs, Weight.of(-1, -1))
     sys = block.system
     for I in ((0,), (1,)):
@@ -398,7 +395,7 @@ def test_g2_parabolic_tables():
 
 def test_multiplicities_nonnegative_across_suites():
     for name in ("A2", "B2"):
-        rs = _rs(name)
+        rs = root_system(name)
         for label, mu in suite_weights(rs):
             block = integral_block(rs, mu)
             for I in _block_simple_subsets(rs, block):
@@ -474,7 +471,7 @@ def test_character_check_rows_match_per_beta_counts(name):
     # every seed-0 suite block of B3 and G2: the singular and nonintegral
     # blocks repeat shift lists most, so there the rows come from the memo;
     # the regular block only of C3
-    rs = _rs(name)
+    rs = root_system(name)
     weights = suite_weights(rs)
     if name == "C3":
         weights = weights[:1]
@@ -502,7 +499,7 @@ def test_dual_path_refuses_a_target_outside_w_j():
     # a planted lift w_I w outside W^J makes the composite parameter of
     # u = e leave W^J: the dual path reports a defect, not the usage error
     # that layers gives a caller for such a w
-    block = integral_block(_rs("A2"), Weight.of(0, -1))
+    block = integral_block(root_system("A2"), Weight.of(0, -1))
     sys = block.system
     pb = enumerate_IWJ(block, ())
     w = pb.reps[0]
@@ -520,7 +517,7 @@ def test_parabolic_paths_reflect_each_weight_once(monkeypatch):
     # the per-element tables and reads the memoised entries
     prepared = []
     for name in ("A3", "B3"):
-        rs = _rs(name)
+        rs = root_system(name)
         block = integral_block(rs, Weight.of(*([-1] * rs.rank)))
         for I in ((0,), (0, 1)):
             prepared.append((enumerate_IWJ(block, I), table_for(block.system)))
@@ -569,7 +566,7 @@ def test_levi_built_once_per_parabolic_block(monkeypatch):
     blocks_with_modules = 0
     modules = 0
     for name in ("A3", "B3"):
-        rs = _rs(name)
+        rs = root_system(name)
         for _, mu in suite_weights(rs):
             block = integral_block(rs, mu)
             table = table_for(block.system)

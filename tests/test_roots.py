@@ -25,7 +25,8 @@ from jantzen.roots import (
     shifted_sum,
 )
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
-from reference import kostant_counts, root_coords, root_index
+from helpers import drawn_weights
+from reference import kostant_counts, pairing, root_coords, root_index
 
 TYPES = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D4", "G2", "F4"]
 
@@ -439,7 +440,7 @@ def test_positive_integral_pairings_match_pairing():
         for coords in [(1, 1), (1, 0), (-1, 2), (half, 1), (3 * half, 2)]:
             w = Weight.of(*coords)
             pairings = [
-                _ref_pairing(w.coords, rs.coroot_of(root)) for root in rs.positive_roots
+                pairing(w.coords, rs.coroot_of(root)) for root in rs.positive_roots
             ]
             want = [
                 (i, p)
@@ -471,37 +472,16 @@ def test_weight_integer_form_and_identity():
         w.den = 1
 
 
-# Types of the property tests; every example draws one weight per type.
-_PROPERTY_TYPES = ("A2", "B2", "G2", "A3", "B3")
-
-
-@st.composite
-def _weights(draw):
-    """{type: weight} with signed rational coordinates of denominator <= 6."""
-    out = {}
-    for name in _PROPERTY_TYPES:
-        rank = int(name[1:])
-        out[name] = Weight.of(
-            *(Fraction(draw(st.integers(-8, 8)), draw(st.integers(1, 6))) for _ in range(rank))
-        )
-    return out
-
-
-def _ref_pairing(coords, coroot) -> Fraction:
-    """<lambda, alpha^vee> by Fraction arithmetic on the coordinates."""
-    return sum((Fraction(c) * x for c, x in zip(coords, coroot)), Fraction(0))
-
-
 def _ref_reflect(rs, coords, root) -> tuple:
     """s_root(lambda) by Fraction arithmetic on the coordinates."""
-    p = _ref_pairing(coords, rs.coroot_of(root))
+    p = pairing(coords, rs.coroot_of(root))
     n = rs.rank
     image = [sum(rs.cartan[i][k] * root[k] for k in range(n)) for i in range(n)]
     return tuple(c - p * x for c, x in zip(coords, image))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
-@given(_weights())
+@given(drawn_weights())
 def test_integer_arithmetic_matches_fraction_reference(weights):
     for name, w in weights.items():
         rs = build_root_system(LieType.parse(name))
@@ -509,7 +489,7 @@ def test_integer_arithmetic_matches_fraction_reference(weights):
         assert w.den == math.lcm(*(c.denominator for c in coords))
         assert w.num == tuple(c * w.den for c in coords)
         for root, coroot in zip(rs.positive_roots, rs.coroots):
-            assert Fraction(pairing_numerator(w.num, coroot), w.den) == _ref_pairing(
+            assert Fraction(pairing_numerator(w.num, coroot), w.den) == pairing(
                 coords, coroot
             )
             for r in (root, tuple(-x for x in root)):

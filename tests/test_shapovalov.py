@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from jantzen import clear_caches, shapovalov
 from jantzen.blocks import DefectError, integral_block
-from jantzen.roots import LieType, Weight, boxes, build_root_system, partition_table
+from jantzen.roots import LieType, Weight, boxes, partition_table
 from jantzen.shapovalov import (
     DegenerateFormError,
     DepthCapError,
@@ -39,6 +39,7 @@ from jantzen.shapovalov import (
     weight_space_basis,
 )
 from jantzen.suite import ACCEPTANCE_TYPES, suite_weights
+from helpers import root_system
 from reference import QPoly
 
 T = QPoly((0, 1))
@@ -78,10 +79,6 @@ def _at_nu(nu, p):
                 term = term * x
         total = total + term
     return total
-
-
-def _rs(name):
-    return build_root_system(LieType.parse(name))
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +234,7 @@ def test_cartan_pairing_of_e_f_is_the_coroot():
     # of the b-th positive coroot; this pins the normalization for long
     # and short roots at once.
     for name in ("A1", "A2", "B2", "B3", "C3", "G2"):
-        rs = _rs(name)
+        rs = root_system(name)
         cb = chevalley_basis(LieType.parse(name))
         for b, coroot in enumerate(rs.coroots):
             want = {_h(cb, k): c for k, c in enumerate(coroot) if c != 0}
@@ -393,7 +390,7 @@ def test_gram_matches_per_weight_module(name):
     # suite module: the type's matrices over Z[lambda], specialised to
     # integer rows, equal the ones built for that weight alone over the
     # unit d^D and have their Smith exponents
-    rs = _rs(name)
+    rs = root_system(name)
     cb = chevalley_basis(rs.lie_type)
     modules = {}
     for seed in (0, 1):
@@ -471,7 +468,7 @@ def test_wrong_rank_weight_raises():
 
 
 def test_weight_space_basis_matches_kostant_partitions():
-    rs = _rs("A2")
+    rs = root_system("A2")
     # beta = alpha1 + alpha2: either the height-two root or alpha1, alpha2
     assert weight_space_basis(rs, (1, 1)) == ((0, 1), (2,))
     # beta = 2 alpha1 + alpha2
@@ -747,7 +744,7 @@ def test_hint_below_an_exponent_retries_once(monkeypatch):
     # determinant formula predicts 1.  Planted as 0, the hint 1 reaches
     # that exponent, so the space is redone once at the default precision:
     # the same dims, and only the determinant check fails.
-    rs, nu = _rs("A1"), Weight.of(1)
+    rs, nu = root_system("A1"), Weight.of(1)
     honest = oracle_compare(rs, nu, 4)
     assert honest.passed
     precisions = _plant_det_want(monkeypatch, (2,), -1)
@@ -761,7 +758,7 @@ def test_planted_high_det_want_still_fails(monkeypatch):
     # A2 at nu = (1, 1): the space beta = (1, 1) has exponents (1, 1).  A
     # prediction one too high only raises the precision; the determinant
     # check still sees the true valuation 2.
-    rs, nu = _rs("A2"), Weight.of(1, 1)
+    rs, nu = root_system("A2"), Weight.of(1, 1)
     precisions = _plant_det_want(monkeypatch, (1, 1), 1)
     rep = oracle_compare(rs, nu, 2)
     assert precisions == [4]
@@ -792,7 +789,7 @@ def test_oracle_small_cases_pass():
         ("B2", ("1", "1"), 2),
     ]
     for name, coords, depth in cases:
-        rs = _rs(name)
+        rs = root_system(name)
         nu = Weight.of(*coords)
         rep = oracle_compare(rs, nu, depth)
         assert rep.passed, (name, coords, rep.failures)
@@ -812,7 +809,7 @@ def test_oracle_small_cases_pass():
 def test_oracle_on_e_types(name, weight, depth):
     # nonintegral weights with small integral systems: the E types'
     # Chevalley bases, normalize and Gram matrices end to end
-    rep = oracle_compare(_rs(name), Weight.parse(weight), depth)
+    rep = oracle_compare(root_system(name), Weight.parse(weight), depth)
     assert rep.passed, rep.failures
     assert rep.spaces > 0
 
@@ -825,7 +822,7 @@ def test_oracle_on_e_types(name, weight, depth):
 )
 def test_oracle_counts_repeated_simples(name, weight):
     # a simple that occurs twice in one level must count twice
-    rep = oracle_compare(_rs(name), Weight.parse(weight))
+    rep = oracle_compare(root_system(name), Weight.parse(weight))
     assert rep.passed, rep.failures
 
 
@@ -833,7 +830,7 @@ def test_oracle_counts_repeated_simples(name, weight):
 def test_oracle_cold_and_warm_reports_agree(name):
     # cold: every per-block memo emptied before the call; warm: the same
     # modules again, reading what the whole suite left in the memos
-    rs = _rs(name)
+    rs = root_system(name)
     modules = []
     for _, mu in suite_weights(rs, 0):
         block = integral_block(rs, mu)
@@ -848,10 +845,10 @@ def test_oracle_cold_and_warm_reports_agree(name):
 
 
 def test_oracle_depth_cap_enforced():
-    rs = _rs("A1")
+    rs = root_system("A1")
     with pytest.raises(DepthCapError):
         oracle_compare(rs, Weight.of(1), 99)
-    rs = _rs("C3")
+    rs = root_system("C3")
     with pytest.raises(DepthCapError):
         oracle_compare(rs, Weight.of(-1, -1, -1), 4)
 
@@ -859,4 +856,4 @@ def test_oracle_depth_cap_enforced():
 def test_oracle_rejects_negative_depth():
     # a negative depth has no weight spaces, so the oracle would pass vacuously
     with pytest.raises(ValueError, match="nonnegative"):
-        oracle_compare(_rs("A1"), Weight.of(1), -3)
+        oracle_compare(root_system("A1"), Weight.of(1), -3)

@@ -26,6 +26,7 @@ from jantzen.weyl import (
     parse_word,
     weyl_group,
 )
+from helpers import group_of
 from reference import is_simple_system, pairing, root_coords, root_index, word_apply
 
 ORDERS = {
@@ -41,10 +42,6 @@ ORDERS = {
 
 # every acceptance type, plus the rank-4 groups of the KL benchmark
 REFERENCE_TYPES = ACCEPTANCE_TYPES + ("A4", "D4")
-
-
-def _group(name):
-    return weyl_group(build_root_system(LieType.parse(name)))
 
 
 def _act(rs, word, coords):
@@ -83,11 +80,11 @@ def _image(sys, w):
 
 def test_group_orders():
     for name, order in ORDERS.items():
-        assert _group(name).order() == order
+        assert group_of(name).order() == order
 
 
 def test_f4_enumerates_at_the_cap():
-    sys = _group("F4")
+    sys = group_of("F4")
     assert sys.order() == 1152
     assert sys.length(sys.order() - 1) == 24
 
@@ -96,7 +93,7 @@ def test_rho_orbit_is_a_bijection():
     # w -> w(rho) maps the elements one to one onto the orbit of rho,
     # found here by a search with the reference reflections alone
     for name in REFERENCE_TYPES:
-        sys = _group(name)
+        sys = group_of(name)
         rs = sys.rs
         orbit = {_rho(rs)}
         frontier = [_rho(rs)]
@@ -116,7 +113,7 @@ def test_rho_orbit_is_a_bijection():
 
 def test_longest_element_length():
     for name in ORDERS:
-        sys = _group(name)
+        sys = group_of(name)
         w0 = sys.longest_times(sys.identity)
         assert w0 == sys.order() - 1
         assert sys.length(w0) == len(sys.rs.positive_roots)
@@ -125,7 +122,7 @@ def test_longest_element_length():
 
 def test_reflections_count_and_order():
     for name in ORDERS:
-        sys = _group(name)
+        sys = group_of(name)
         refl = sys.reflections()
         assert len(set(refl)) == len(sys.rs.positive_roots)
         for t in refl:
@@ -148,7 +145,7 @@ def test_braid_relations():
     # The order of s_i s_j, found by the reference action, equals the
     # Coxeter matrix entry exactly.
     for name in REFERENCE_TYPES:
-        sys = _group(name)
+        sys = group_of(name)
         rs = sys.rs
         m = sys.coxeter_matrix()
         for i in range(sys.num_gens):
@@ -165,17 +162,17 @@ def test_braid_relations():
 
 
 def test_coxeter_matrix_values():
-    assert _group("A2").coxeter_matrix() == ((1, 3), (3, 1))
-    assert _group("B2").coxeter_matrix() == ((1, 4), (4, 1))
-    assert _group("G2").coxeter_matrix() == ((1, 6), (6, 1))
-    a3 = _group("A3").coxeter_matrix()
+    assert group_of("A2").coxeter_matrix() == ((1, 3), (3, 1))
+    assert group_of("B2").coxeter_matrix() == ((1, 4), (4, 1))
+    assert group_of("G2").coxeter_matrix() == ((1, 6), (6, 1))
+    a3 = group_of("A3").coxeter_matrix()
     assert a3 == ((1, 3, 2), (3, 1, 3), (2, 3, 1))
 
 
 def test_length_via_inversions():
     # l(w) = number of positive roots made negative, counted on w(rho).
     for name in REFERENCE_TYPES:
-        sys = _group(name)
+        sys = group_of(name)
         for w in sys.elements():
             image = _act(sys.rs, sys.word(w), _rho(sys.rs))
             assert _ref_length(sys.rs, image) == sys.length(w)
@@ -183,7 +180,7 @@ def test_length_via_inversions():
 
 def test_word_round_trip():
     for name in REFERENCE_TYPES:
-        sys = _group(name)
+        sys = group_of(name)
         rs = sys.rs
         for w in sys.elements():
             word = sys.word(w)
@@ -195,7 +192,7 @@ def test_word_round_trip():
 
 
 def test_element_from_word_reports_index_one_based():
-    sys = _group("A2")
+    sys = group_of("A2")
     with pytest.raises(
         ValueError,
         match=r"^generator index 3 out of range; the system has 2 generators$",
@@ -223,7 +220,7 @@ def test_parse_and_format_word():
 
 
 def test_descents():
-    sys = _group("A2")
+    sys = group_of("A2")
     s1, s2 = sys.gens
     w = sys.mul(s1, s2)
     # a right descent shortens: l(w s2) < l(w) < l(w s1)
@@ -237,7 +234,7 @@ def test_element_tables_match_matrices():
     # Every table against the reference: w s_i, the descents, w0 w and the
     # product are the elements whose rho-images the reference words give.
     for name in REFERENCE_TYPES:
-        sys = _group(name)
+        sys = group_of(name)
         rs = sys.rs
         by_image = {_image(sys, w): w for w in sys.elements()}
         w0_word = sys.word(sys.longest_times(sys.identity))
@@ -347,7 +344,7 @@ def test_keyed_walk_matches_matrix_keyed_walk():
     # every table field of the rho-keyed walk equals the reference's, on
     # every acceptance type, the rank-4 groups and two nonintegral
     # subsystems whose simple roots are not the ambient ones
-    systems = [_group(name) for name in REFERENCE_TYPES + ("B4", "F4")]
+    systems = [group_of(name) for name in REFERENCE_TYPES + ("B4", "F4")]
     for name in ("B2", "G2"):
         rs = build_root_system(LieType.parse(name))
         systems.append(integral_block(rs, Weight.of(Fraction(-1, 2), -1)).system)
@@ -360,7 +357,7 @@ def test_keyed_walk_matches_matrix_keyed_walk():
 def test_elements_sorted_by_sort_key():
     # index order is (length, word) order
     for name in REFERENCE_TYPES:
-        sys = _group(name)
+        sys = group_of(name)
         keys = [(sys.length(w), sys.word(w)) for w in sys.elements()]
         assert keys == sorted(set(keys))
         assert [sys.word(g) for g in sys.gens] == [(i,) for i in range(sys.num_gens)]
@@ -398,7 +395,7 @@ def _bruhat_oracle(sys):
 
 def test_bruhat_leq_against_lifting_oracle():
     for name in ("A1", "A2", "A3", "B2", "B3", "G2"):
-        sys = _group(name)
+        sys = group_of(name)
         oracle = _bruhat_oracle(sys)
         elems = sys.elements()
         for x in elems:
@@ -408,7 +405,7 @@ def test_bruhat_leq_against_lifting_oracle():
 
 def test_bruhat_interval_below():
     for name in ("A2", "B2", "G2", "A3"):
-        sys = _group(name)
+        sys = group_of(name)
         for w in sys.elements():
             below = sys.bruhat_interval_below(w)
             expected = [x for x in sys.elements() if sys.bruhat_leq(x, w)]
@@ -418,7 +415,7 @@ def test_bruhat_interval_below():
 
 
 def test_bruhat_basics():
-    sys = _group("A2")
+    sys = group_of("A2")
     s1, s2 = sys.gens
     assert sys.bruhat_leq(sys.identity, s1)
     assert sys.bruhat_leq(s2, sys.mul(s1, s2))
@@ -429,7 +426,7 @@ def test_bruhat_basics():
 
 def test_min_coset_reps():
     for name in ("A3", "B2", "B3", "G2"):
-        sys = _group(name)
+        sys = group_of(name)
         n = sys.num_gens
         for r in range(n + 1):
             for J in itertools.combinations(range(n), r):
@@ -452,7 +449,7 @@ def test_decompose_yx():
     # g = y x with y = coset_rep(g, J) the minimal coset representative
     # and x = y^-1 g in W_J, lengths adding.
     for name in ("A3", "B2"):
-        sys = _group(name)
+        sys = group_of(name)
         for r in range(sys.num_gens + 1):
             for J in itertools.combinations(range(sys.num_gens), r):
                 sub = set(sys.subgroup_elements(J))
@@ -465,7 +462,7 @@ def test_decompose_yx():
 
 
 def test_subgroup_elements():
-    sys = _group("B3")
+    sys = group_of("B3")
     assert len(sys.subgroup_elements(())) == 1
     assert len(sys.subgroup_elements((0,))) == 2
     assert len(sys.subgroup_elements((0, 1))) == 6
@@ -482,7 +479,7 @@ def test_subgroup_elements():
 def test_upper_coset_membership():
     # {}^I W^J in the regular A2 group with I = {s1}: w must stay a
     # minimal representative after left multiplication by s1.
-    sys = _group("A2")
+    sys = group_of("A2")
     s1, s2 = sys.gens
     members = [w for w in sys.elements() if sys.upper_coset_membership(w, (0,), ())]
     assert set(members) == {sys.identity, s2, sys.mul(s2, s1)}
@@ -510,13 +507,13 @@ def test_apply_weight_action():
             if all(c <= 0 for c in moved):
                 moved = tuple(-c for c in moved)
                 sign = -1
-            assert pairing(image, rs.coroot_of(moved)) == sign * pairing(
-                r, rs.coroot_of(alpha)
+            assert pairing(image.coords, rs.coroot_of(moved)) == sign * pairing(
+                r.coords, rs.coroot_of(alpha)
             )
 
 
 def test_sort_key_orders_by_length():
-    sys = _group("B2")
+    sys = group_of("B2")
     elems = sorted(sys.elements())
     lengths = [sys.length(w) for w in elems]
     assert lengths == sorted(lengths)
